@@ -7,6 +7,17 @@ label of an iota_2 or fd top cell (umin); code f lies in stage i exactly
 when dmax(f) <= i < umin(f).  The step maps act on the bits of one
 maximal rectangle X, so each step is applied through a lazily built
 lookup table keyed on the X-bit pattern.
+
+Chain tables use the same bit order.  The longest chain of a support
+mask m whose highest bit b sits at cell (x, y) either skips b or ends
+there, in which case the rest of it lies in m & before_b: the lower
+cells strictly SW of (x, y) for NE chains, strictly SE for SE chains.
+So T[m] = max(T[m - 2^b], 1 + T[m & before_b]), one vectorised step per
+bit.  This counts plain poset chains, which is the chain statistic
+inside a rectangle of the shape.  On a whole skew shape it is also the
+SE statistic, because any SE pair of cells spans a rectangle of a skew
+shape; an NE chain, however, must fit one maximal rectangle, so the
+whole-shape NE table is the elementwise max of the per-rectangle ones.
 """
 
 from __future__ import annotations
@@ -20,8 +31,8 @@ from .bijection import (
     cell_labels,
     step_anatomy,
 )
-from .fillings import Filling, _lds, _lis, as_pattern, find_filling_occurrences, longest_chain
-from .shapes import Rect, Shape
+from .fillings import NE, SE, Filling, as_pattern, find_filling_occurrences
+from .shapes import Rect, Shape, is_skew, skew_rectangles
 
 
 def _all_ones(s: Shape) -> Filling:
@@ -158,21 +169,38 @@ class ShapeContext:
         return self._sums(F, by_row=False)
 
 
+def _chain_recursion(cells, direction: str, region: Rect | None) -> np.ndarray:
+    """Longest poset chain per support mask, counting only cells in region."""
+    table = np.zeros(1 << len(cells), dtype=np.int8)
+    low = np.arange(len(table) >> 1, dtype=np.int64)
+    for b, (x, y) in enumerate(cells):
+        head, tail = table[: 1 << b], table[1 << b: 2 << b]
+        if region is not None and (x, y) not in region:
+            tail[:] = head
+            continue
+        before = sum(1 << k for k, (u, v) in enumerate(cells[:b])
+                     if v < y and (u < x if direction == NE else u > x)
+                     and (region is None or (u, v) in region))
+        np.maximum(head, head[low[: 1 << b] & before] + 1, out=tail)
+    return table
+
+
 def support_chain_table(s: Shape, direction: str, region: Rect | None = None) -> np.ndarray:
-    """Longest chain per support mask (bits in sorted-cell order)."""
+    """Longest chain per support mask (bits in sorted-cell order).
+
+    Without a region the shape must be skew; see the module docstring.
+    """
     cells = s.sorted_cells()
-    n = len(cells)
-    out = np.zeros(1 << n, dtype=np.int8)
     if region is not None:
-        keep = [k for k, c in enumerate(cells) if c in region]
-        for mask in range(1 << n):
-            chosen = [cells[k] for k in keep if mask & (1 << k)]
-            out[mask] = _lis(chosen) if direction == "NE" else _lds(chosen)
-        return out
-    for mask in range(1 << n):
-        support = frozenset(c for k, c in enumerate(cells) if mask & (1 << k))
-        out[mask] = longest_chain(Filling.from_support(s, support), direction)
-    return out
+        return _chain_recursion(cells, direction, region)
+    if not is_skew(s):
+        raise ValueError("whole-shape chain tables are defined for skew shapes only")
+    if direction == SE:
+        return _chain_recursion(cells, SE, None)
+    table = np.zeros(1 << len(cells), dtype=np.int8)
+    for rect in skew_rectangles(s):
+        np.maximum(table, _chain_recursion(cells, NE, rect), out=table)
+    return table
 
 
 def value_matrix(n: int, max_entry: int) -> np.ndarray:

@@ -180,7 +180,6 @@ def classify_upper(an: StepAnatomy, support) -> int:
     if an.c_next in support:
         return 3
     if an.A is not None and _overlap(an, support):
-        y = an.c_next[1]
         r_ones = sum(1 for c in an.R if c in support)
         return 2 if r_ones == 1 else 4
     return 5

@@ -25,7 +25,7 @@ from .fillings import (
     longest_chain,
     sum_vector,
 )
-from .shapes import Cell, Shape, is_connected, is_moon, maximal_rectangles, normalize
+from .shapes import Shape, is_moon, maximal_rectangles, normalize
 
 _MODES = ("binary", "sparse", "transversal", "integer")
 
@@ -113,17 +113,23 @@ def catalog_line(s: Shape) -> str:
 
 
 def parse_catalog_line(text: str) -> Shape:
+    """Inverse of catalog_line: integer pairs (a_y, b_y) with a_1 = 1,
+    a_{y-1} <= a_y <= b_{y-1} + 1 and b_y >= max(a_y, b_{y-1})."""
     try:
         intervals = ast.literal_eval(text.strip())
     except (SyntaxError, ValueError):
         raise ValueError(f"bad catalog line: {text!r}") from None
     if isinstance(intervals, tuple) and intervals and isinstance(intervals[0], int):
         intervals = (intervals,)
-    cells = set()
+    if not isinstance(intervals, (list, tuple)) or not intervals:
+        raise ValueError(f"bad catalog line: {text!r}")
+    cells, a, b = set(), 1, 0
     for y, pair in enumerate(intervals, start=1):
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                and all(isinstance(v, int) for v in pair)
+                and a <= pair[0] <= b + 1 and pair[1] >= max(pair[0], b)):
+            raise ValueError(f"interval {pair!r} breaks the catalog grammar")
         a, b = pair
-        if a > b:
-            raise ValueError(f"bad interval {pair} in catalog line")
         cells.update((x, y) for x in range(a, b + 1))
     return normalize(cells)
 

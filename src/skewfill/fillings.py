@@ -13,7 +13,6 @@ delta_k are NE-chains and SE-chains of length k.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -27,9 +26,7 @@ from .shapes import (
     dent_shape,
     find_shape_occurrences,
     is_skew,
-    normalize,
-    parse_shape,
-    skew_row_intervals,
+    skew_rectangles,
 )
 
 NE = "NE"
@@ -277,34 +274,6 @@ def avoids(host: Filling, patterns) -> bool:
 
 
 # --- chains ---------------------------------------------------------------
-
-
-def skew_rectangles(s: Shape) -> list[Rect]:
-    """Inclusion-maximal rectangles of a skew shape, via row intervals."""
-    ivs = skew_row_intervals(s)
-    cands = []
-    for y1 in range(1, s.height + 1):
-        if ivs[y1 - 1] is None:
-            continue
-        for y2 in range(y1, s.height + 1):
-            if ivs[y2 - 1] is None:
-                break  # an empty row ends every rectangle through it
-            lo = ivs[y2 - 1][0]
-            hi = ivs[y1 - 1][1]
-            if lo <= hi:
-                cands.append(Rect(lo, hi, y1, y2))
-    maximal = [
-        r
-        for r in cands
-        if not any(
-            q != r
-            and q.col_lo <= r.col_lo <= r.col_hi <= q.col_hi
-            and q.row_lo <= r.row_lo <= r.row_hi <= q.row_hi
-            for q in cands
-        )
-    ]
-    maximal.sort(key=lambda r: (r.width, r.col_lo, r.row_lo))
-    return maximal
 
 
 def _lis(cells: list[Cell]) -> int:

@@ -66,7 +66,7 @@ from ._engine import (
 )
 from .enumeration import EnumSpec, catalog_line, enum_fillings, enum_moon_polyominoes, \
     enum_skew_shapes, parse_catalog_line
-from .fillings import NE, SE, Filling, avoids, longest_chain
+from .fillings import NE, SE
 from .shapes import Rect, Shape, classify_shape, dent_shape, is_connected, \
     is_moon, is_nw_ferrers, maximal_rectangles, normalize
 from .structure import DecompositionError, ferrers_decompose, is_ds_free, \
@@ -298,17 +298,21 @@ def _catalog(max_cells, connected=None, ds_free=None):
         yield from enum_skew_shapes(n, connected=connected, ds_free=ds_free)
 
 
-def _transversals(s: Shape) -> list[Filling]:
+def _transversals(s: Shape) -> np.ndarray:
+    """Support masks of the transversals of s, in enumeration order."""
     if s.height != s.width:
-        return []
-    return list(enum_fillings(s, EnumSpec(mode="transversal")))
+        return np.zeros(0, dtype=np.int64)
+    values = [f.values for f in enum_fillings(s, EnumSpec(mode="transversal"))]
+    return support_index(np.array(values, dtype=np.int64).reshape(len(values), s.size))
 
 
-def _tr_counts(ts: list[Filling], k: int) -> tuple[int, int]:
-    """(#iota_k-avoiding, #delta_k-avoiding) transversals."""
-    ti = sum(1 for f in ts if longest_chain(f, NE) < k)
-    td = sum(1 for f in ts if longest_chain(f, SE) < k)
-    return ti, td
+def _tr_counts(s: Shape, ts: np.ndarray, ks) -> list[tuple[int, int]]:
+    """(#iota_k-avoiding, #delta_k-avoiding) transversals for each k."""
+    if not ts.size:
+        return [(0, 0) for _ in ks]
+    ne = support_chain_table(s, NE)[ts]
+    se = support_chain_table(s, SE)[ts]
+    return [(int(np.count_nonzero(ne < k)), int(np.count_nonzero(se < k))) for k in ks]
 
 
 def _run_conjecture(params, shard):
@@ -318,9 +322,7 @@ def _run_conjecture(params, shard):
     dent = dent_shape()
     ks = range(1, params["kmax"] + 1)
     for s in _striped(_catalog(params["max_cells"]), shard):
-        ts = _transversals(s)
-        for k in ks:
-            ti, td = _tr_counts(ts, k)
+        for k, (ti, td) in zip(ks, _tr_counts(s, _transversals(s), ks)):
             instances += 1
             if ti < td:
                 failures.append({"shape": catalog_line(s), "k": k,
@@ -337,11 +339,12 @@ def _run_thm_bp(params, shard):
     instances, failures = 0, []
     for s in _striped(_catalog(params["max_cells"]), shard):
         ts = _transversals(s)
-        if not ts:
+        if not ts.size:
             continue
         instances += 1
-        d_count = sum(1 for f in ts if avoids(f, "delta2"))
-        u_count = sum(1 for f in ts if avoids(f, ("iota2", "fd")))
+        ctx = ShapeContext(s)
+        d_count = int(np.isin(ts, ctx.stage_members(1)).sum())  # delta2-avoiders
+        u_count = int(np.isin(ts, ctx.stage_members(ctx.n)).sum())  # {iota2, fd}-avoiders
         if d_count != 1:
             failures.append({"shape": catalog_line(s), "clause": "delta2",
                              "count": d_count})
@@ -352,18 +355,21 @@ def _run_thm_bp(params, shard):
             "details": {"shapes_with_transversal": instances}}
 
 
+def _capped_fillings(s: Shape, max_entry: int):
+    """Row sums, column sums and support masks of the sum-capped fillings."""
+    values = value_matrix(s.size, max_entry)
+    rows = line_sums(values, s, by_row=True)
+    cols = line_sums(values, s, by_row=False)
+    keep = sum_capped_mask(rows, cols, max_entry)
+    return rows[keep], cols[keep], support_index(values)[keep]
+
+
 def _refined_sum_check(s: Shape, kmax: int, max_entry: int):
     """Failure clauses of the sum-class comparison on one shape."""
     perms = sum_permutations(s)
     rho_idx = np.array(perms.rho, dtype=np.int64) - 1
     sigma_idx = np.array(perms.sigma, dtype=np.int64) - 1
-    n = s.size
-    values = value_matrix(n, max_entry)
-    rows = line_sums(values, s, by_row=True)
-    cols = line_sums(values, s, by_row=False)
-    keep = sum_capped_mask(rows, cols, max_entry)
-    rows, cols = rows[keep], cols[keep]
-    sidx = support_index(values)[keep]
+    rows, cols, sidx = _capped_fillings(s, max_entry)
     se = support_chain_table(s, SE)[sidx]
     ne = support_chain_table(s, NE)[sidx]
     bad = []
@@ -382,9 +388,8 @@ def _run_cor_sskew(params, shard):
     stream = _catalog(params["max_cells"], connected=True, ds_free=True)
     for s in _striped(stream, shard):
         shapes_checked += 1
-        ts = _transversals(s)
-        for k in range(2, params["kmax"] + 1):
-            ti, td = _tr_counts(ts, k)
+        ks = range(2, params["kmax"] + 1)
+        for k, (ti, td) in zip(ks, _tr_counts(s, _transversals(s), ks)):
             instances += 1
             if ti != td:
                 failures.append({"shape": catalog_line(s), "k": k,
@@ -460,17 +465,14 @@ def _run_lemma_gi(params, shard):
             "details": {"shapes": shapes}}
 
 
-def _frame_signature(frame: GammaFrame, se_side: bool, values, sidx, rows, cols):
+def _frame_signature(frame: GammaFrame, se_side: bool, sidx, rows, cols):
     s = frame.F
-    columns = []
-    overall = support_chain_table(s, SE if se_side else NE)
-    columns.append(overall[sidx])
+    regions = [None]  # the whole shape, then C_i or C'_i, then R_j or R'_j
     for i in range(1, frame.k + 1):
-        rect = frame.c_rect(i) if se_side else frame.c_prime_rect(i)
-        columns.append(support_chain_table(s, SE if se_side else NE, rect)[sidx])
+        regions.append(frame.c_rect(i) if se_side else frame.c_prime_rect(i))
     for j in range(1, frame.l + 1):
-        rect = frame.r_rect(j) if se_side else frame.r_prime_rect(j)
-        columns.append(support_chain_table(s, SE if se_side else NE, rect)[sidx])
+        regions.append(frame.r_rect(j) if se_side else frame.r_prime_rect(j))
+    columns = [support_chain_table(s, SE if se_side else NE, r)[sidx] for r in regions]
     for i in range(1, frame.k + 1):
         line = frame.c_line(i) if se_side else frame.c_prime_line(i)
         columns.append(cols[:, line - 1])
@@ -498,14 +500,9 @@ def _run_lem_ferrers(params, shard):
 
     for frame in _striped(frames(), shard):
         s = frame.F
-        values = value_matrix(s.size, params["max_entry"])
-        rows = line_sums(values, s, by_row=True)
-        cols = line_sums(values, s, by_row=False)
-        keep = sum_capped_mask(rows, cols, params["max_entry"])
-        rows, cols = rows[keep], cols[keep]
-        sidx = support_index(values)[keep]
-        se_sig = _frame_signature(frame, True, values, sidx, rows, cols)
-        ne_sig = _frame_signature(frame, False, values, sidx, rows, cols)
+        rows, cols, sidx = _capped_fillings(s, params["max_entry"])
+        se_sig = _frame_signature(frame, True, sidx, rows, cols)
+        ne_sig = _frame_signature(frame, False, sidx, rows, cols)
         instances += 1
         if not multiset_equal(se_sig, ne_sig):
             failures.append({"shape": catalog_line(s), "k": frame.k, "l": frame.l})
@@ -520,15 +517,11 @@ def _column_swap(s: Shape, t: int) -> Shape:
     return normalize(swapped)
 
 
-def _moon_keys(m: Shape, max_entry: int, widths: list[int]):
-    rects = {r.width: r for r in maximal_rectangles(m)}
-    values = value_matrix(m.size, max_entry)
-    rows = line_sums(values, m, by_row=True)
-    cols = line_sums(values, m, by_row=False)
-    keep = sum_capped_mask(rows, cols, max_entry)
-    rows, cols = rows[keep], cols[keep]
-    sidx = support_index(values)[keep]
-    columns = [support_chain_table(m, NE, rects[w])[sidx] for w in widths]
+def _moon_keys(m: Shape, rects: list[Rect], max_entry: int):
+    """NE chain per maximal rectangle (in the given order), row and column
+    sums of the sum-capped fillings of a moon."""
+    rows, cols, sidx = _capped_fillings(m, max_entry)
+    columns = [support_chain_table(m, NE, r)[sidx] for r in rects]
     return np.column_stack(columns), rows, cols
 
 
@@ -546,14 +539,14 @@ def _run_rubey(params, shard):
     for m, t, sm in _striped(pairs(), shard):
         instances += 1
         line = catalog_line(m) if m.size else ""
-        widths_m = sorted(r.width for r in maximal_rectangles(m))
-        widths_s = sorted(r.width for r in maximal_rectangles(sm))
-        if len(set(widths_m)) != len(widths_m) or widths_m != widths_s:
+        rects_m, rects_s = maximal_rectangles(m), maximal_rectangles(sm)
+        widths_m = [r.width for r in rects_m]
+        if len(set(widths_m)) != len(widths_m) or widths_m != [r.width for r in rects_s]:
             failures.append({"shape": line, "swap": t,
                              "clause": "rectangle widths do not match"})
             continue
-        lam_m, rows_m, cols_m = _moon_keys(m, params["max_entry"], widths_m)
-        lam_s, rows_s, cols_s = _moon_keys(sm, params["max_entry"], widths_m)
+        lam_m, rows_m, cols_m = _moon_keys(m, rects_m, params["max_entry"])
+        lam_s, rows_s, cols_s = _moon_keys(sm, rects_s, params["max_entry"])
         sigma = list(range(cols_s.shape[1]))
         sigma[t - 1], sigma[t] = sigma[t], sigma[t - 1]
         key_m = np.hstack([lam_m, rows_m, cols_m])

@@ -270,11 +270,6 @@ def is_se_ferrers(s: Shape) -> bool:
     return is_moon(s) and is_bottom_justified(s) and is_right_justified(s)
 
 
-def skew_row_intervals(s: Shape) -> list[tuple[int, int] | None]:
-    """Row intervals bottom-to-top; None marks an empty row."""
-    return [s.row_interval(y) for y in range(1, s.height + 1)]
-
-
 def is_skew(s: Shape) -> bool:
     """Difference of two NW Ferrers shapes with a shared top-left corner.
 
@@ -371,6 +366,29 @@ def contains_rect(s: Shape, r: Rect) -> bool:
     return all(c in s.cells for c in r.cells())
 
 
+def _rectangles(s: Shape) -> list[Rect]:
+    """Inclusion-maximal rectangles of a shape whose rows are intervals.
+
+    The candidates are the intersections of the row intervals over runs of
+    consecutive nonempty rows.  One is maximal unless the row just below or
+    just above its run still covers its columns.
+    """
+    ivs = [None] + [s.row_interval(y) for y in range(1, s.height + 1)] + [None]
+    found = []
+    for y1 in range(1, s.height + 1):
+        lo, hi = 1, s.width
+        for y2 in range(y1, s.height + 1):
+            if ivs[y2] is None:
+                break
+            lo, hi = max(lo, ivs[y2][0]), min(hi, ivs[y2][1])
+            if lo > hi:
+                break
+            if not any(iv and iv[0] <= lo and hi <= iv[1] for iv in (ivs[y1 - 1], ivs[y2 + 1])):
+                found.append(Rect(lo, hi, y1, y2))
+    found.sort(key=lambda r: (r.width, r.col_lo, r.row_lo))
+    return found
+
+
 def maximal_rectangles(s: Shape) -> list[Rect]:
     """Inclusion-maximal rectangles inside a moon polyomino.
 
@@ -379,26 +397,12 @@ def maximal_rectangles(s: Shape) -> list[Rect]:
     """
     if not is_moon(s):
         raise ValueError("maximal rectangles are only defined for moon polyominoes")
-    rects = []
-    for x1 in range(1, s.width + 1):
-        for x2 in range(x1, s.width + 1):
-            for y1 in range(1, s.height + 1):
-                for y2 in range(y1, s.height + 1):
-                    r = Rect(x1, x2, y1, y2)
-                    if contains_rect(s, r):
-                        rects.append(r)
-    maximal = [
-        r
-        for r in rects
-        if not any(
-            q != r
-            and q.col_lo <= r.col_lo <= r.col_hi <= q.col_hi
-            and q.row_lo <= r.row_lo <= r.row_hi <= q.row_hi
-            for q in rects
-        )
-    ]
-    maximal.sort(key=lambda r: (r.width, r.col_lo, r.row_lo))
-    return maximal
+    return _rectangles(s)
+
+
+def skew_rectangles(s: Shape) -> list[Rect]:
+    """Inclusion-maximal rectangles of a skew shape."""
+    return _rectangles(s)
 
 
 def mirror_lr(s: Shape) -> Shape:

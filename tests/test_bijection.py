@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import skew_shapes
+from skewfill._engine import ShapeContext
 from skewfill.bijection import (
     cell_labels,
     class_of,
@@ -67,6 +68,20 @@ def test_stage_endpoints_coincide_on_dent_free_shapes():
         for f in all_binary(s):
             assert in_G(s, f, 1) == (longest_chain(f, SE) < 2)
             assert in_G(s, f, n) == (longest_chain(f, NE) < 2)
+
+
+@given(skew_shapes(max_rows=3, max_width=3).filter(lambda s: s.size <= 7))
+@settings(max_examples=30, deadline=None)
+def test_engine_end_stages_are_avoider_masks(s):
+    # the bitmask stage sets that thm_bp counts transversals in
+    ctx = ShapeContext(s)
+    fillings = list(all_binary(s))
+    assert ctx.stage_members(1).tolist() == [
+        m for m, f in enumerate(fillings) if avoids(f, "delta2")
+    ]
+    assert ctx.stage_members(ctx.n).tolist() == [
+        m for m, f in enumerate(fillings) if avoids(f, ("iota2", "fd"))
+    ]
 
 
 def test_full_forward_on_diagonal():

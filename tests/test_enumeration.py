@@ -104,16 +104,23 @@ def test_enum_skew_shapes_rejects_bad_n():
 
 def test_catalog_line_round_trip():
     assert catalog_line(DENT) == "[(1,2),(1,3),(2,3)]"
-    for n in (3, 4):
-        for s in enum_skew_shapes(n, connected=True):
+    for n in range(1, 7):
+        for s in enum_skew_shapes(n):
             assert parse_catalog_line(catalog_line(s)) == s
 
 
 def test_parse_catalog_line_errors():
-    with pytest.raises(ValueError):
-        parse_catalog_line("nonsense")
-    with pytest.raises(ValueError):
-        parse_catalog_line("[(2,1)]")
+    for text in (
+        "nonsense",
+        "[(2,1)]",
+        "5",
+        "[('a','b')]",
+        "[]",
+        "[(1,2),(5,6)]",  # skips columns 4 and 5
+        "[(1,2),(0,3)]",  # left endpoint moves left: not skew
+    ):
+        with pytest.raises(ValueError):
+            parse_catalog_line(text)
 
 
 def test_catalog_line_requires_no_empty_rows():

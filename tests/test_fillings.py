@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import binary_fillings, brute_chain, integer_fillings, skew_shapes
+from skewfill._engine import support_chain_table
+from skewfill.enumeration import enum_moon_polyominoes
 from skewfill.fillings import (
     NE,
     SE,
@@ -22,9 +24,17 @@ from skewfill.fillings import (
     render_filling,
     render_numeric_filling,
     rotate_filling_180,
+    skew_rectangles,
     sum_vector,
 )
-from skewfill.shapes import Rect, dent_shape, normalize, parse_shape
+from skewfill.shapes import (
+    Rect,
+    dent_shape,
+    is_skew,
+    maximal_rectangles,
+    normalize,
+    parse_shape,
+)
 
 DENT = dent_shape()
 FD = pattern_library("fd")
@@ -122,6 +132,36 @@ def test_chains_use_support_only(f):
     g = Filling.from_support(f.shape, frozenset(f.support()))
     assert longest_chain(f, NE) == longest_chain(g, NE)
     assert longest_chain(f, SE) == longest_chain(g, SE)
+
+
+@given(skew_shapes(max_rows=3, max_width=3).filter(lambda s: s.size <= 7))
+@settings(max_examples=30, deadline=None)
+def test_chain_tables_match_reference(s):
+    # the subset-DP kernel against longest_chain and the subset-scan oracle,
+    # for every support mask: whole shape, then each maximal rectangle
+    fillings = list(all_binary_fillings(s))
+    for d in (NE, SE):
+        table = support_chain_table(s, d)
+        for m, f in enumerate(fillings):
+            assert table[m] == longest_chain(f, d) == brute_chain(f, d)
+        for r in skew_rectangles(s):
+            table = support_chain_table(s, d, r)
+            assert [int(v) for v in table] == [longest_chain(f, d, region=r) for f in fillings]
+
+
+def test_chain_tables_in_moon_rectangles():
+    for n in range(1, 7):
+        for m in enum_moon_polyominoes(n):
+            if not is_skew(m):  # whole-shape tables are for skew shapes only
+                with pytest.raises(ValueError):
+                    support_chain_table(m, NE)
+            fillings = list(all_binary_fillings(m))
+            for r in maximal_rectangles(m):
+                for d in (NE, SE):
+                    table = support_chain_table(m, d, r)
+                    assert [int(v) for v in table] == [
+                        longest_chain(f, d, region=r) for f in fillings
+                    ]
 
 
 def test_chain_region_restriction():

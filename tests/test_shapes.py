@@ -7,6 +7,7 @@ from conftest import (
     ferrers_difference_shapes,
     skew_shapes,
 )
+from skewfill.enumeration import enum_moon_polyominoes
 from skewfill.fillings import skew_rectangles
 from skewfill.shapes import (
     Occurrence,
@@ -195,26 +196,32 @@ def test_maximal_rectangles_of_moon_shapes():
         maximal_rectangles(DENT)
 
 
+MOON_RECTANGLES = [
+    (m, maximal_rectangles(m)) for n in range(1, 7) for m in enum_moon_polyominoes(n)
+]
+
+
 @given(skew_shapes())
 def test_skew_rectangles_are_maximal(s):
-    rects = skew_rectangles(s)
-    for r in rects:
-        assert contains_rect(s, r)
-        grown = [
-            Rect(r.col_lo - 1, r.col_hi, r.row_lo, r.row_hi),
-            Rect(r.col_lo, r.col_hi + 1, r.row_lo, r.row_hi),
-            Rect(r.col_lo, r.col_hi, r.row_lo - 1, r.row_hi),
-            Rect(r.col_lo, r.col_hi, r.row_lo, r.row_hi + 1),
-        ]
-        assert not any(
-            g.col_lo >= 1 and g.row_lo >= 1 and contains_rect(s, g) for g in grown
-        )
-    # every cell belongs to some maximal rectangle
-    for cell in s.cells:
-        assert any(
-            r.col_lo <= cell[0] <= r.col_hi and r.row_lo <= cell[1] <= r.row_hi
-            for r in rects
-        )
+    # the drawn skew shape, then every moon polyomino of at most 6 cells
+    for host, rects in [(s, skew_rectangles(s))] + MOON_RECTANGLES:
+        for r in rects:
+            assert contains_rect(host, r)
+            grown = [
+                Rect(r.col_lo - 1, r.col_hi, r.row_lo, r.row_hi),
+                Rect(r.col_lo, r.col_hi + 1, r.row_lo, r.row_hi),
+                Rect(r.col_lo, r.col_hi, r.row_lo - 1, r.row_hi),
+                Rect(r.col_lo, r.col_hi, r.row_lo, r.row_hi + 1),
+            ]
+            assert not any(
+                g.col_lo >= 1 and g.row_lo >= 1 and contains_rect(host, g) for g in grown
+            )
+        # every cell belongs to some maximal rectangle
+        for cell in host.cells:
+            assert any(
+                r.col_lo <= cell[0] <= r.col_hi and r.row_lo <= cell[1] <= r.row_hi
+                for r in rects
+            )
 
 
 def test_skew_rectangles_of_dent():
