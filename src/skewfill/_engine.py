@@ -8,6 +8,23 @@ when dmax(f) <= i < umin(f).  The step maps act on the bits of one
 maximal rectangle X, so each step is applied through a lazily built
 lookup table keyed on the X-bit pattern.
 
+The occurrences behind dmax and umin come straight from the rows.  In a
+skew shape every row is an interval, so a 2x2 box of cells is a row pair
+y1 < y2 and a column pair x1 < x2 drawn from the columns both rows share;
+delta_2 sets bits (x1, y2) and (x2, y1), iota_2 bits (x1, y1) and
+(x2, y2), and both have top (x2, y2).  An fd occurrence is a placement of
+the dented shape (cols i1 < i2 < i3, rows j1 < j2 < j3, holes at (i3, j1)
+and (i1, j3)) with bits (i1, j1), (i2, j3), (i3, j2) and top (i3, j3).
+
+Row-sum vectors are packed into one int64 key per code.  Row y is one
+digit of a mixed radix whose base is its length plus one, so the key of
+code f is the sum of the weights of the rows of its set bits, and two
+codes share a key exactly when their row sums agree.  The table over all
+codes takes one slice per bit: K[2^b:2^(b+1)] = K[:2^b] + weight(row of
+b).  multiset_equal packs any integer key matrix the same way, with one
+digit per column spanning that column's observed range, whenever the
+product of the spans fits 62 bits; two sorted 1-D arrays then decide.
+
 Chain tables use the same bit order.  The longest chain of a support
 mask m whose highest bit b sits at cell (x, y) either skips b or ends
 there, in which case the rest of it lies in m & before_b: the lower
@@ -22,21 +39,19 @@ whole-shape NE table is the elementwise max of the per-rectangle ones.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .bijection import (
     IN_ROW,
+    _anatomy,
     _backward_support,
     _forward_support,
     cell_labels,
-    step_anatomy,
 )
-from .fillings import NE, SE, Filling, as_pattern, find_filling_occurrences
-from .shapes import Rect, Shape, is_skew, skew_rectangles
-
-
-def _all_ones(s: Shape) -> Filling:
-    return Filling(s, (1,) * s.size)
+from .fillings import NE, SE
+from .shapes import Rect, Shape, _dent_placements, _row_spans, is_skew, skew_rectangles
 
 
 class ShapeContext:
@@ -50,19 +65,25 @@ class ShapeContext:
         self._dmax = None
         self._umin = None
         self._steps = None
+        self._row_keys = None
 
     def _occurrences(self, token: str):
-        """(support mask, 1-based top label) for every placement of a pattern."""
-        host = _all_ones(self.shape)
-        pat = as_pattern(token)
+        """(support mask, 1-based top label) for every placement of a pattern:
+        delta2, iota2 or fd."""
+        pos = self.pos
+        if token == "fd":
+            return [(1 << pos[(i1, j1)] | 1 << pos[(i2, j3)] | 1 << pos[(i3, j2)],
+                     pos[(i3, j3)] + 1)
+                    for (i1, i2, i3), (j1, j2, j3) in _dent_placements(self.shape)]
         out = []
-        for occ in find_filling_occurrences(host, token):
-            mask = 0
-            for (px, py), v in pat.items():
-                if v:
-                    mask |= 1 << self.pos[(occ.cols[px - 1], occ.rows[py - 1])]
-            top = self.pos[(occ.cols[-1], occ.rows[-1])] + 1
-            out.append((mask, top))
+        rows = _row_spans(self.shape).items()
+        for (y1, (lo1, hi1)), (y2, (lo2, hi2)) in itertools.combinations(rows, 2):
+            for x1, x2 in itertools.combinations(range(max(lo1, lo2), min(hi1, hi2) + 1), 2):
+                if token == "delta2":
+                    mask = 1 << pos[(x1, y2)] | 1 << pos[(x2, y1)]
+                else:
+                    mask = 1 << pos[(x1, y1)] | 1 << pos[(x2, y2)]
+                out.append((mask, pos[(x2, y2)] + 1))
         return out
 
     def _bounds(self):
@@ -97,7 +118,7 @@ class ShapeContext:
             return self._steps
         steps = []
         for i in range(1, self.n):
-            an = step_anatomy(self.shape, i)
+            an = _anatomy(self.shape, self.labels, i)
             if an.kind != IN_ROW or an.A is None:
                 continue
             xcells = [c for c in an.X.cells()]
@@ -164,6 +185,18 @@ class ShapeContext:
 
     def rowsums(self, F: np.ndarray) -> np.ndarray:
         return self._sums(F, by_row=True)
+
+    def row_keys(self) -> np.ndarray:
+        """Per code, its row-sum vector packed into one int64 key."""
+        if self._row_keys is None:
+            weight, radix = {}, 1
+            for y, (lo, hi) in _row_spans(self.shape).items():
+                weight[y], radix = radix, radix * (hi - lo + 2)
+            table = np.zeros(1 << self.n, dtype=np.int64)
+            for b, (_, y) in enumerate(self.labels):
+                np.add(table[: 1 << b], weight[y], out=table[1 << b: 2 << b])
+            self._row_keys = table
+        return self._row_keys
 
     def colsums(self, F: np.ndarray) -> np.ndarray:
         return self._sums(F, by_row=False)
@@ -239,12 +272,37 @@ def sum_capped_mask(rows: np.ndarray, cols: np.ndarray, cap: int) -> np.ndarray:
     return (rows <= cap).all(axis=1) | (cols <= cap).all(axis=1)
 
 
+def _packed_keys(a: np.ndarray, b: np.ndarray):
+    """The rows of two integer key matrices as int64 keys in one shared
+    mixed radix, or None when they are not integers or do not fit 62 bits.
+    One-dimensional integer keys come back as they are."""
+    if not (np.can_cast(a.dtype, np.int64) and np.can_cast(b.dtype, np.int64)):
+        return None
+    if a.ndim == 1:
+        return a, b
+    a = a.reshape(len(a), -1).astype(np.int64, copy=False)
+    b = b.reshape(len(b), -1).astype(np.int64, copy=False)
+    lo = np.minimum(a.min(axis=0), b.min(axis=0))
+    hi = np.maximum(a.max(axis=0), b.max(axis=0))
+    radix, r = [], 1
+    for low, high in zip(lo.tolist(), hi.tolist()):
+        radix.append(r)
+        r *= high - low + 1
+        if r > 1 << 62:
+            return None
+    radix = np.array(radix, dtype=np.int64)
+    return (a - lo) @ radix, (b - lo) @ radix
+
+
 def multiset_equal(a: np.ndarray, b: np.ndarray) -> bool:
     """Whether two key matrices hold the same rows with multiplicity."""
     if a.shape != b.shape:
         return False
     if a.size == 0:
         return True
+    packed = _packed_keys(a, b)
+    if packed is not None:
+        return np.array_equal(np.sort(packed[0]), np.sort(packed[1]))
     ua, ca = np.unique(a, axis=0, return_counts=True)
     ub, cb = np.unique(b, axis=0, return_counts=True)
     return ua.shape == ub.shape and bool(np.all(ua == ub)) and bool(np.all(ca == cb))

@@ -106,7 +106,11 @@ class ClassTag:
 
 @lru_cache(maxsize=65536)
 def step_anatomy(s: Shape, i: int) -> StepAnatomy:
-    labels = cell_labels(s)
+    return _anatomy(s, cell_labels(s), i)
+
+
+def _anatomy(s: Shape, labels: tuple[Cell, ...], i: int) -> StepAnatomy:
+    """step_anatomy for a shape whose labels are already known to be skew."""
     if not 1 <= i < len(labels):
         raise ValueError(f"step index {i} out of range 1..{len(labels) - 1}")
     prev, nxt = labels[i - 1], labels[i]

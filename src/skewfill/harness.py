@@ -417,21 +417,23 @@ def _run_genskew(params, shard):
     stream = single if single is not None else _catalog(params["max_cells"])
     for s in _striped(stream, shard):
         ctx = ShapeContext(s)
-        line = catalog_line(s)
         g1 = ctx.stage_members(1)
         gn = ctx.stage_members(ctx.n)
-        rs1 = ctx.rowsums(g1)
-        if not multiset_equal(rs1, ctx.rowsums(gn)):
-            failures.append({"shape": line, "clause": "direct refined counts"})
+        rk = ctx.row_keys()
         image = ctx.apply_all(g1)
-        if np.unique(image).size != image.size:
-            failures.append({"shape": line, "clause": "forward not injective"})
-        elif not np.array_equal(np.sort(image), gn):
-            failures.append({"shape": line, "clause": "image is not the final stage"})
-        if not np.array_equal(ctx.rowsums(image), rs1):
-            failures.append({"shape": line, "clause": "row sums not preserved"})
+        ordered = np.sort(image)
+        clauses = []
+        if not multiset_equal(rk[g1], rk[gn]):
+            clauses.append("direct refined counts")
+        if np.any(ordered[1:] == ordered[:-1]):
+            clauses.append("forward not injective")
+        elif not np.array_equal(ordered, gn):
+            clauses.append("image is not the final stage")
+        if not np.array_equal(rk[image], rk[g1]):
+            clauses.append("row sums not preserved")
         if not np.array_equal(ctx.apply_all(image, forward=False), g1):
-            failures.append({"shape": line, "clause": "backward not inverse"})
+            clauses.append("backward not inverse")
+        failures += [{"shape": catalog_line(s), "clause": c} for c in clauses]
         instances += 1 << ctx.n
         details["shapes"] += 1
         if single is not None:
@@ -645,7 +647,8 @@ def verify(prop: str, **params) -> VerificationReport:
     Keyword params are property-specific ranges (max_cells, kmax, lmax,
     refine_cells, max_entry) plus jobs and, for genskew/lemma_gi, an
     optional single shape (catalog line or Shape).  Values above the
-    documented caps raise BudgetError unless SKEWFILL_BUDGET_OVERRIDE=1.
+    documented caps, and a single shape with more cells than the max_cells
+    cap, raise BudgetError unless SKEWFILL_BUDGET_OVERRIDE=1.
     """
     if prop not in _RUNNERS:
         raise ValueError(f"unknown property {prop!r}, expected one of {PROPERTIES}")
@@ -669,6 +672,14 @@ def verify(prop: str, **params) -> VerificationReport:
             if effective[name] > cap:
                 raise BudgetError(
                     f"{prop}: {name}={effective[name]} exceeds cap {cap} "
+                    "(set SKEWFILL_BUDGET_OVERRIDE=1 to unlock)"
+                )
+        if effective.get("shape") is not None:
+            cells = parse_catalog_line(effective["shape"]).size
+            cap = budgets["max_cells"][1]
+            if cells > cap:
+                raise BudgetError(
+                    f"{prop}: shape has {cells} cells, exceeds max_cells cap {cap} "
                     "(set SKEWFILL_BUDGET_OVERRIDE=1 to unlock)"
                 )
     if jobs < 1:

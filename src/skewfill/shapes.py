@@ -427,24 +427,30 @@ def dent_shape() -> Shape:
     return parse_shape(DENT_TEXT)
 
 
-def _contains_dent(s: Shape) -> bool:
-    """Occurrence test for the dented shape, specialized for speed.
+def _row_spans(s: Shape) -> dict[int, tuple[int, int]]:
+    """(first, last) column of every occupied row, bottom row first."""
+    spans = {}
+    for x, y in s.sorted_cells():
+        spans[y] = (spans.get(y, (x,))[0], x)
+    return spans
+
+
+def _dent_placements(s: Shape):
+    """Every occurrence of the dented shape in a skew shape, as
+    ((i1, i2, i3), (j1, j2, j3)).
 
     An occurrence picks cols i1<i2<i3 and rows j1<j2<j3 such that the host
     holds cells at all nine selected positions except (i3,j1) and (i1,j3),
-    which must be holes.
+    which must be holes.  The occupied rows of a skew shape are intervals
+    [a, b] whose ends weakly grow upward, so for rows j1<j2<j3 this says
+    exactly a2 <= i1 < a3 <= i2 <= b1 < i3 <= b2.
     """
-    cols_of_row = [set(s.row_cols(y)) for y in range(s.height + 1)]  # index by row
-    occupied = [y for y in range(1, s.height + 1) if cols_of_row[y]]
-    for j1, j2, j3 in itertools.combinations(occupied, 3):
-        r1, r2, r3 = cols_of_row[j1], cols_of_row[j2], cols_of_row[j3]
-        low = sorted(r1 & r2)  # candidates for i1 and i2
-        if len(low) < 2:
-            continue
-        high = r2 & r3  # candidates for i2 and i3
-        for i1, i2 in itertools.combinations(low, 2):
-            if i1 in r3 or i2 not in high:
-                continue
-            if any(i3 > i2 and i3 not in r1 for i3 in high):
-                return True
-    return False
+    rows = _row_spans(s).items()
+    for (j1, (_, b1)), (j2, (a2, b2)), (j3, (a3, _)) in itertools.combinations(rows, 3):
+        for cols in itertools.product(range(a2, a3), range(a3, b1 + 1), range(b1 + 1, b2 + 1)):
+            yield cols, (j1, j2, j3)
+
+
+def _contains_dent(s: Shape) -> bool:
+    """Occurrence test for the dented shape in a skew shape."""
+    return next(_dent_placements(s), None) is not None

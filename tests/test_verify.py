@@ -134,6 +134,18 @@ def test_budget_override_unlocks():
             os.environ["SKEWFILL_BUDGET_OVERRIDE"] = saved
 
 
+def test_shape_parameter_respects_cell_cap(monkeypatch):
+    monkeypatch.delenv("SKEWFILL_BUDGET_OVERRIDE", raising=False)
+    for prop in ("genskew", "lemma_gi"):
+        with pytest.raises(BudgetError):
+            verify(prop, shape="[(1,11)]")
+    assert verify("lemma_gi", shape="[(1,10)]").instances == 9  # at the cap
+    monkeypatch.setenv("SKEWFILL_BUDGET_OVERRIDE", "1")
+    r = verify("genskew", shape="[(1,11)]")
+    assert r.passed and r.instances == 2048
+    assert verify("lemma_gi", shape="[(1,11)]").instances == 10
+
+
 def test_jobs_must_be_positive():
     with pytest.raises(ValueError):
         verify("thm_bp", max_cells=4, jobs=0)
