@@ -4,9 +4,17 @@ A binary filling of an N-cell skew shape is an N-bit integer, bit i-1
 holding the value of cell c_i.  Stage membership reduces to two per-code
 numbers: the largest label of a delta_2 top cell (dmax) and the smallest
 label of an iota_2 or fd top cell (umin); code f lies in stage i exactly
-when dmax(f) <= i < umin(f).  The step maps act on the bits of one
-maximal rectangle X, so each step is applied through a lazily built
-lookup table keyed on the X-bit pattern.
+when dmax(f) <= i < umin(f).
+
+Step i reads and writes only the maximal rectangle X whose top-right
+cell is c_{i+1}.  When X is smaller than 2x2 the step is the identity.
+Otherwise X is a w x h box with c_{i+1} at its top-right, and step i
+acts on X exactly as the last step (i = wh - 1) of the w x h box shape
+acts on the same bit pattern: within X the labels run row by row, left
+to right, as they do in the box.  So each box size has one table of the
+images of all 2^(wh) patterns, built once from the support recipes, and
+a shape's step gathers its X rows into a box pattern, looks the image
+up, and scatters it back.
 
 The occurrences behind dmax and umin come straight from the rows.  In a
 skew shape every row is an interval, so a 2x2 box of cells is a row pair
@@ -40,22 +48,17 @@ whole-shape NE table is the elementwise max of the per-rectangle ones.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 import numpy as np
 
-from .bijection import (
-    IN_ROW,
-    _anatomy,
-    _backward_support,
-    _forward_support,
-    cell_labels,
-)
+from .bijection import _backward_support, _forward_support, cell_labels, step_anatomy
 from .fillings import NE, SE
 from .shapes import Rect, Shape, _dent_placements, _row_spans, is_skew, skew_rectangles
 
 
 class ShapeContext:
-    """Bit positions, stage membership arrays, and step tables for one shape."""
+    """Bit positions, stage membership arrays, and compiled steps for one shape."""
 
     def __init__(self, s: Shape):
         self.shape = s
@@ -114,41 +117,39 @@ class ShapeContext:
     # --- step application ---------------------------------------------------
 
     def _compiled_steps(self):
-        if self._steps is not None:
-            return self._steps
-        steps = []
-        for i in range(1, self.n):
-            an = _anatomy(self.shape, self.labels, i)
-            if an.kind != IN_ROW or an.A is None:
-                continue
-            xcells = [c for c in an.X.cells()]
-            xmask = 0
-            for c in xcells:
-                xmask |= 1 << self.pos[c]
-            steps.append((i, an, xcells, xmask, {}, {}))
-        self._steps = steps
-        return steps
-
-    def _map_bits(self, an, xcells, bits: int, forward: bool) -> int:
-        support = frozenset(c for c in xcells if bits & (1 << self.pos[c]))
-        fn = _forward_support if forward else _backward_support
-        out = 0
-        for c in fn(an, support):
-            out |= 1 << self.pos[c]
-        return out
+        """(i, width of X, first label bit of each X row, bottom up) for
+        every step whose X is at least 2x2."""
+        if self._steps is None:
+            spans = _row_spans(self.shape)
+            first, k = {}, 0
+            for y, (lo, hi) in spans.items():
+                first[y], k = k, k + hi - lo + 1
+            self._steps = []
+            for y, (lo, hi) in spans.items():
+                for x in range(lo + 1, hi + 1):
+                    # rows below start at or left of lo, so the column of x
+                    # runs down while their ends still reach x
+                    bottom = y
+                    while spans.get(bottom - 1, (0, 0))[1] >= x:
+                        bottom -= 1
+                    if bottom < y:
+                        bases = tuple(first[r] + lo - spans[r][0] for r in range(bottom, y + 1))
+                        self._steps.append((first[y] + x - lo, x - lo + 1, bases))
+        return self._steps
 
     def _apply_one(self, F: np.ndarray, step, forward: bool) -> np.ndarray:
-        i, an, xcells, xmask, fwd_table, bwd_table = step
-        table = fwd_table if forward else bwd_table
-        xb = F & xmask
-        uniq, inverse = np.unique(xb, return_inverse=True)
-        images = np.empty(len(uniq), dtype=np.int64)
-        for k, pattern in enumerate(uniq):
-            pattern = int(pattern)
-            if pattern not in table:
-                table[pattern] = self._map_bits(an, xcells, pattern, forward)
-            images[k] = table[pattern]
-        return (F & ~xmask) | images[inverse]
+        i, w, bases = step
+        row = (1 << w) - 1
+        pattern = np.zeros_like(F)
+        for r, base in enumerate(bases):
+            pattern |= ((F >> base) & row) << (r * w)
+        image = _step_table(w, len(bases), forward)[pattern]
+        if np.any(image < 0):
+            raise ValueError(f"step {i} is undefined on some of the given codes")
+        out = F & ~sum(row << base for base in bases)
+        for r, base in enumerate(bases):
+            out |= ((image >> (r * w)) & row) << base
+        return out
 
     def apply_step(self, F: np.ndarray, i: int, forward: bool = True) -> np.ndarray:
         for step in self._compiled_steps():
@@ -166,25 +167,8 @@ class ShapeContext:
 
     # --- statistics ----------------------------------------------------------
 
-    def _line_positions(self, by_row: bool):
-        lines = {}
-        for c, p in self.pos.items():
-            lines.setdefault(c[1] if by_row else c[0], []).append(p)
-        return lines
-
-    def _sums(self, F: np.ndarray, by_row: bool) -> np.ndarray:
-        lines = self._line_positions(by_row)
-        count = max(lines)
-        out = np.zeros((len(F), count), dtype=np.int16)
-        for line, positions in lines.items():
-            col = np.zeros(len(F), dtype=np.int16)
-            for p in positions:
-                col += ((F >> p) & 1).astype(np.int16)
-            out[:, line - 1] = col
-        return out
-
     def rowsums(self, F: np.ndarray) -> np.ndarray:
-        return self._sums(F, by_row=True)
+        return line_sums((F[:, None] >> np.arange(self.n)) & 1, self.shape, by_row=True)
 
     def row_keys(self) -> np.ndarray:
         """Per code, its row-sum vector packed into one int64 key."""
@@ -199,7 +183,25 @@ class ShapeContext:
         return self._row_keys
 
     def colsums(self, F: np.ndarray) -> np.ndarray:
-        return self._sums(F, by_row=False)
+        return line_sums((F[:, None] >> np.arange(self.n)) & 1, self.shape, by_row=False)
+
+
+@lru_cache
+def _step_table(w: int, h: int, forward: bool) -> np.ndarray:
+    """Image of every bit pattern of the w x h box under its last step,
+    -1 where the step is undefined; see the module docstring."""
+    box = Shape(frozenset(Rect(1, w, 1, h).cells()))
+    an = step_anatomy(box, w * h - 1)
+    cells = box.sorted_cells()
+    fn = _forward_support if forward else _backward_support
+    table = np.full(1 << len(cells), -1, dtype=np.int64)
+    for pattern in range(len(table)):
+        try:
+            image = fn(an, frozenset(c for k, c in enumerate(cells) if pattern >> k & 1))
+        except ValueError:
+            continue
+        table[pattern] = sum(1 << ((y - 1) * w + x - 1) for x, y in image)
+    return table
 
 
 def _chain_recursion(cells, direction: str, region: Rect | None) -> np.ndarray:

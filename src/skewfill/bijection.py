@@ -95,7 +95,6 @@ class StepAnatomy:
     R: frozenset[Cell]
     C: frozenset[Cell]
     A: Rect | None
-    X: Rect | None
 
 
 @dataclass(frozen=True)
@@ -106,33 +105,22 @@ class ClassTag:
 
 @lru_cache(maxsize=65536)
 def step_anatomy(s: Shape, i: int) -> StepAnatomy:
-    return _anatomy(s, cell_labels(s), i)
-
-
-def _anatomy(s: Shape, labels: tuple[Cell, ...], i: int) -> StepAnatomy:
-    """step_anatomy for a shape whose labels are already known to be skew."""
+    labels = cell_labels(s)
     if not 1 <= i < len(labels):
         raise ValueError(f"step index {i} out of range 1..{len(labels) - 1}")
     prev, nxt = labels[i - 1], labels[i]
     if prev[1] != nxt[1]:
-        return StepAnatomy(i, ROW_BREAK, nxt, frozenset(), frozenset(), None, None)
+        return StepAnatomy(i, ROW_BREAK, nxt, frozenset(), frozenset(), None)
     x, y = nxt
     r_cells = frozenset(c for c in s.cells if c[1] == y and c[0] < x)
     c_cells = frozenset(c for c in s.cells if c[0] == x and c[1] < y)
-    a = xr = None
+    a = None
     if r_cells and c_cells:
         a = Rect(min(c[0] for c in r_cells), x - 1, min(c[1] for c in c_cells), y - 1)
         missing = [c for c in a.cells() if c not in s.cells]
         if missing:
             raise AssertionError(f"rectangle A leaves the shape at {missing[0]}")
-        xr = Rect(a.col_lo, x, a.row_lo, y)
-    elif r_cells:
-        xr = Rect(min(c[0] for c in r_cells), x, y, y)
-    elif c_cells:
-        xr = Rect(x, x, min(c[1] for c in c_cells), y)
-    else:
-        xr = Rect(x, x, y, y)
-    return StepAnatomy(i, IN_ROW, nxt, r_cells, c_cells, a, xr)
+    return StepAnatomy(i, IN_ROW, nxt, r_cells, c_cells, a)
 
 
 # --- class membership and the step recipes, on support sets ---------------

@@ -14,7 +14,7 @@ import sys
 from .bijection import full_backward, full_forward, render_trace
 from .enumeration import EnumSpec, catalog_line, count_avoiders, enum_skew_shapes
 from .fillings import parse_filling, pattern_library, render_filling
-from .harness import PROPERTIES, BudgetError, format_report, verify
+from .harness import PROPERTIES, BudgetError, _override_active, format_report, verify
 from .shapes import ParseError, classify_shape, parse_shape
 from .structure import DecompositionError, ferrers_decompose, render_decomposition
 
@@ -31,6 +31,10 @@ _FLAG_ORDER = (
     "right_justified",
     "skew",
 )
+
+# Most fillings one count call may scan: (max_entry + 1) ** cells, with a
+# base of 2 in the binary, sparse and transversal modes.
+_COUNT_BUDGET = 1 << 20
 
 
 def _read(path: str) -> str:
@@ -122,6 +126,12 @@ def _cmd_count(args) -> int:
         max_entry=args.max_entry,
         avoid=tuple(_pattern_arg(a) for a in args.avoid),
     )
+    base = spec.max_entry + 1 if spec.mode == "integer" else 2
+    if base**s.size > _COUNT_BUDGET and not _override_active():
+        raise BudgetError(
+            f"count: {base}^{s.size} fillings exceed the budget of {_COUNT_BUDGET} "
+            "(set SKEWFILL_BUDGET_OVERRIDE=1 to unlock)"
+        )
     print(count_avoiders(s, spec))
     return 0
 

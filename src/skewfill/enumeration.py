@@ -25,7 +25,7 @@ from .fillings import (
     longest_chain,
     sum_vector,
 )
-from .shapes import Shape, is_moon, maximal_rectangles, normalize
+from .shapes import Shape, _contains_dent, is_moon, maximal_rectangles, normalize
 
 _MODES = ("binary", "sparse", "transversal", "integer")
 
@@ -57,8 +57,6 @@ def enum_skew_shapes(n: int, connected: bool | None = None, ds_free: bool | None
     optional flags filter by connectivity and by dent-freeness (tri-state:
     None keeps everything).
     """
-    from .structure import is_ds_free
-
     if n < 1:
         raise ValueError("cell count must be positive")
 
@@ -80,7 +78,7 @@ def enum_skew_shapes(n: int, connected: bool | None = None, ds_free: bool | None
                     for x in range(a, b + 1)
                 )
                 s = Shape(cells)
-                if ds_free is None or is_ds_free(s) == ds_free:
+                if ds_free is None or _contains_dent(s) != ds_free:
                     yield s
             return
         remaining = n - used

@@ -67,10 +67,9 @@ from ._engine import (
 from .enumeration import EnumSpec, catalog_line, enum_fillings, enum_moon_polyominoes, \
     enum_skew_shapes, parse_catalog_line
 from .fillings import NE, SE
-from .shapes import Rect, Shape, classify_shape, dent_shape, is_connected, \
-    is_moon, is_nw_ferrers, maximal_rectangles, normalize
-from .structure import DecompositionError, ferrers_decompose, is_ds_free, \
-    sum_permutations, validate_decomposition
+from .shapes import Rect, Shape, dent_shape, is_connected, is_moon, is_nw_ferrers, \
+    maximal_rectangles, normalize
+from .structure import DecompositionError, ferrers_decompose, is_ds_free, sum_permutations
 
 PROPERTIES = (
     "cor_sskew",
@@ -576,34 +575,18 @@ def _run_ds_free_oracle(params, shard):
             dent_free += 1
         if not is_connected(s):
             continue
-        if by_pattern:
-            try:
-                d = ferrers_decompose(s)
-            except DecompositionError as exc:
+        try:
+            ferrers_decompose(s)
+        except DecompositionError as exc:
+            if by_pattern:
                 failures.append({"shape": catalog_line(s),
                                  "clause": "decompose failed", "error": str(exc)})
-                continue
+            continue
+        if by_pattern:
             decomposed += 1
-            if not validate_decomposition(s, d):
-                failures.append({"shape": catalog_line(s),
-                                 "clause": "validation failed"})
-                continue
-            for b in d.f_blocks:
-                if not classify_shape(normalize(b)).nw_ferrers:
-                    failures.append({"shape": catalog_line(s),
-                                     "clause": "F block not NW Ferrers"})
-            for b in d.g_blocks:
-                if b and not classify_shape(normalize(b)).se_ferrers:
-                    failures.append({"shape": catalog_line(s),
-                                     "clause": "G block not SE Ferrers"})
         else:
-            try:
-                ferrers_decompose(s)
-            except DecompositionError:
-                pass
-            else:
-                failures.append({"shape": catalog_line(s),
-                                 "clause": "decompose succeeded on dented shape"})
+            failures.append({"shape": catalog_line(s),
+                             "clause": "decompose succeeded on dented shape"})
     return {"instances": instances, "failures": failures,
             "details": {"dent_free": dent_free, "decomposed": decomposed}}
 

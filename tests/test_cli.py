@@ -1,6 +1,7 @@
 import pytest
 
 from skewfill.cli import main
+from skewfill.enumeration import count_avoiders
 from skewfill.harness import parse_report_csv, parse_report_json
 
 DENT_TEXT = ".##\n###\n##.\n"
@@ -83,6 +84,29 @@ def test_count_modes(capsys, dent_file):
     assert run(
         capsys, "count", "--mode", "integer", "--max-entry", "2", dent_file
     )[:2] == (0, "2187\n")
+
+
+def test_count_refuses_shapes_over_budget(capsys, dent_file, tmp_path, monkeypatch):
+    monkeypatch.delenv("SKEWFILL_BUDGET_OVERRIDE", raising=False)
+    rect = tmp_path / "rect.txt"
+    rect.write_text("######\n" * 5)
+    counted = []
+
+    def guarded_count(s, spec):
+        counted.append(s.size)
+        return count_avoiders(s, spec) if s.size <= 7 else 0
+
+    monkeypatch.setattr("skewfill.cli.count_avoiders", guarded_count)
+    for mode in ("binary", "sparse", "transversal"):
+        code, out, err = run(capsys, "count", "--mode", mode, str(rect))
+        assert (code, out) == (2, "") and "budget" in err
+    code, _, err = run(capsys, "count", "--mode", "integer", "--max-entry", "7", dent_file)
+    assert code == 2 and "8^7" in err
+    assert counted == []
+    assert run(capsys, "count", dent_file)[:2] == (0, "128\n")
+    monkeypatch.setenv("SKEWFILL_BUDGET_OVERRIDE", "1")
+    assert run(capsys, "count", str(rect))[:2] == (0, "0\n")
+    assert counted == [7, 30]
 
 
 def test_count_multiple_avoid_flags_intersect(capsys, dent_file):

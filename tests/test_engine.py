@@ -1,14 +1,17 @@
 """Differential tests for the bitmask fast paths of the genskew engine."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import skew_shapes
 from skewfill._engine import ShapeContext, _packed_keys, multiset_equal
+from skewfill.bijection import in_G, step_backward, step_forward
 from skewfill.enumeration import enum_skew_shapes
 from skewfill.fillings import Filling, as_pattern, find_filling_occurrences
+from skewfill.shapes import parse_shape
 
 TOKENS = ("delta2", "iota2", "fd")
 
@@ -58,6 +61,64 @@ def test_row_keys_separate_exactly_the_row_sum_vectors():
         n_rows = np.unique(rows, axis=0).shape[0]
         pairs = {(k, tuple(r)) for k, r in zip(keys.tolist(), rows.tolist())}
         assert n_keys == n_rows == len(pairs)
+
+
+def filling_of(ctx, code):
+    return Filling.from_support(ctx.shape, frozenset(c for k, c in enumerate(ctx.labels)
+                                                     if code >> k & 1))
+
+
+def code_of(ctx, f):
+    return sum(1 << ctx.pos[c] for c in f.support())
+
+
+def check_stages_and_steps(s):
+    """Stage sets and step images of the bitmask engine against in_G and
+    the Filling step maps, on every filling of s."""
+    ctx = ShapeContext(s)
+    fillings = [filling_of(ctx, code) for code in range(1 << ctx.n)]
+    for i in range(1, ctx.n + 1):
+        expected = [code for code, f in enumerate(fillings) if in_G(s, f, i)]
+        assert ctx.stage_members(i).tolist() == expected
+    for i in range(1, ctx.n):
+        lower, upper = ctx.stage_members(i), ctx.stage_members(i + 1)
+        assert ctx.apply_step(lower, i).tolist() == [
+            code_of(ctx, step_forward(fillings[c], i, validate=False)) for c in lower.tolist()]
+        assert ctx.apply_step(upper, i, forward=False).tolist() == [
+            code_of(ctx, step_backward(fillings[c], i, validate=False)) for c in upper.tolist()]
+
+
+def test_steps_match_filling_maps_on_small_shapes():
+    for s in small_skew_shapes(6):
+        check_stages_and_steps(s)
+
+
+@given(skew_shapes(max_rows=4, max_width=3).filter(lambda s: 7 <= s.size <= 8))
+@settings(max_examples=15, deadline=None)
+def test_steps_match_filling_maps_on_larger_shapes(s):
+    # the smaller shapes are all covered by the exhaustive pass above
+    check_stages_and_steps(s)
+
+
+@pytest.mark.parametrize("text", [".##\n###\n##.\n", "###\n###\n"])
+def test_apply_step_matches_filling_maps_off_the_stage_sets(text):
+    # every code, so the steps also see patterns outside their stage sets;
+    # on the 3x2 box the backward recipe rejects some of them
+    ctx = ShapeContext(parse_shape(text))
+    rejected = 0
+    for i in range(1, ctx.n):
+        for forward, step in ((True, step_forward), (False, step_backward)):
+            for code in range(1 << ctx.n):
+                F = np.array([code], dtype=np.int64)
+                try:
+                    expected = code_of(ctx, step(filling_of(ctx, code), i, validate=False))
+                except ValueError:
+                    rejected += 1
+                    with pytest.raises(ValueError):
+                        ctx.apply_step(F, i, forward)
+                else:
+                    assert ctx.apply_step(F, i, forward).tolist() == [expected]
+    assert rejected == (3 if ctx.shape.size == 6 else 0)
 
 
 def reference_multiset_equal(a, b):
