@@ -16,6 +16,9 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 
+import numpy as np
+
+from ._engine import line_sums, support_index, value_matrix
 from .fillings import (
     NE,
     Filling,
@@ -25,7 +28,16 @@ from .fillings import (
     longest_chain,
     sum_vector,
 )
-from .shapes import Shape, _contains_dent, is_moon, maximal_rectangles, normalize
+from .shapes import (
+    Shape,
+    _contains_dent,
+    _interval_shape,
+    _row_spans,
+    find_shape_occurrences,
+    is_moon,
+    maximal_rectangles,
+    normalize,
+)
 
 _MODES = ("binary", "sparse", "transversal", "integer")
 
@@ -72,12 +84,7 @@ def enum_skew_shapes(n: int, connected: bool | None = None, ds_free: bool | None
     def rec(intervals, used):
         if used == n:
             if rows_ok(intervals):
-                cells = frozenset(
-                    (x, y)
-                    for y, (a, b) in enumerate(intervals, start=1)
-                    for x in range(a, b + 1)
-                )
-                s = Shape(cells)
+                s = _interval_shape(intervals)
                 if ds_free is None or _contains_dent(s) != ds_free:
                     yield s
             return
@@ -99,15 +106,14 @@ def enum_skew_shapes(n: int, connected: bool | None = None, ds_free: bool | None
 
 def catalog_line(s: Shape) -> str:
     """Row-interval notation `[(a1,b1),...]`, bottom row first."""
-    intervals = []
-    for y in range(1, s.height + 1):
-        cols = s.row_cols(y)
-        if not cols:
-            raise ValueError("catalog notation requires no empty rows")
-        if cols[-1] - cols[0] + 1 != len(cols):
-            raise ValueError("catalog notation requires contiguous rows")
-        intervals.append((cols[0], cols[-1]))
-    return "[" + ",".join(f"({a},{b})" for a, b in intervals) + "]"
+    spans = _row_spans(s)
+    if len(spans) != s.height:
+        raise ValueError("catalog notation requires no empty rows")
+    # each span covers at least its row's cells, and all of them only if
+    # the row is contiguous
+    if sum(b - a + 1 for a, b in spans.values()) != s.size:
+        raise ValueError("catalog notation requires contiguous rows")
+    return "[" + ",".join(f"({a},{b})" for a, b in spans.values()) + "]"
 
 
 def parse_catalog_line(text: str) -> Shape:
@@ -121,15 +127,14 @@ def parse_catalog_line(text: str) -> Shape:
         intervals = (intervals,)
     if not isinstance(intervals, (list, tuple)) or not intervals:
         raise ValueError(f"bad catalog line: {text!r}")
-    cells, a, b = set(), 1, 0
-    for y, pair in enumerate(intervals, start=1):
+    a, b = 1, 0
+    for pair in intervals:
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2
                 and all(isinstance(v, int) for v in pair)
                 and a <= pair[0] <= b + 1 and pair[1] >= max(pair[0], b)):
             raise ValueError(f"interval {pair!r} breaks the catalog grammar")
         a, b = pair
-        cells.update((x, y) for x in range(a, b + 1))
-    return normalize(cells)
+    return _interval_shape(intervals)
 
 
 def enum_moon_polyominoes(n: int):
@@ -222,9 +227,68 @@ def enum_fillings(s: Shape, spec: EnumSpec):
         yield f
 
 
+def _value_rows(s: Shape, spec: EnumSpec) -> np.ndarray:
+    """The value tuples of _enum_values as one matrix, a row per filling."""
+    rows = list(_enum_values(s, spec))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), s.size)
+
+
+def _requirements(s: Shape, patterns) -> set:
+    """(host cell indices, values) that each occurrence of a pattern asks
+    for: one shape scan per pattern, zero entries left out."""
+    pos = {c: k for k, c in enumerate(s.sorted_cells())}
+    out = set()
+    for pat in map(as_pattern, patterns):
+        nonzero = [(cell, v) for cell, v in pat.items() if v > 0]
+        for occ in find_shape_occurrences(s, pat.shape):
+            out.add((tuple(pos[(occ.cols[x - 1], occ.rows[y - 1])] for (x, y), _ in nonzero),
+                     tuple(v for _, v in nonzero)))
+    return out
+
+
 def count_avoiders(s: Shape, spec: EnumSpec) -> int:
-    """How many enumerated fillings avoid every pattern in spec.avoid."""
-    return sum(1 for _ in enum_fillings(s, spec))
+    """How many fillings enum_fillings(s, spec) yields, in one array scan.
+
+    Candidates are laid out over s.sorted_cells(): cell c_{k+1} is bit k
+    of a binary code, or column k of an integer value row.  Binary mode
+    scans every code below 2^n and integer mode every row of
+    value_matrix; sparse and transversal mode, and any max_total, take
+    the pruned output of the generator behind enum_fillings, so a large
+    square shape costs its transversals only.  Each pattern's shape
+    occurrences are found once.  A binary code holds an occurrence iff
+    code & mask == mask over the pattern's nonzero cells (never when the
+    pattern has an entry of 2 or more); an integer row holds it iff it
+    dominates the pattern's values there.  An all-zero pattern is held
+    wherever its shape occurs.  Memory: one int64 per binary candidate
+    (8 MB at 2^20 codes), n int64 per integer candidate, and n int64 per
+    surviving binary code when sums are required.
+    """
+    pruned = spec.mode in ("sparse", "transversal") or spec.max_total is not None
+    needs = _requirements(s, spec.avoid)
+    if spec.mode == "integer":
+        values = _value_rows(s, spec) if pruned else value_matrix(s.size, spec.max_entry)
+        for cells, need in needs:
+            values = values[~(values[:, cells] >= need).all(axis=1)]
+    else:
+        if pruned:
+            codes = support_index(_value_rows(s, spec))
+        else:
+            codes = np.arange(1 << s.size, dtype=np.int64)
+        for cells, need in needs:
+            if set(need) <= {1}:  # an entry of 2 or more never occurs here
+                mask = sum(1 << k for k in cells)
+                codes = codes[(codes & mask) != mask]
+        if spec.sums is None:
+            return len(codes)
+        values = (codes[:, None] >> np.arange(s.size)) & 1
+    sums = spec.sums
+    if sums is None:
+        return len(values)
+    if (len(sums.row_sums), len(sums.col_sums)) != (s.height, s.width):
+        return 0
+    keep = (line_sums(values, s, by_row=True) == sums.row_sums).all(axis=1)
+    keep &= (line_sums(values, s, by_row=False) == sums.col_sums).all(axis=1)
+    return int(keep.sum())
 
 
 @dataclass(frozen=True)

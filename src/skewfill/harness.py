@@ -64,7 +64,7 @@ from ._engine import (
     support_index,
     value_matrix,
 )
-from .enumeration import EnumSpec, catalog_line, enum_fillings, enum_moon_polyominoes, \
+from .enumeration import EnumSpec, _value_rows, catalog_line, enum_moon_polyominoes, \
     enum_skew_shapes, parse_catalog_line
 from .fillings import NE, SE
 from .shapes import Rect, Shape, dent_shape, is_connected, is_moon, is_nw_ferrers, \
@@ -301,8 +301,7 @@ def _transversals(s: Shape) -> np.ndarray:
     """Support masks of the transversals of s, in enumeration order."""
     if s.height != s.width:
         return np.zeros(0, dtype=np.int64)
-    values = [f.values for f in enum_fillings(s, EnumSpec(mode="transversal"))]
-    return support_index(np.array(values, dtype=np.int64).reshape(len(values), s.size))
+    return support_index(_value_rows(s, EnumSpec(mode="transversal")))
 
 
 def _tr_counts(s: Shape, ts: np.ndarray, ks) -> list[tuple[int, int]]:

@@ -97,11 +97,19 @@ class Shape:
 
     @property
     def width(self) -> int:
-        return max((x for x, _ in self.cells), default=0)
+        got = self.__dict__.get("_width")
+        if got is None:
+            got = max((x for x, _ in self.cells), default=0)
+            object.__setattr__(self, "_width", got)
+        return got
 
     @property
     def height(self) -> int:
-        return max((y for _, y in self.cells), default=0)
+        got = self.__dict__.get("_height")
+        if got is None:
+            got = max((y for _, y in self.cells), default=0)
+            object.__setattr__(self, "_height", got)
+        return got
 
     @property
     def size(self) -> int:
@@ -278,7 +286,16 @@ def is_skew(s: Shape) -> bool:
     part must end strictly left of where the upper part starts (no column may
     bridge the gap).  Column contiguity and the box-closure property (top-left
     plus bottom-right corner present forces the whole box) follow from these.
+    The answer is kept on the shape.
     """
+    got = s.__dict__.get("_skew")
+    if got is None:
+        got = _skew_criterion(s)
+        object.__setattr__(s, "_skew", got)
+    return got
+
+
+def _skew_criterion(s: Shape) -> bool:
     intervals = []
     for y in range(1, s.height + 1):
         cols = s.row_cols(y)
@@ -425,6 +442,16 @@ DENT_TEXT = ".##\n###\n##."
 def dent_shape() -> Shape:
     """The 3x3 square minus its top-left and bottom-right corner cells."""
     return parse_shape(DENT_TEXT)
+
+
+def _interval_shape(intervals) -> Shape:
+    """The normalized shape whose row y holds columns a_y..b_y, from
+    intervals (a_1, b_1), (a_2, b_2), ... with a_1 = 1, bottom row first.
+    The cells come out in sorted_cells order, which the shape keeps."""
+    cells = tuple((x, y) for y, (a, b) in enumerate(intervals, start=1) for x in range(a, b + 1))
+    s = Shape(frozenset(cells))
+    object.__setattr__(s, "_sorted", cells)
+    return s
 
 
 def _row_spans(s: Shape) -> dict[int, tuple[int, int]]:

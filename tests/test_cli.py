@@ -1,8 +1,10 @@
 import pytest
 
+from skewfill import cli
 from skewfill.cli import main
-from skewfill.enumeration import count_avoiders
+from skewfill.enumeration import EnumSpec, count_avoiders
 from skewfill.harness import parse_report_csv, parse_report_json
+from skewfill.shapes import parse_shape
 
 DENT_TEXT = ".##\n###\n##.\n"
 
@@ -114,6 +116,23 @@ def test_count_multiple_avoid_flags_intersect(capsys, dent_file):
         capsys, "count", "--avoid", "iota2", "--avoid", "fd", dent_file
     )
     assert (code, out) == (0, "72\n")
+
+
+def test_count_reuses_one_parser_without_leaking_avoid_lists(capsys, dent_file, monkeypatch):
+    built = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "_build_parser", lambda: built.append(1) or build())
+    dent = parse_shape(DENT_TEXT)
+    outputs = []
+    for avoid in (("delta2",), ("iota2", "fd")):
+        argv = ["count"] + [a for p in avoid for a in ("--avoid", p)] + [dent_file]
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (0, f"{count_avoiders(dent, EnumSpec(avoid=avoid))}\n")
+        outputs.append(out)
+    # both counts are 72; a leaked delta2 would make the second one 45
+    assert outputs == ["72\n", "72\n"]
+    assert built == [1]
 
 
 def test_count_avoid_pattern_from_file(capsys, dent_file, tmp_path):

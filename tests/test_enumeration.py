@@ -64,6 +64,8 @@ def test_enum_skew_shapes_are_normalized_and_distinct():
             assert is_skew(s)
             assert len(s.cells) == n
             assert normalize(s.cells) == s
+            # the generator hands its cells over already in sorted order
+            assert s.sorted_cells() == normalize(s.cells).sorted_cells()
 
 
 def occupies_every_line(s):
@@ -106,7 +108,8 @@ def test_catalog_line_round_trip():
     assert catalog_line(DENT) == "[(1,2),(1,3),(2,3)]"
     for n in range(1, 7):
         for s in enum_skew_shapes(n):
-            assert parse_catalog_line(catalog_line(s)) == s
+            back = parse_catalog_line(catalog_line(s))
+            assert back == s and back.sorted_cells() == normalize(s.cells).sorted_cells()
 
 
 def test_parse_catalog_line_errors():
@@ -126,6 +129,12 @@ def test_parse_catalog_line_errors():
 def test_catalog_line_requires_no_empty_rows():
     with pytest.raises(ValueError):
         catalog_line(normalize([(1, 1), (3, 3)]))
+
+
+def test_catalog_line_requires_contiguous_rows():
+    for cells in ([(1, 1), (3, 1)], [(1, 1), (2, 1), (2, 2), (4, 2)]):
+        with pytest.raises(ValueError, match="contiguous"):
+            catalog_line(normalize(cells))
 
 
 def test_enum_moon_polyominoes():
