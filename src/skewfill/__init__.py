@@ -10,7 +10,6 @@ from .bijection import (
     full_backward,
     full_forward,
     in_G,
-    occurrence_is_low,
     render_trace,
     step_anatomy,
     step_backward,

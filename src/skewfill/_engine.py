@@ -24,14 +24,42 @@ delta_2 sets bits (x1, y2) and (x2, y1), iota_2 bits (x1, y1) and
 the dented shape (cols i1 < i2 < i3, rows j1 < j2 < j3, holes at (i3, j1)
 and (i1, j3)) with bits (i1, j1), (i2, j3), (i3, j2) and top (i3, j3).
 
+Every table grows one row at a time.  A skew shape without its top row
+is again a skew shape, its parent, and the labels run bottom-up, so the
+parent's labels are the first p of the child's: a child code is m * 2^p
++ c, with c a parent code and m the w bits of the new top row (first
+column lo).  A child table is the parent's table, repeated once per m,
+plus what the new row adds:
+  - An occurrence that is not the parent's has its top in the new row,
+    and exactly one of its set bits lies there: (x1, y2) for delta_2,
+    (x2, y2) for iota_2, (i2, j3) for fd.
+  - delta_2: every set bit of c in a column x2 beyond the lowest set
+    column of m is the lower-row bit of one, with top (x2, top row); the
+    row ends grow upward, so its new largest top sits in the largest set
+    column of c.  That column is kept per code beside dmax.
+  - iota_2: the top is the set bit (x2, top row) itself, held when c has
+    a bit (x1, y1) with lo <= x1 < x2 <= the end of row y1; the lowest
+    such bit of m gives the new smallest top.
+  - fd: the few placements whose top row is the new row, one by one.
+  - umin holds a sentinel above every label where no top is held, and
+    takes the elementwise min of the parent's value and each new top, so
+    a smaller top of the parent survives.
+  - Row keys: the new row is the top digit of the radix, so the child's
+    key is the parent's plus popcount(m) times the parent's radix.
+  - Steps: the parent's compiled steps are the child's first ones and
+    touch only its first p bits; the new row adds its own.  The forward
+    image table of all codes (-1 where a step is undefined) is the
+    parent's, gathered at c with m OR-ed back in, then the new row's
+    steps; the backward one runs the new row's steps backward and then
+    gathers through the parent's table.
+
 Row-sum vectors are packed into one int64 key per code.  Row y is one
 digit of a mixed radix whose base is its length plus one, so the key of
 code f is the sum of the weights of the rows of its set bits, and two
-codes share a key exactly when their row sums agree.  The table over all
-codes takes one slice per bit: K[2^b:2^(b+1)] = K[:2^b] + weight(row of
-b).  multiset_equal packs any integer key matrix the same way, with one
-digit per column spanning that column's observed range, whenever the
-product of the spans fits 62 bits; two sorted 1-D arrays then decide.
+codes share a key exactly when their row sums agree.  multiset_equal
+packs any integer key matrix the same way, with one digit per column
+spanning that column's observed range, whenever the product of the spans
+fits 62 bits; two sorted 1-D arrays then decide.
 
 Chain tables use the same bit order.  The longest chain of a support
 mask m whose highest bit b sits at cell (x, y) either skips b or ends
@@ -47,67 +75,111 @@ whole-shape NE table is the elementwise max of the per-rectangle ones.
 
 from __future__ import annotations
 
-import itertools
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .bijection import _backward_support, _forward_support, cell_labels, step_anatomy
 from .fillings import NE, SE
-from .shapes import Rect, Shape, _dent_placements, _row_spans, is_skew, skew_rectangles
+from .shapes import Rect, Shape, _lower_rows, _top_row_dents, is_skew, skew_rectangles
+
+_NO_TOP = np.iinfo(np.int16).max  # umin of a code that holds no iota2 or fd
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False  # shared by every caller of a cache
+    return a
+
+
+@lru_cache
+def _codes(n: int) -> np.ndarray:
+    return _frozen(np.arange(1 << n, dtype=np.int64))
+
+
+@lru_cache
+def _row_bits(w: int):
+    """Per w-bit value m: its lowest set bit (w when m = 0) and its highest
+    (far below zero when m = 0) as int16, and its popcount as int64."""
+    m = np.arange(1 << w)
+    bits = (m[:, None] >> np.arange(w)) & 1
+    low = np.where(m > 0, np.argmax(bits, axis=1), w).astype(np.int16)
+    high = np.where(m > 0, w - 1 - np.argmax(bits[:, ::-1], axis=1), -(1 << 14))
+    return tuple(map(_frozen, (low, high.astype(np.int16), bits.sum(axis=1))))
 
 
 class ShapeContext:
-    """Bit positions, stage membership arrays, and compiled steps for one shape."""
+    """Stage bounds, row keys, steps and image tables over the 2^n codes
+    of one skew shape.  Each extends the tables of its parent, the context
+    of the shape without its top row, by that row (see the module
+    docstring); a context built without a parent builds its ancestors."""
 
-    def __init__(self, s: Shape):
+    def __init__(self, s: Shape, parent: ShapeContext | None = None):
         self.shape = s
         self.labels = cell_labels(s)
         self.n = len(self.labels)
-        self.pos = {c: k for k, c in enumerate(self.labels)}
-        self._dmax = None
-        self._umin = None
-        self._steps = None
-        self._row_keys = None
+        self._dmax = self._umin = self._steps = self._row_keys = None
+        self._image = {}
+        if not self.n:
+            self.parent, self.rows, self._radix = None, (), 1
+            return
+        self.parent = parent if parent is not None else ShapeContext(_lower_rows(s))
+        (lo, y), (hi, _) = self.labels[self.parent.n], self.labels[-1]
+        # (row, first column, last column, label bit of the first column)
+        self.rows = self.parent.rows + ((y, lo, hi, self.parent.n),)
+        self._radix = self.parent._radix * (hi - lo + 2)
 
-    def _occurrences(self, token: str):
-        """(support mask, 1-based top label) for every placement of a pattern:
-        delta2, iota2 or fd."""
-        pos = self.pos
-        if token == "fd":
-            return [(1 << pos[(i1, j1)] | 1 << pos[(i2, j3)] | 1 << pos[(i3, j2)],
-                     pos[(i3, j3)] + 1)
-                    for (i1, i2, i3), (j1, j2, j3) in _dent_placements(self.shape)]
-        out = []
-        rows = _row_spans(self.shape).items()
-        for (y1, (lo1, hi1)), (y2, (lo2, hi2)) in itertools.combinations(rows, 2):
-            for x1, x2 in itertools.combinations(range(max(lo1, lo2), min(hi1, hi2) + 1), 2):
-                if token == "delta2":
-                    mask = 1 << pos[(x1, y2)] | 1 << pos[(x2, y1)]
-                else:
-                    mask = 1 << pos[(x1, y1)] | 1 << pos[(x2, y2)]
-                out.append((mask, pos[(x2, y2)] + 1))
-        return out
+    @cached_property
+    def pos(self) -> dict:
+        return {c: k for k, c in enumerate(self.labels)}
+
+    def _top_row(self):
+        """The parent, its cell count p, and the top row's first column and width."""
+        _, lo, hi, p = self.rows[-1]
+        return self.parent, p, lo, hi - lo + 1
 
     def _bounds(self):
+        """dmax and umin per code; the largest column of a set bit is kept
+        beside them for the children."""
         if self._dmax is not None:
             return self._dmax, self._umin
-        n = self.n
-        codes = np.arange(1 << n, dtype=np.int64)
-        dmax = np.zeros(1 << n, dtype=np.int16)
-        for mask, top in sorted(self._occurrences("delta2"), key=lambda p: p[1]):
-            dmax[(codes & mask) == mask] = top
-        umin = np.full(1 << n, n + 1, dtype=np.int16)
-        rising = self._occurrences("iota2") + self._occurrences("fd")
-        for mask, top in sorted(rising, key=lambda p: p[1], reverse=True):
-            umin[(codes & mask) == mask] = top
-        self._dmax, self._umin = dmax, umin
-        return dmax, umin
+        if not self.n:
+            self._dmax, self._colmax = np.zeros((2, 1), dtype=np.int16)
+            self._umin = np.full(1, _NO_TOP, dtype=np.int16)
+            return self._dmax, self._umin
+        parent, p, lo, w = self._top_row()
+        dmax, umin = parent._bounds()
+        col = parent._colmax
+        low, high, _ = _row_bits(w)
+        # delta2: a set top-row column left of the largest set column below
+        self._dmax = np.where(col > low[:, None] + lo, col + (p + 1 - lo), dmax).ravel()
+        self._colmax = np.maximum(col, high[:, None] + lo).ravel()
+        lower = self.rows[:-1]
+        # iota2: top-row bit k is a top when some set bit below lies in
+        # columns lo .. lo + k - 1 of a row that reaches column lo + k
+        masks = [sum(1 << (f + x1 - a) for _, a, b, f in lower if b >= lo + k
+                     for x1 in range(max(a, lo), lo + k))
+                 for k in range(1, w)]
+        if any(masks):
+            held = ((_codes(p)[:, None] & masks) != 0) @ (2 << np.arange(w - 1))
+            first = np.where(low < w, low + (p + 1), _NO_TOP)
+            umin = np.minimum(umin, first[_codes(w)[:, None] & held])
+        else:
+            umin = umin[None].repeat(1 << w, axis=0)
+        if len(lower) >= 2 and w >= 2:  # fd: the placements with the new top row
+            bit = {y: f - a for y, a, _, f in lower}
+            for (i1, i2, i3), (j1, j2, _) in _top_row_dents(
+                    [(y, (a, b)) for y, a, b, _ in lower], (self.rows[-1][0], (lo, lo + w - 1))):
+                mask = 1 << (bit[j1] + i1) | 1 << (bit[j2] + i3)
+                rows = (_codes(w) >> (i2 - lo) & 1).astype(bool)
+                tops = np.where(_codes(p) & mask == mask, p + 1 + i3 - lo, _NO_TOP)
+                umin[rows] = np.minimum(umin[rows], tops)
+        self._umin = umin.ravel()
+        return self._dmax, self._umin
 
     def stage_members(self, i: int) -> np.ndarray:
         """Codes of the fillings in stage set i, ascending."""
         dmax, umin = self._bounds()
-        return np.nonzero((dmax <= i) & (umin > i))[0].astype(np.int64)
+        return ((dmax <= i) & (umin > i)).nonzero()[0].astype(np.int64, copy=False)
 
     def stage_counts(self) -> list[int]:
         dmax, umin = self._bounds()
@@ -118,52 +190,81 @@ class ShapeContext:
 
     def _compiled_steps(self):
         """(i, width of X, first label bit of each X row, bottom up) for
-        every step whose X is at least 2x2."""
+        every step whose X is at least 2x2: the parent's, then the top row's."""
         if self._steps is None:
-            spans = _row_spans(self.shape)
-            first, k = {}, 0
-            for y, (lo, hi) in spans.items():
-                first[y], k = k, k + hi - lo + 1
-            self._steps = []
-            for y, (lo, hi) in spans.items():
-                for x in range(lo + 1, hi + 1):
-                    # rows below start at or left of lo, so the column of x
-                    # runs down while their ends still reach x
-                    bottom = y
-                    while spans.get(bottom - 1, (0, 0))[1] >= x:
-                        bottom -= 1
-                    if bottom < y:
-                        bases = tuple(first[r] + lo - spans[r][0] for r in range(bottom, y + 1))
-                        self._steps.append((first[y] + x - lo, x - lo + 1, bases))
+            self._steps = list(self.parent._compiled_steps()) if self.n else []
+            rows, top = self.rows, len(self.rows) - 1
+            _, lo, hi, first = rows[top] if self.n else (0, 0, 0, 0)
+            for x in range(lo + 1, hi + 1):
+                # rows below start at or left of the top row, so the column
+                # of x runs down while they are adjacent and still reach x
+                r = top
+                while r and rows[r - 1][0] == rows[r][0] - 1 and rows[r - 1][2] >= x:
+                    r -= 1
+                if r < top:
+                    bases = tuple(f + lo - a for _, a, _, f in rows[r:])
+                    self._steps.append((first + x - lo, x - lo + 1, bases))
         return self._steps
 
     def _apply_one(self, F: np.ndarray, step, forward: bool) -> np.ndarray:
+        """Images of codes under one compiled step, -1 where the step is
+        undefined or the code is -1."""
         i, w, bases = step
         row = (1 << w) - 1
         pattern = np.zeros_like(F)
         for r, base in enumerate(bases):
             pattern |= ((F >> base) & row) << (r * w)
         image = _step_table(w, len(bases), forward)[pattern]
-        if np.any(image < 0):
-            raise ValueError(f"step {i} is undefined on some of the given codes")
         out = F & ~sum(row << base for base in bases)
         for r, base in enumerate(bases):
             out |= ((image >> (r * w)) & row) << base
+        out[(image < 0) | (F < 0)] = -1
         return out
 
     def apply_step(self, F: np.ndarray, i: int, forward: bool = True) -> np.ndarray:
         for step in self._compiled_steps():
             if step[0] == i:
-                return self._apply_one(F, step, forward)
+                out = self._apply_one(F, step, forward)
+                if (out < 0).any():
+                    raise ValueError(f"step {i} is undefined on some of the given codes")
+                return out
         return F
 
+    def _image_table(self, forward: bool) -> np.ndarray:
+        """Every code's image under all steps, forward or backward, -1
+        where some step is undefined."""
+        table = self._image.get(forward)
+        if table is not None:
+            return table
+        if not self.n:
+            table = np.zeros(1, dtype=np.int64)
+        else:
+            parent, p, _, w = self._top_row()
+            steps = self._compiled_steps()[len(parent._compiled_steps()):]
+            high = (_codes(w) << p)[:, None]
+            if forward:
+                table = (parent._image_table(True) | high).ravel()  # -1 stays -1
+                for step in steps:
+                    table = self._apply_one(table, step, True)
+            elif not steps:
+                table = (parent._image_table(False) | high).ravel()
+            else:
+                codes = _codes(self.n)
+                for step in reversed(steps):
+                    codes = self._apply_one(codes, step, False)
+                table = parent._image_table(False)[codes & ((1 << p) - 1)] | (codes >> p << p)
+                table[codes < 0] = -1
+        self._image[forward] = table
+        return table
+
     def apply_all(self, F: np.ndarray, forward: bool = True) -> np.ndarray:
-        steps = self._compiled_steps()
-        if not forward:
-            steps = list(reversed(steps))
-        for step in steps:
-            F = self._apply_one(F, step, forward)
-        return F
+        image = self._image_table(forward)[F]
+        if (image < 0).any():
+            # replay step by step, so the error names the first undefined step
+            steps = self._compiled_steps()
+            for i, _, _ in steps if forward else steps[::-1]:
+                F = self.apply_step(F, i, forward)
+        return image
 
     # --- statistics ----------------------------------------------------------
 
@@ -173,13 +274,12 @@ class ShapeContext:
     def row_keys(self) -> np.ndarray:
         """Per code, its row-sum vector packed into one int64 key."""
         if self._row_keys is None:
-            weight, radix = {}, 1
-            for y, (lo, hi) in _row_spans(self.shape).items():
-                weight[y], radix = radix, radix * (hi - lo + 2)
-            table = np.zeros(1 << self.n, dtype=np.int64)
-            for b, (_, y) in enumerate(self.labels):
-                np.add(table[: 1 << b], weight[y], out=table[1 << b: 2 << b])
-            self._row_keys = table
+            if not self.n:
+                self._row_keys = np.zeros(1, dtype=np.int64)
+            else:
+                parent, _, _, w = self._top_row()
+                digit = _row_bits(w)[2] * parent._radix
+                self._row_keys = (parent.row_keys() + digit[:, None]).ravel()
         return self._row_keys
 
     def colsums(self, F: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .fillings import Filling, as_pattern, find_filling_occurrences
+from .fillings import Filling, find_filling_occurrences
 from .shapes import Cell, Occurrence, Rect, Shape, is_skew
 
 ROW_BREAK = "rowbreak"
@@ -51,19 +51,6 @@ def label_index(s: Shape, cell: Cell) -> int:
 def occurrence_top(occ: Occurrence) -> Cell:
     """Host image of the pattern bounding box's top-right cell."""
     return (occ.cols[-1], occ.rows[-1])
-
-
-def occurrence_is_low(s: Shape, occ: Occurrence, pattern, i: int) -> bool:
-    """True iff the occurrence's top-right cell is one of c_1 ... c_i."""
-    pat = as_pattern(pattern)
-    if len(occ.cols) != pat.shape.width or len(occ.rows) != pat.shape.height:
-        raise ValueError("occurrence does not match the pattern dimensions")
-    for px in range(1, pat.shape.width + 1):
-        for py in range(1, pat.shape.height + 1):
-            host = (occ.cols[px - 1], occ.rows[py - 1])
-            if ((px, py) in pat.shape.cells) != (host in s.cells):
-                raise ValueError("not a valid occurrence of the pattern shape")
-    return label_index(s, occurrence_top(occ)) <= i
 
 
 def in_G(s: Shape, f: Filling, i: int) -> bool:

@@ -62,6 +62,54 @@ class EnumSpec:
             raise ValueError(f"max_entry does not apply to mode {self.mode!r}")
 
 
+def _catalog_walk(max_cells: int, shard: tuple[int, int] = (0, 1)):
+    """Depth first over the catalog's row-interval lists of at most
+    max_cells cells, in lexicographic order: each list comes right before
+    its extensions by one more row.  Yields (intervals, cells, mine).
+
+    With shard = (index, count) the lists are dealt out in subtrees keyed
+    by their first two rows (a one-row list is its own key), round-robin
+    in walk order.  A shard walks only its own subtrees, plus the one-row
+    lists they hang from; mine is False for those it does not own.
+    """
+    index, count = shard
+    key = -1
+    stack = [(((1, b),), b) for b in range(max_cells, 0, -1)]
+    while stack:
+        intervals, used = stack.pop()
+        mine = True
+        if len(intervals) <= 2:
+            key += 1
+            mine = key % count == index
+            if not mine and len(intervals) == 2:
+                continue
+        yield intervals, used, mine
+        room = max_cells - used
+        if room:
+            a_lo, b_lo = intervals[-1]
+            for a in range(b_lo + 1, max(a_lo, b_lo + 1 - room) - 1, -1):
+                for b in range(a + room - 1, max(a, b_lo) - 1, -1):
+                    stack.append((intervals + ((a, b),), used + b - a + 1))
+
+
+def _joined(intervals) -> bool:
+    return all(nxt[0] <= prev[1] for prev, nxt in zip(intervals, intervals[1:]))
+
+
+def _catalog_shapes(max_cells: int, shard=(0, 1), connected: bool | None = None,
+                    ds_free: bool | None = None, size: int | None = None):
+    """A shard's catalog shapes of at most max_cells cells (exactly size,
+    if given), in walk order, filtered as enum_skew_shapes filters."""
+    for intervals, used, mine in _catalog_walk(max_cells, shard):
+        if not mine or (size is not None and used != size):
+            continue
+        if connected is not None and _joined(intervals) != connected:
+            continue
+        s = _interval_shape(intervals)
+        if ds_free is None or _contains_dent(s) != ds_free:
+            yield s
+
+
 def enum_skew_shapes(n: int, connected: bool | None = None, ds_free: bool | None = None):
     """All normalized n-cell skew shapes without empty rows or columns.
 
@@ -71,37 +119,7 @@ def enum_skew_shapes(n: int, connected: bool | None = None, ds_free: bool | None
     """
     if n < 1:
         raise ValueError("cell count must be positive")
-
-    def rows_ok(intervals) -> bool:
-        if connected is not None:
-            joined = all(
-                nxt[0] <= prev[1] for prev, nxt in zip(intervals, intervals[1:])
-            )
-            if joined != connected:
-                return False
-        return True
-
-    def rec(intervals, used):
-        if used == n:
-            if rows_ok(intervals):
-                s = _interval_shape(intervals)
-                if ds_free is None or _contains_dent(s) != ds_free:
-                    yield s
-            return
-        remaining = n - used
-        if intervals:
-            a_lo, b_lo = intervals[-1][0], intervals[-1][1]
-            a_hi = b_lo + 1
-        else:
-            a_lo = a_hi = 1
-            b_lo = 0
-        for a in range(a_lo, a_hi + 1):
-            for b in range(max(a, b_lo), max(a, b_lo) + remaining):
-                if b - a + 1 > remaining:
-                    break
-                yield from rec(intervals + [(a, b)], used + b - a + 1)
-
-    yield from rec([], 0)
+    yield from _catalog_shapes(n, connected=connected, ds_free=ds_free, size=n)
 
 
 def catalog_line(s: Shape) -> str:
@@ -158,20 +176,20 @@ def enum_moon_polyominoes(n: int):
 
 
 def _enum_values(s: Shape, spec: EnumSpec):
-    """Raw value tuples for the mode, in deterministic order."""
+    """Raw value tuples for the mode, in deterministic order.  Every mode
+    prunes on the running total when spec.max_total is set."""
     cells = s.sorted_cells()
     n = len(cells)
+    # without a max_total, the largest possible total, which never prunes
+    total_cap = n * (spec.max_entry or 1) if spec.max_total is None else spec.max_total
     if spec.mode in ("binary", "integer"):
         cap = 1 if spec.mode == "binary" else spec.max_entry
-        total_cap = spec.max_total
 
         def rec(idx, acc, total):
             if idx == n:
                 yield tuple(acc)
                 return
-            for v in range(cap + 1):
-                if total_cap is not None and total + v > total_cap:
-                    break
+            for v in range(min(cap, total_cap - total) + 1):
                 acc.append(v)
                 yield from rec(idx + 1, acc, total + v)
                 acc.pop()
@@ -188,17 +206,20 @@ def _enum_values(s: Shape, spec: EnumSpec):
             acc.append(0)
             yield from rec(idx + 1, acc, rows_used, cols_used)
             acc.pop()
-            if y not in rows_used and x not in cols_used:
+            if y not in rows_used and x not in cols_used and len(rows_used) < total_cap:
                 acc.append(1)
                 yield from rec(idx + 1, acc, rows_used | {y}, cols_used | {x})
                 acc.pop()
 
-        yield from rec(0, [], frozenset(), frozenset())
+        if total_cap >= 0:
+            yield from rec(0, [], frozenset(), frozenset())
         return
 
     # transversal: one 1-cell in every row and every column
     if s.height != s.width:
         raise ValueError("transversal mode requires height = width")
+    if s.height > total_cap:
+        return
     by_row = [s.row_cols(y) for y in range(1, s.height + 1)]
 
     def rec_t(y, chosen, cols_used):

@@ -249,13 +249,19 @@ def as_pattern(pattern) -> Filling:
     raise TypeError(f"not a pattern: {pattern!r}")
 
 
+@lru_cache(maxsize=4096)
+def _shape_occurrences(host: Shape, pattern: Shape) -> tuple[Occurrence, ...]:
+    """find_shape_occurrences, run once per pair of shapes."""
+    return tuple(find_shape_occurrences(host, pattern))
+
+
 def find_filling_occurrences(host: Filling, pattern) -> list[Occurrence]:
     """Shape occurrences of the pattern whose values the host dominates."""
     pat = as_pattern(pattern)
     pat_cells = list(pat.items())
     host_vals = dict(host.items())
     hits = []
-    for occ in find_shape_occurrences(host.shape, pat.shape):
+    for occ in _shape_occurrences(host.shape, pat.shape):
         ok = True
         for (px, py), pv in pat_cells:
             if pv > host_vals[(occ.cols[px - 1], occ.rows[py - 1])]:

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import multiprocessing
 import os
@@ -64,11 +65,11 @@ from ._engine import (
     support_index,
     value_matrix,
 )
-from .enumeration import EnumSpec, _value_rows, catalog_line, enum_moon_polyominoes, \
-    enum_skew_shapes, parse_catalog_line
+from .enumeration import EnumSpec, _catalog_shapes, _catalog_walk, _value_rows, catalog_line, \
+    enum_moon_polyominoes, parse_catalog_line
 from .fillings import NE, SE
-from .shapes import Rect, Shape, dent_shape, is_connected, is_moon, is_nw_ferrers, \
-    maximal_rectangles, normalize
+from .shapes import Rect, Shape, _interval_shape, dent_shape, is_connected, is_moon, \
+    is_nw_ferrers, maximal_rectangles, normalize
 from .structure import DecompositionError, ferrers_decompose, is_ds_free, sum_permutations
 
 PROPERTIES = (
@@ -285,16 +286,19 @@ def admissible_frame_counts(s: Shape) -> tuple[int, int]:
 # --- runners ---------------------------------------------------------------
 
 
-def _striped(iterable, shard):
-    index, count = shard
-    for k, item in enumerate(iterable):
-        if k % count == index:
-            yield item
-
-
-def _catalog(max_cells, connected=None, ds_free=None):
-    for n in range(1, max_cells + 1):
-        yield from enum_skew_shapes(n, connected=connected, ds_free=ds_free)
+def _contexts(params, shard):
+    """A shard's ShapeContexts: of the single shape param on shard 0, or of
+    its catalog shapes, each extending the context of its parent."""
+    if params.get("shape") is not None:
+        if shard[0] == 0:
+            yield ShapeContext(parse_catalog_line(params["shape"]))
+        return
+    stack = [ShapeContext(Shape(frozenset()))]
+    for intervals, _, mine in _catalog_walk(params["max_cells"], shard):
+        del stack[len(intervals):]
+        stack.append(ShapeContext(_interval_shape(intervals), stack[-1]))
+        if mine:
+            yield stack[-1]
 
 
 def _transversals(s: Shape) -> np.ndarray:
@@ -319,7 +323,7 @@ def _run_conjecture(params, shard):
     ds_strict = False
     dent = dent_shape()
     ks = range(1, params["kmax"] + 1)
-    for s in _striped(_catalog(params["max_cells"]), shard):
+    for s in _catalog_shapes(params["max_cells"], shard):
         for k, (ti, td) in zip(ks, _tr_counts(s, _transversals(s), ks)):
             instances += 1
             if ti < td:
@@ -335,12 +339,12 @@ def _run_conjecture(params, shard):
 
 def _run_thm_bp(params, shard):
     instances, failures = 0, []
-    for s in _striped(_catalog(params["max_cells"]), shard):
+    for ctx in _contexts(params, shard):
+        s = ctx.shape
         ts = _transversals(s)
         if not ts.size:
             continue
         instances += 1
-        ctx = ShapeContext(s)
         d_count = int(np.isin(ts, ctx.stage_members(1)).sum())  # delta2-avoiders
         u_count = int(np.isin(ts, ctx.stage_members(ctx.n)).sum())  # {iota2, fd}-avoiders
         if d_count != 1:
@@ -383,8 +387,7 @@ def _run_cor_sskew(params, shard):
     instances, failures = 0, []
     shapes_checked = 0
     refined_checked = 0
-    stream = _catalog(params["max_cells"], connected=True, ds_free=True)
-    for s in _striped(stream, shard):
+    for s in _catalog_shapes(params["max_cells"], shard, connected=True, ds_free=True):
         shapes_checked += 1
         ks = range(2, params["kmax"] + 1)
         for k, (ti, td) in zip(ks, _tr_counts(s, _transversals(s), ks)):
@@ -402,19 +405,10 @@ def _run_cor_sskew(params, shard):
             "details": {"shapes": shapes_checked, "refined_shapes": refined_checked}}
 
 
-def _shape_targets(params):
-    if params.get("shape") is not None:
-        return [parse_catalog_line(params["shape"])]
-    return None
-
-
 def _run_genskew(params, shard):
     instances, failures = 0, []
-    single = _shape_targets(params)
     details = {"shapes": 0}
-    stream = single if single is not None else _catalog(params["max_cells"])
-    for s in _striped(stream, shard):
-        ctx = ShapeContext(s)
+    for ctx in _contexts(params, shard):
         g1 = ctx.stage_members(1)
         gn = ctx.stage_members(ctx.n)
         rk = ctx.row_keys()
@@ -427,14 +421,15 @@ def _run_genskew(params, shard):
             clauses.append("forward not injective")
         elif not np.array_equal(ordered, gn):
             clauses.append("image is not the final stage")
-        if not np.array_equal(rk[image], rk[g1]):
+        # image and g1 have the same length
+        if not (rk[image] == rk[g1]).all():
             clauses.append("row sums not preserved")
-        if not np.array_equal(ctx.apply_all(image, forward=False), g1):
+        if not (ctx.apply_all(image, forward=False) == g1).all():
             clauses.append("backward not inverse")
-        failures += [{"shape": catalog_line(s), "clause": c} for c in clauses]
+        failures += [{"shape": catalog_line(ctx.shape), "clause": c} for c in clauses]
         instances += 1 << ctx.n
         details["shapes"] += 1
-        if single is not None:
+        if params.get("shape") is not None:
             details["g1_count"] = int(g1.size)
             details["gN_count"] = int(gn.size)
     return {"instances": instances, "failures": failures, "details": details}
@@ -443,11 +438,8 @@ def _run_genskew(params, shard):
 def _run_lemma_gi(params, shard):
     instances, failures = 0, []
     shapes = 0
-    single = _shape_targets(params)
-    stream = single if single is not None else _catalog(params["max_cells"])
-    for s in _striped(stream, shard):
-        ctx = ShapeContext(s)
-        line = catalog_line(s)
+    for ctx in _contexts(params, shard):
+        line = catalog_line(ctx.shape)
         shapes += 1
         counts = ctx.stage_counts()
         if len(set(counts)) > 1:
@@ -490,7 +482,7 @@ def _run_lem_ferrers(params, shard):
     instances, failures = 0, []
 
     def frames():
-        for s in _catalog(params["max_cells"], connected=True):
+        for s in _catalog_shapes(params["max_cells"], shard, connected=True):
             if not is_nw_ferrers(s):
                 continue
             k_adm, l_adm = admissible_frame_counts(s)
@@ -498,7 +490,7 @@ def _run_lem_ferrers(params, shard):
                 for l in range(0, min(l_adm, params["lmax"]) + 1):
                     yield GammaFrame(s, k, l)
 
-    for frame in _striped(frames(), shard):
+    for frame in frames():
         s = frame.F
         rows, cols, sidx = _capped_fillings(s, params["max_entry"])
         se_sig = _frame_signature(frame, True, sidx, rows, cols)
@@ -536,7 +528,7 @@ def _run_rubey(params, shard):
                     if is_moon(sm):
                         yield m, t, sm
 
-    for m, t, sm in _striped(pairs(), shard):
+    for m, t, sm in itertools.islice(pairs(), shard[0], None, shard[1]):
         instances += 1
         line = catalog_line(m) if m.size else ""
         rects_m, rects_s = maximal_rectangles(m), maximal_rectangles(sm)
@@ -561,7 +553,7 @@ def _run_ds_free_oracle(params, shard):
     instances, failures = 0, []
     dent_free = 0
     decomposed = 0
-    for s in _striped(_catalog(params["max_cells"]), shard):
+    for s in _catalog_shapes(params["max_cells"], shard):
         instances += 1
         line = None
         by_pattern = is_ds_free(s, "pattern")

@@ -444,14 +444,31 @@ def dent_shape() -> Shape:
     return parse_shape(DENT_TEXT)
 
 
-def _interval_shape(intervals) -> Shape:
-    """The normalized shape whose row y holds columns a_y..b_y, from
-    intervals (a_1, b_1), (a_2, b_2), ... with a_1 = 1, bottom row first.
-    The cells come out in sorted_cells order, which the shape keeps."""
-    cells = tuple((x, y) for y, (a, b) in enumerate(intervals, start=1) for x in range(a, b + 1))
-    s = Shape(frozenset(cells))
+def _kept_skew(cells) -> Shape:
+    """The skew shape of cells given in sorted_cells order and normal
+    position, keeping that order and its skewness."""
+    s = object.__new__(Shape)  # the cells need no validation
+    object.__setattr__(s, "cells", frozenset(cells))
     object.__setattr__(s, "_sorted", cells)
+    object.__setattr__(s, "_skew", True)
     return s
+
+
+def _interval_shape(intervals) -> Shape:
+    """The shape whose row y holds columns a_y..b_y, from intervals
+    (a_1, b_1), (a_2, b_2), ... in the catalog grammar, bottom row first."""
+    return _kept_skew(tuple((x, y) for y, (a, b) in enumerate(intervals, start=1)
+                            for x in range(a, b + 1)))
+
+
+def _lower_rows(s: Shape) -> Shape:
+    """A nonempty skew shape without its top row: again a skew shape in
+    normal position, whose cells are the first ones of s's labeling."""
+    cells = s.sorted_cells()
+    k = len(cells) - 1
+    while k and cells[k - 1][1] == cells[-1][1]:
+        k -= 1
+    return _kept_skew(cells[:k])
 
 
 def _row_spans(s: Shape) -> dict[int, tuple[int, int]]:
@@ -462,22 +479,25 @@ def _row_spans(s: Shape) -> dict[int, tuple[int, int]]:
     return spans
 
 
-def _dent_placements(s: Shape):
-    """Every occurrence of the dented shape in a skew shape, as
-    ((i1, i2, i3), (j1, j2, j3)).
+def _top_row_dents(rows, top):
+    """The dent placements ((i1, i2, i3), (j1, j2, j3)) of a skew shape
+    whose top row j3 is `top`, a (row, (first, last)) pair, with rows j1 <
+    j2 drawn from `rows`, the occupied rows below it in the same form.
 
-    An occurrence picks cols i1<i2<i3 and rows j1<j2<j3 such that the host
+    A placement picks cols i1<i2<i3 and rows j1<j2<j3 such that the host
     holds cells at all nine selected positions except (i3,j1) and (i1,j3),
     which must be holes.  The occupied rows of a skew shape are intervals
-    [a, b] whose ends weakly grow upward, so for rows j1<j2<j3 this says
-    exactly a2 <= i1 < a3 <= i2 <= b1 < i3 <= b2.
+    [a, b] whose ends weakly grow upward, so this says exactly
+    a2 <= i1 < a3 <= i2 <= b1 < i3 <= b2.
     """
-    rows = _row_spans(s).items()
-    for (j1, (_, b1)), (j2, (a2, b2)), (j3, (a3, _)) in itertools.combinations(rows, 3):
+    j3, (a3, _) = top
+    for (j1, (_, b1)), (j2, (a2, b2)) in itertools.combinations(rows, 2):
         for cols in itertools.product(range(a2, a3), range(a3, b1 + 1), range(b1 + 1, b2 + 1)):
             yield cols, (j1, j2, j3)
 
 
 def _contains_dent(s: Shape) -> bool:
     """Occurrence test for the dented shape in a skew shape."""
-    return next(_dent_placements(s), None) is not None
+    rows = list(_row_spans(s).items())
+    return any(next(_top_row_dents(rows[:t], rows[t]), None) is not None
+               for t in range(2, len(rows)))

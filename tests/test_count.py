@@ -1,17 +1,15 @@
 """Differential tests of count_avoiders against the enum_fillings reference."""
 
 import itertools
-from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import skew_shapes
-from skewfill import fillings
 from skewfill.enumeration import EnumSpec, count_avoiders, enum_fillings
 from skewfill.fillings import SumVector, as_pattern, avoids, parse_filling, sum_vector
-from skewfill.shapes import dent_shape, find_shape_occurrences, normalize, parse_shape
+from skewfill.shapes import dent_shape, normalize, parse_shape
 
 # the library patterns, one explicit filling with an entry of 2 and an
 # all-zero explicit filling whose shape has a hole
@@ -21,18 +19,6 @@ SINGLES = [()] + [(p,) for p in PATTERNS]
 PAIRS = SINGLES + list(itertools.combinations(PATTERNS, 2))
 MODES = (("binary", None), ("sparse", None), ("transversal", None),
          ("integer", 1), ("integer", 2))
-
-
-@pytest.fixture(scope="module", autouse=True)
-def memoized_reference_scan():
-    """The reference re-runs the shape scan for every filling it tests,
-    though the scan depends on the two shapes only; memoizing it keeps
-    the exhaustive passes short.  count_avoiders resolves its own binding
-    in skewfill.enumeration, which stays as it is."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fillings, "find_shape_occurrences",
-                   lru_cache(maxsize=None)(find_shape_occurrences))
-        yield
 
 
 def canonical_shapes(n):
@@ -119,6 +105,16 @@ def test_count_avoiders_where_the_large_patterns_occur():
             full = None if max_entry != 2 or s.size <= 7 else 3
             check_against_reference(s, mode, max_entry, full, PAIRS, memo)
             check_against_reference(s, mode, max_entry, 2, SINGLES, memo)
+
+
+def test_count_avoiders_max_total_in_sparse_and_transversal_mode():
+    square = parse_shape("##\n##\n")
+    sparse = EnumSpec(mode="sparse", max_total=1)
+    assert count_avoiders(square, sparse) == sum(1 for _ in enum_fillings(square, sparse)) == 5
+    none = EnumSpec(mode="transversal", max_total=0)
+    assert count_avoiders(dent_shape(), none) == sum(1 for _ in enum_fillings(dent_shape(), none)) == 0
+    assert count_avoiders(dent_shape(), EnumSpec(mode="transversal", max_total=3,
+                                                 avoid=("delta2",))) == 1
 
 
 def test_count_avoiders_sums_of_the_wrong_length():

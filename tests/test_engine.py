@@ -1,5 +1,7 @@
 """Differential tests for the bitmask fast paths of the genskew engine."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,11 +9,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import skew_shapes
-from skewfill._engine import ShapeContext, _packed_keys, multiset_equal
+from skewfill._engine import ShapeContext, _packed_keys, _step_table, multiset_equal
 from skewfill.bijection import in_G, step_backward, step_forward
 from skewfill.enumeration import enum_skew_shapes
 from skewfill.fillings import Filling, as_pattern, find_filling_occurrences
-from skewfill.shapes import parse_shape
+from skewfill.harness import _contexts
+from skewfill.shapes import _row_spans, is_skew, normalize, parse_shape
 
 TOKENS = ("delta2", "iota2", "fd")
 
@@ -35,11 +38,148 @@ def reference_occurrences(ctx, token):
     return sorted(out)
 
 
+# --- the whole-shape construction the engine's row-by-row tables replaced ---
+
+
+def whole_shape_occurrences(s, token):
+    """(support mask, top label) pairs from every pair or triple of rows."""
+    pos = {c: k for k, c in enumerate(s.sorted_cells())}
+    rows = _row_spans(s).items()
+    if token == "fd":
+        # a2 <= i1 < a3 <= i2 <= b1 < i3 <= b2 over rows j1 < j2 < j3
+        return [(1 << pos[(i1, j1)] | 1 << pos[(i2, j3)] | 1 << pos[(i3, j2)],
+                 pos[(i3, j3)] + 1)
+                for (j1, (_, b1)), (j2, (a2, b2)), (j3, (a3, _)) in itertools.combinations(rows, 3)
+                for i1, i2, i3 in itertools.product(range(a2, a3), range(a3, b1 + 1),
+                                                    range(b1 + 1, b2 + 1))]
+    out = []
+    for (y1, (lo1, hi1)), (y2, (lo2, hi2)) in itertools.combinations(rows, 2):
+        for x1, x2 in itertools.combinations(range(max(lo1, lo2), min(hi1, hi2) + 1), 2):
+            lower, upper = ((x1, y2), (x2, y1)) if token == "delta2" else ((x1, y1), (x2, y2))
+            out.append((1 << pos[lower] | 1 << pos[upper], pos[(x2, y2)] + 1))
+    return out
+
+
+def bounds_from(occurrences, n):
+    """dmax and umin per code (umin n + 1 where no top is held) from the
+    occurrence pairs of each token."""
+    codes = np.arange(1 << n, dtype=np.int64)
+    dmax = np.zeros(1 << n, dtype=np.int64)
+    for mask, top in occurrences["delta2"]:
+        held = (codes & mask) == mask
+        dmax[held] = np.maximum(dmax[held], top)
+    umin = np.full(1 << n, n + 1, dtype=np.int64)
+    for mask, top in occurrences["iota2"] + occurrences["fd"]:
+        held = (codes & mask) == mask
+        umin[held] = np.minimum(umin[held], top)
+    return dmax, umin
+
+
+def whole_shape_steps(s):
+    """(i, width of X, first label bit of each X row) for every step whose
+    X is at least 2x2, read off the whole shape."""
+    spans = _row_spans(s)
+    first, k = {}, 0
+    for y, (lo, hi) in spans.items():
+        first[y], k = k, k + hi - lo + 1
+    steps = []
+    for y, (lo, hi) in spans.items():
+        for x in range(lo + 1, hi + 1):
+            bottom = y
+            while spans.get(bottom - 1, (0, 0))[1] >= x:
+                bottom -= 1
+            if bottom < y:
+                bases = tuple(first[r] + lo - spans[r][0] for r in range(bottom, y + 1))
+                steps.append((first[y] + x - lo, x - lo + 1, bases))
+    return steps
+
+
+def step_images(F, step, forward):
+    """One step on every code of F, -1 where it is undefined or F is -1."""
+    _, w, bases = step
+    row = (1 << w) - 1
+    pattern = sum(((F >> base) & row) << (r * w) for r, base in enumerate(bases))
+    image = _step_table(w, len(bases), forward)[pattern]
+    out = F & ~sum(row << base for base in bases)
+    for r, base in enumerate(bases):
+        out |= ((image >> (r * w)) & row) << base
+    return np.where((image < 0) | (F < 0), -1, out)
+
+
+def whole_shape_tables(s):
+    """dmax, umin, row keys and the forward and backward image tables."""
+    n = s.size
+    dmax, umin = bounds_from({t: whole_shape_occurrences(s, t) for t in TOKENS}, n)
+    weight, radix = {}, 1
+    for y, (lo, hi) in _row_spans(s).items():
+        weight[y], radix = radix, radix * (hi - lo + 2)
+    codes = np.arange(1 << n, dtype=np.int64)
+    keys = sum(((codes >> b) & 1) * weight[y] for b, (_, y) in enumerate(s.sorted_cells()))
+    forward = backward = codes
+    steps = whole_shape_steps(s)
+    for step in steps:
+        forward = step_images(forward, step, True)
+    for step in reversed(steps):
+        backward = step_images(backward, step, False)
+    return dmax, umin, keys, forward, backward
+
+
+def assert_tables_match(ctx):
+    dmax, umin, keys, forward, backward = whole_shape_tables(ctx.shape)
+    got_dmax, got_umin = ctx._bounds()
+    assert np.array_equal(got_dmax, dmax)
+    assert np.array_equal(np.minimum(got_umin, ctx.n + 1), umin)
+    assert got_umin.min(initial=ctx.n + 1) >= 1
+    assert np.array_equal(ctx.row_keys(), keys)
+    assert ctx._compiled_steps() == whole_shape_steps(ctx.shape)
+    assert np.array_equal(ctx._image_table(True), forward)
+    assert np.array_equal(ctx._image_table(False), backward)
+
+
+def test_walk_tables_match_whole_shape_construction():
+    # every node of the catalog walk, each extending its parent's tables
+    seen = 0
+    for ctx in _contexts({"max_cells": 8}, (0, 1)):
+        assert_tables_match(ctx)
+        seen += 1
+    assert seen == 3909
+
+
+@st.composite
+def gapped_skew_shapes(draw, max_blocks=3):
+    """Skew shapes with at least one empty row: skew blocks stacked with
+    gaps, each block starting right of every column below it."""
+    intervals, right = [], 0
+    for block in range(draw(st.integers(2, max_blocks))):
+        if block:
+            intervals += [None] * draw(st.integers(1, 2))
+        shift = right + draw(st.integers(0, 1))
+        s = draw(skew_shapes(max_rows=3, max_width=3))
+        intervals += [(s.row_cols(y)[0] + shift, s.row_cols(y)[-1] + shift)
+                      for y in range(1, s.height + 1)]
+        right = intervals[-1][1]
+    return normalize((x, y) for y, iv in enumerate(intervals, start=1) if iv
+                     for x in range(iv[0], iv[1] + 1))
+
+
+@given(gapped_skew_shapes().filter(lambda s: s.size <= 12))
+@settings(max_examples=40, deadline=None)
+def test_tables_match_whole_shape_construction_with_empty_rows(s):
+    assert is_skew(s) and len(_row_spans(s)) < s.height
+    assert_tables_match(ShapeContext(s))
+
+
 def test_occurrence_masks_match_box_scan():
+    # the whole-shape occurrence lists against the box scan, and the
+    # engine's bounds against the bounds of the box-scan occurrences
     for s in small_skew_shapes(7):
         ctx = ShapeContext(s)
+        occurrences = {token: reference_occurrences(ctx, token) for token in TOKENS}
         for token in TOKENS:
-            assert sorted(ctx._occurrences(token)) == reference_occurrences(ctx, token)
+            assert sorted(whole_shape_occurrences(s, token)) == occurrences[token]
+        dmax, umin = bounds_from(occurrences, ctx.n)
+        assert np.array_equal(ctx._bounds()[0], dmax)
+        assert np.array_equal(np.minimum(ctx._bounds()[1], ctx.n + 1), umin)
 
 
 @given(skew_shapes(max_rows=5, max_width=4).filter(lambda s: s.size >= 7))
@@ -47,8 +187,13 @@ def test_occurrence_masks_match_box_scan():
 def test_occurrence_masks_match_box_scan_on_larger_shapes(s):
     # fd needs at least the 7 cells of the dent, so most fd hits live here
     ctx = ShapeContext(s)
+    occurrences = {token: reference_occurrences(ctx, token) for token in TOKENS}
     for token in TOKENS:
-        assert sorted(ctx._occurrences(token)) == reference_occurrences(ctx, token)
+        assert sorted(whole_shape_occurrences(s, token)) == occurrences[token]
+    if ctx.n <= 12:  # the reference bounds take one pass over 2^n codes per occurrence
+        dmax, umin = bounds_from(occurrences, ctx.n)
+        assert np.array_equal(ctx._bounds()[0], dmax)
+        assert np.array_equal(np.minimum(ctx._bounds()[1], ctx.n + 1), umin)
 
 
 def test_row_keys_separate_exactly_the_row_sum_vectors():
@@ -119,6 +264,16 @@ def test_apply_step_matches_filling_maps_off_the_stage_sets(text):
                 else:
                     assert ctx.apply_step(F, i, forward).tolist() == [expected]
     assert rejected == (3 if ctx.shape.size == 6 else 0)
+    if rejected:
+        # the whole-code tables raise what the steps, replayed one by one, raise
+        codes = np.arange(1 << ctx.n, dtype=np.int64)
+        with pytest.raises(ValueError) as stepwise:
+            F = codes
+            for i in range(ctx.n - 1, 0, -1):
+                F = ctx.apply_step(F, i, forward=False)
+        with pytest.raises(ValueError) as whole:
+            ctx.apply_all(codes, forward=False)
+        assert str(whole.value) == str(stepwise.value)
 
 
 def reference_multiset_equal(a, b):

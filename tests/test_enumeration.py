@@ -1,3 +1,4 @@
+import ast
 import itertools
 
 import pytest
@@ -61,11 +62,18 @@ def test_enum_skew_shapes_are_normalized_and_distinct():
         shapes = list(enum_skew_shapes(n))
         assert len(set(shapes)) == len(shapes)
         for s in shapes:
-            assert is_skew(s)
+            assert is_skew(normalize(s.cells))  # a fresh shape, not the kept flag
             assert len(s.cells) == n
             assert normalize(s.cells) == s
             # the generator hands its cells over already in sorted order
             assert s.sorted_cells() == normalize(s.cells).sorted_cells()
+
+
+def test_enum_skew_shapes_in_lexicographic_order():
+    # each size in the order of its row-interval lists, bottom row first
+    for n in range(1, 8):
+        keys = [ast.literal_eval(catalog_line(s)) for s in enum_skew_shapes(n)]
+        assert keys == sorted(keys) and len(set(map(tuple, keys))) == len(keys)
 
 
 def occupies_every_line(s):
@@ -214,6 +222,21 @@ def test_enum_fillings_sum_filter():
 def test_enum_fillings_max_total():
     spec = EnumSpec(mode="binary", max_total=1)
     assert sum(1 for _ in enum_fillings(SQUARE, spec)) == 5
+    # the empty filling and the four single cells
+    assert sum(1 for _ in enum_fillings(SQUARE, EnumSpec(mode="sparse", max_total=1))) == 5
+    assert list(enum_fillings(DENT, EnumSpec(mode="transversal", max_total=0))) == []
+    assert sum(1 for _ in enum_fillings(DENT, EnumSpec(mode="transversal", max_total=3))) == 3
+
+
+def test_enum_fillings_max_total_filters_every_mode():
+    for s in (SQUARE, DENT, normalize([(1, 1), (2, 1), (2, 2), (3, 2), (3, 3)])):
+        for mode, max_entry in (("binary", None), ("sparse", None), ("transversal", None),
+                                ("integer", 2)):
+            every = [f.values for f in enum_fillings(s, EnumSpec(mode=mode, max_entry=max_entry))]
+            for cap in range(-1, 5):
+                spec = EnumSpec(mode=mode, max_entry=max_entry, max_total=cap)
+                want = [v for v in every if sum(v) <= cap]
+                assert [f.values for f in enum_fillings(s, spec)] == want, (s, spec)
 
 
 def test_enum_spec_validation():

@@ -36,18 +36,20 @@ def test_property_roster():
     )
 
 
+SMALL_BUDGETS = {
+    "cor_sskew": dict(max_cells=6, refine_cells=5),
+    "conjecture": dict(max_cells=6),
+    "thm_bp": dict(max_cells=6),
+    "genskew": dict(max_cells=6),
+    "lemma_gi": dict(max_cells=6),
+    "lem_ferrers": dict(max_cells=6),
+    "rubey": dict(max_cells=6),
+    "ds_free_oracle": dict(max_cells=6),
+}
+
+
 def test_all_properties_pass_at_small_budgets():
-    expected = {
-        "cor_sskew": dict(max_cells=6, refine_cells=5),
-        "conjecture": dict(max_cells=6),
-        "thm_bp": dict(max_cells=6),
-        "genskew": dict(max_cells=6),
-        "lemma_gi": dict(max_cells=6),
-        "lem_ferrers": dict(max_cells=6),
-        "rubey": dict(max_cells=6),
-        "ds_free_oracle": dict(max_cells=6),
-    }
-    for prop, kw in expected.items():
+    for prop, kw in SMALL_BUDGETS.items():
         r = verify(prop, **kw)
         assert r.passed, f"{prop}: {r.failures[:3]}"
         assert r.instances > 0
@@ -157,6 +159,20 @@ def test_parallel_run_matches_serial():
     assert a == b
     c = verify("genskew", max_cells=5, jobs=2)
     assert c == verify("genskew", max_cells=5)
+
+
+@pytest.mark.parametrize("prop", PROPERTIES)
+def test_three_jobs_match_one(prop):
+    assert verify(prop, jobs=3, **SMALL_BUDGETS[prop]) == verify(prop, **SMALL_BUDGETS[prop])
+
+
+def test_three_jobs_with_empty_and_lopsided_shards():
+    # one catalog shape, or one single shape, leaves two shards empty
+    for kw in (dict(max_cells=1), dict(shape=dent_shape())):
+        for prop in ("genskew", "lemma_gi"):
+            assert verify(prop, jobs=3, **kw) == verify(prop, **kw)
+    # four subtrees at two cells: the first shard gets two of them
+    assert verify("thm_bp", max_cells=2, jobs=3) == verify("thm_bp", max_cells=2)
 
 
 def test_report_equality_ignores_timing():
