@@ -6,6 +6,18 @@ a_y at most one past b_{y-1} so no column is skipped.  Every normalized
 skew shape without empty rows or columns has exactly one such encoding,
 which doubles as the catalog text format (bottom row first).
 
+Moon polyominoes are built from their columns.  An n-cell moon in normal
+position is its list of column intervals, left to right, and a list of
+intervals is a moon exactly when
+  * any two of them are nested, so they form one chain under inclusion
+    (nested neighbours are not enough: [1,1],[1,2],[2,2] is no moon);
+  * the list is unimodal under inclusion, rising to its tallest column and
+    falling after it, since otherwise some row stops being an interval;
+  * the tallest column is [1, h].
+The generator extends such lists one column at a time for each h: until
+[1, h] appears each new column holds the last one, and from then on each
+lies inside the last one and is nested with every earlier column.
+
 Filling enumeration supports four modes: binary, sparse (at most one
 1-cell per row and column), transversal (exactly one per row and column),
 and bounded-entry integer fillings.
@@ -36,7 +48,6 @@ from .shapes import (
     find_shape_occurrences,
     is_moon,
     maximal_rectangles,
-    normalize,
 )
 
 _MODES = ("binary", "sparse", "transversal", "integer")
@@ -155,24 +166,45 @@ def parse_catalog_line(text: str) -> Shape:
     return _interval_shape(intervals)
 
 
+def _moon_columns(n: int):
+    """Column intervals (first row, last row), left to right, of every
+    n-cell moon in normal position, built as the module docstring says."""
+
+    def grow(cols, room, h):
+        risen = (1, h) in cols
+        if not risen and room < h:
+            return
+        if not room:
+            yield cols
+            return
+        lo, hi = cols[-1]
+        for a, b in _sub_intervals(h, room):
+            if risen:
+                ok = lo <= a and b <= hi and all(
+                    c <= a and b <= d or a <= c and d <= b for c, d in cols)
+            else:
+                ok = a <= lo and hi <= b
+            if ok:
+                yield from grow(cols + ((a, b),), room - (b - a + 1), h)
+
+    for h in range(1, n + 1):
+        for a, b in _sub_intervals(h, n):
+            yield from grow(((a, b),), n - (b - a + 1), h)
+
+
+def _sub_intervals(h: int, room: int):
+    """The intervals inside [1, h] of at most room rows."""
+    return [(a, b) for a in range(1, h + 1) for b in range(a, min(h, a + room - 1) + 1)]
+
+
 def enum_moon_polyominoes(n: int):
     """All normalized n-cell moon polyominoes, in sorted-cell order."""
     if n < 1:
         raise ValueError("cell count must be positive")
-    current = {Shape(frozenset({(1, 1)})).cells}
-    for _ in range(n - 1):
-        grown = set()
-        for cells in current:
-            for x, y in cells:
-                for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                    c = (x + dx, y + dy)
-                    if c not in cells:
-                        grown.add(normalize(cells | {c}).cells)
-        current = grown
-    shapes = [Shape(cells) for cells in current]
-    for s in sorted(shapes, key=lambda s: s.sorted_cells()):
-        if is_moon(s):
-            yield s
+    moons = [Shape(frozenset((x, y) for x, (a, b) in enumerate(cols, start=1)
+                             for y in range(a, b + 1)))
+             for cols in _moon_columns(n)]
+    yield from sorted(moons, key=Shape.sorted_cells)
 
 
 def _enum_values(s: Shape, spec: EnumSpec):

@@ -27,6 +27,12 @@ Property tokens and their instance counts:
   ds_free_oracle agreement of the two dent-freeness criteria plus the
                  decompose/validate round-trip; instances = shapes.
 
+rubey compares a moon with each moon it turns into by swapping two
+adjacent columns.  A swap keeps the multiset of column intervals, so the
+pairs stay inside a column class: the moons of one size with one such
+multiset.  The runner takes the moons one class at a time and builds each
+moon's rectangles and filling keys once for all its pairs.
+
 The two structural checks routed through statistics (lem_ferrers, rubey)
 are verified at multiset/cardinality level only; their report details
 carry a "level" marker saying so.
@@ -68,8 +74,8 @@ from ._engine import (
 from .enumeration import EnumSpec, _catalog_shapes, _catalog_walk, _value_rows, catalog_line, \
     enum_moon_polyominoes, parse_catalog_line
 from .fillings import NE, SE
-from .shapes import Rect, Shape, _interval_shape, dent_shape, is_connected, is_moon, \
-    is_nw_ferrers, maximal_rectangles, normalize
+from .shapes import Rect, Shape, _interval_shape, dent_shape, is_connected, is_nw_ferrers, \
+    maximal_rectangles
 from .structure import DecompositionError, ferrers_decompose, is_ds_free, sum_permutations
 
 PROPERTIES = (
@@ -98,11 +104,15 @@ _BUDGETS: dict[str, dict[str, tuple[int, int]]] = {
     "lemma_gi": {"max_cells": (8, 10)},
     "lem_ferrers": {"max_cells": (8, 8), "kmax": (2, 2),
                     "lmax": (2, 2), "max_entry": (2, 2)},
-    "rubey": {"max_cells": (8, 8), "max_entry": (1, 2)},
+    "rubey": {"max_cells": (8, 10), "max_entry": (1, 2)},
     "ds_free_oracle": {"max_cells": (9, 9)},
 }
 
 _SHAPE_PARAM_OK = {"genskew", "lemma_gi"}
+
+# worker processes for one verify call, on every machine and with or
+# without the override, so a jobs value passes or fails everywhere alike
+_MAX_JOBS = 64
 
 
 @dataclass(eq=False)
@@ -439,20 +449,20 @@ def _run_lemma_gi(params, shard):
     instances, failures = 0, []
     shapes = 0
     for ctx in _contexts(params, shard):
-        line = catalog_line(ctx.shape)
         shapes += 1
+        clauses = []
         counts = ctx.stage_counts()
         if len(set(counts)) > 1:
-            failures.append({"shape": line, "clause": "stage sizes differ",
-                             "counts": counts})
+            clauses.append({"clause": "stage sizes differ", "counts": counts})
         members = ctx.stage_members(1)
         for i in range(1, ctx.n):
             nxt = ctx.stage_members(i + 1)
             image = ctx.apply_step(members, i)
             instances += 1
             if not np.array_equal(np.sort(image), nxt):
-                failures.append({"shape": line, "clause": "step image", "i": i})
+                clauses.append({"clause": "step image", "i": i})
             members = nxt
+        failures += [{"shape": catalog_line(ctx.shape), **c} for c in clauses]
     return {"instances": instances, "failures": failures,
             "details": {"shapes": shapes}}
 
@@ -502,13 +512,6 @@ def _run_lem_ferrers(params, shard):
             "details": {"level": "statistic multisets"}}
 
 
-def _column_swap(s: Shape, t: int) -> Shape:
-    swapped = frozenset(
-        (t + 1 if x == t else t if x == t + 1 else x, y) for x, y in s.cells
-    )
-    return normalize(swapped)
-
-
 def _moon_keys(m: Shape, rects: list[Rect], max_entry: int):
     """NE chain per maximal rectangle (in the given order), row and column
     sums of the sum-capped fillings of a moon."""
@@ -517,34 +520,54 @@ def _moon_keys(m: Shape, rects: list[Rect], max_entry: int):
     return np.column_stack(columns), rows, cols
 
 
+def _rubey_pairs(max_cells: int):
+    """(class, columns, t, swapped columns) for every moon and every
+    adjacent column swap that leaves a moon, one column class at a time.
+
+    A moon is keyed by its column intervals, left to right; its class maps
+    the keys of all moons of its size with the same multiset of column
+    intervals to the moons.  Swapping columns t and t+1 keeps the multiset,
+    so the swapped moon is in the class exactly when the swap leaves a moon.
+    """
+    for n in range(1, max_cells + 1):
+        classes: dict[tuple, dict] = {}
+        for m in enum_moon_polyominoes(n):
+            cols = tuple((r[0], r[-1]) for r in map(m.col_rows, range(1, m.width + 1)))
+            classes.setdefault(tuple(sorted(cols)), {})[cols] = m
+        for moons in classes.values():
+            for cols in moons:
+                for t in range(1, len(cols)):
+                    swapped = cols[:t - 1] + (cols[t], cols[t - 1]) + cols[t + 1:]
+                    if swapped in moons:
+                        yield moons, cols, t, swapped
+
+
 def _run_rubey(params, shard):
     instances, failures = 0, []
-
-    def pairs():
-        for n in range(1, params["max_cells"] + 1):
-            for m in enum_moon_polyominoes(n):
-                for t in range(1, m.width):
-                    sm = _column_swap(m, t)
-                    if is_moon(sm):
-                        yield m, t, sm
-
-    for m, t, sm in itertools.islice(pairs(), shard[0], None, shard[1]):
+    group, tables = None, {}  # a class and its moons' rectangles and keys
+    pairs = itertools.islice(_rubey_pairs(params["max_cells"]), shard[0], None, shard[1])
+    for moons, cols, t, swapped in pairs:
+        if moons is not group:
+            group, tables = moons, {}
+        for c in (cols, swapped):
+            if c not in tables:
+                rects = maximal_rectangles(moons[c])
+                tables[c] = (rects, *_moon_keys(moons[c], rects, params["max_entry"]))
         instances += 1
-        line = catalog_line(m) if m.size else ""
-        rects_m, rects_s = maximal_rectangles(m), maximal_rectangles(sm)
+        rects_m, lam_m, rows_m, cols_m = tables[cols]
+        rects_s, lam_s, rows_s, cols_s = tables[swapped]
         widths_m = [r.width for r in rects_m]
         if len(set(widths_m)) != len(widths_m) or widths_m != [r.width for r in rects_s]:
-            failures.append({"shape": line, "swap": t,
+            failures.append({"shape": catalog_line(moons[cols]), "swap": t,
                              "clause": "rectangle widths do not match"})
             continue
-        lam_m, rows_m, cols_m = _moon_keys(m, rects_m, params["max_entry"])
-        lam_s, rows_s, cols_s = _moon_keys(sm, rects_s, params["max_entry"])
         sigma = list(range(cols_s.shape[1]))
         sigma[t - 1], sigma[t] = sigma[t], sigma[t - 1]
         key_m = np.hstack([lam_m, rows_m, cols_m])
         key_s = np.hstack([lam_s, rows_s, cols_s[:, sigma]])
         if not multiset_equal(key_m, key_s):
-            failures.append({"shape": line, "swap": t, "clause": "class sizes"})
+            failures.append({"shape": catalog_line(moons[cols]), "swap": t,
+                             "clause": "class sizes"})
     return {"instances": instances, "failures": failures,
             "details": {"level": "cardinalities"}}
 
@@ -622,7 +645,8 @@ def verify(prop: str, **params) -> VerificationReport:
     refine_cells, max_entry) plus jobs and, for genskew/lemma_gi, an
     optional single shape (catalog line or Shape).  Values above the
     documented caps, and a single shape with more cells than the max_cells
-    cap, raise BudgetError unless SKEWFILL_BUDGET_OVERRIDE=1.
+    cap, raise BudgetError unless SKEWFILL_BUDGET_OVERRIDE=1.  More than
+    64 jobs raise BudgetError even with the override.
     """
     if prop not in _RUNNERS:
         raise ValueError(f"unknown property {prop!r}, expected one of {PROPERTIES}")
@@ -658,6 +682,8 @@ def verify(prop: str, **params) -> VerificationReport:
                 )
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
+    if jobs > _MAX_JOBS:
+        raise BudgetError(f"jobs={jobs} exceeds cap {_MAX_JOBS}")
 
     start = time.perf_counter()
     if jobs == 1:

@@ -9,6 +9,7 @@ these oracles.
 
 import itertools
 
+import pytest
 from hypothesis import strategies as st
 
 from skewfill.fillings import Filling
@@ -144,3 +145,27 @@ def brute_transversal_count(s: Shape, predicate) -> int:
             if predicate(f):
                 count += 1
     return count
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """Replace the harness's process pool by one that starts no process:
+    it runs starmap serially in this process.  Returns the list of the
+    pool sizes asked for."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, args):
+            return [fn(*a) for a in args]
+
+    monkeypatch.setattr("skewfill.harness.multiprocessing.Pool", SerialPool)
+    return sizes

@@ -257,6 +257,24 @@ def test_verify_budget_violation_is_usage_error(capsys, monkeypatch):
     assert code == 2 and "exceeds cap" in err
 
 
+def test_verify_jobs_cap_is_usage_error(capsys, fake_pool):
+    argv = ("verify", "thm_bp", "--max-cells", "3", "--format", "json")
+    code, serial, _ = run(capsys, *argv)
+    assert code == 0
+    code, out, _ = run(capsys, *argv, "--jobs", "64")
+    assert (code, out) == (0, serial) and fake_pool == [64]
+    code, out, err = run(capsys, *argv, "--jobs", "65")
+    assert (code, out) == (2, "") and err.startswith("error:") and "jobs" in err
+    assert fake_pool == [64]
+
+
+def test_verify_rubey_at_its_cell_cap(capsys, monkeypatch):
+    monkeypatch.delenv("SKEWFILL_BUDGET_OVERRIDE", raising=False)
+    code, out, _ = run(capsys, "verify", "rubey", "--max-cells", "10", "--format", "json")
+    report = parse_report_json(out)
+    assert code == 0 and report.passed and report.instances == 5676
+
+
 def test_verify_rejects_unknown_property(capsys):
     code, _, _ = run(capsys, "verify", "everything")
     assert code == 2

@@ -1,8 +1,12 @@
 import os
 
+import numpy as np
 import pytest
 
+from skewfill._engine import ShapeContext
+from skewfill.enumeration import parse_catalog_line
 from skewfill.harness import (
+    _MAX_JOBS,
     PROPERTIES,
     BudgetError,
     GammaFrame,
@@ -118,6 +122,8 @@ def test_budget_caps_enforced():
             verify("genskew", max_cells=11)
         with pytest.raises(BudgetError):
             verify("rubey", max_entry=3)
+        with pytest.raises(BudgetError):
+            verify("rubey", max_cells=11)
     finally:
         if saved is not None:
             os.environ["SKEWFILL_BUDGET_OVERRIDE"] = saved
@@ -151,6 +157,32 @@ def test_shape_parameter_respects_cell_cap(monkeypatch):
 def test_jobs_must_be_positive():
     with pytest.raises(ValueError):
         verify("thm_bp", max_cells=4, jobs=0)
+
+
+def test_jobs_capped_before_any_pool(fake_pool, monkeypatch):
+    serial = verify("thm_bp", max_cells=3)
+    assert verify("thm_bp", max_cells=3, jobs=_MAX_JOBS) == serial
+    assert fake_pool == [_MAX_JOBS]
+    monkeypatch.setenv("SKEWFILL_BUDGET_OVERRIDE", "1")  # lifts no jobs cap
+    for jobs in (_MAX_JOBS + 1, 100000):
+        with pytest.raises(BudgetError, match="jobs"):
+            verify("thm_bp", max_cells=3, jobs=jobs)
+    assert fake_pool == [_MAX_JOBS]
+
+
+def test_lemma_gi_failure_names_its_shape(monkeypatch):
+    line = "[(1,2),(2,3)]"
+    broken = parse_catalog_line(line)
+    apply_step = ShapeContext.apply_step
+
+    def wrong_for_one_shape(self, F, i, forward=True):
+        image = apply_step(self, F, i, forward)
+        return np.zeros_like(image) if self.shape == broken else image
+
+    monkeypatch.setattr(ShapeContext, "apply_step", wrong_for_one_shape)
+    r = verify("lemma_gi", max_cells=5)
+    assert r.failures == [{"shape": line, "clause": "step image", "i": i}
+                          for i in range(1, broken.size)]
 
 
 def test_parallel_run_matches_serial():
