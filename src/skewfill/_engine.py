@@ -47,11 +47,10 @@ plus what the new row adds:
   - Row keys: the new row is the top digit of the radix, so the child's
     key is the parent's plus popcount(m) times the parent's radix.
   - Steps: the parent's compiled steps are the child's first ones and
-    touch only its first p bits; the new row adds its own.  The forward
-    image table of all codes (-1 where a step is undefined) is the
-    parent's, gathered at c with m OR-ed back in, then the new row's
-    steps; the backward one runs the new row's steps backward and then
-    gathers through the parent's table.
+    touch only its first p bits; the new row adds its own.  apply_all
+    applies the compiled steps to the given codes in order (in reverse
+    order backward) and raises at the first step that is undefined on
+    one of them.
 
 Row-sum vectors are packed into one int64 key per code.  Row y is one
 digit of a mixed radix whose base is its length plus one, so the key of
@@ -75,7 +74,7 @@ whole-shape NE table is the elementwise max of the per-rectangle ones.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -108,17 +107,16 @@ def _row_bits(w: int):
 
 
 class ShapeContext:
-    """Stage bounds, row keys, steps and image tables over the 2^n codes
-    of one skew shape.  Each extends the tables of its parent, the context
-    of the shape without its top row, by that row (see the module
-    docstring); a context built without a parent builds its ancestors."""
+    """Stage bounds, row keys and steps over the 2^n codes of one skew
+    shape.  Each extends the tables of its parent, the context of the
+    shape without its top row, by that row (see the module docstring); a
+    context built without a parent builds its ancestors."""
 
     def __init__(self, s: Shape, parent: ShapeContext | None = None):
         self.shape = s
         self.labels = cell_labels(s)
         self.n = len(self.labels)
         self._dmax = self._umin = self._steps = self._row_keys = None
-        self._image = {}
         if not self.n:
             self.parent, self.rows, self._radix = None, (), 1
             return
@@ -127,10 +125,6 @@ class ShapeContext:
         # (row, first column, last column, label bit of the first column)
         self.rows = self.parent.rows + ((y, lo, hi, self.parent.n),)
         self._radix = self.parent._radix * (hi - lo + 2)
-
-    @cached_property
-    def pos(self) -> dict:
-        return {c: k for k, c in enumerate(self.labels)}
 
     def _top_row(self):
         """The parent, its cell count p, and the top row's first column and width."""
@@ -207,64 +201,32 @@ class ShapeContext:
         return self._steps
 
     def _apply_one(self, F: np.ndarray, step, forward: bool) -> np.ndarray:
-        """Images of codes under one compiled step, -1 where the step is
-        undefined or the code is -1."""
+        """Images of codes under one compiled step; ValueError when it is
+        undefined on some of them."""
         i, w, bases = step
         row = (1 << w) - 1
         pattern = np.zeros_like(F)
         for r, base in enumerate(bases):
             pattern |= ((F >> base) & row) << (r * w)
         image = _step_table(w, len(bases), forward)[pattern]
+        if (image < 0).any():
+            raise ValueError(f"step {i} is undefined on some of the given codes")
         out = F & ~sum(row << base for base in bases)
         for r, base in enumerate(bases):
             out |= ((image >> (r * w)) & row) << base
-        out[(image < 0) | (F < 0)] = -1
         return out
 
     def apply_step(self, F: np.ndarray, i: int, forward: bool = True) -> np.ndarray:
         for step in self._compiled_steps():
             if step[0] == i:
-                out = self._apply_one(F, step, forward)
-                if (out < 0).any():
-                    raise ValueError(f"step {i} is undefined on some of the given codes")
-                return out
+                return self._apply_one(F, step, forward)
         return F
 
-    def _image_table(self, forward: bool) -> np.ndarray:
-        """Every code's image under all steps, forward or backward, -1
-        where some step is undefined."""
-        table = self._image.get(forward)
-        if table is not None:
-            return table
-        if not self.n:
-            table = np.zeros(1, dtype=np.int64)
-        else:
-            parent, p, _, w = self._top_row()
-            steps = self._compiled_steps()[len(parent._compiled_steps()):]
-            high = (_codes(w) << p)[:, None]
-            if forward:
-                table = (parent._image_table(True) | high).ravel()  # -1 stays -1
-                for step in steps:
-                    table = self._apply_one(table, step, True)
-            elif not steps:
-                table = (parent._image_table(False) | high).ravel()
-            else:
-                codes = _codes(self.n)
-                for step in reversed(steps):
-                    codes = self._apply_one(codes, step, False)
-                table = parent._image_table(False)[codes & ((1 << p) - 1)] | (codes >> p << p)
-                table[codes < 0] = -1
-        self._image[forward] = table
-        return table
-
     def apply_all(self, F: np.ndarray, forward: bool = True) -> np.ndarray:
-        image = self._image_table(forward)[F]
-        if (image < 0).any():
-            # replay step by step, so the error names the first undefined step
-            steps = self._compiled_steps()
-            for i, _, _ in steps if forward else steps[::-1]:
-                F = self.apply_step(F, i, forward)
-        return image
+        steps = self._compiled_steps()
+        for step in steps if forward else reversed(steps):
+            F = self._apply_one(F, step, forward)
+        return F
 
     # --- statistics ----------------------------------------------------------
 

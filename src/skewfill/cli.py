@@ -36,6 +36,10 @@ _FLAG_ORDER = (
 # base of 2 in the binary, sparse and transversal modes.
 _COUNT_BUDGET = 1 << 20
 
+# Most cells enum-shapes lists: 374,456 shapes at 12 cells, and each
+# further cell takes about three times the time and memory.
+_ENUM_SHAPES_CAP = 12
+
 
 def _read(path: str) -> str:
     if path == "-":
@@ -139,6 +143,11 @@ def _cmd_count(args) -> int:
 def _cmd_enum_shapes(args) -> int:
     if args.max_cells < 1:
         raise ValueError("--max-cells must be positive")
+    if args.max_cells > _ENUM_SHAPES_CAP and not _override_active():
+        raise BudgetError(
+            f"enum-shapes: max_cells={args.max_cells} exceeds cap {_ENUM_SHAPES_CAP} "
+            "(set SKEWFILL_BUDGET_OVERRIDE=1 to unlock)"
+        )
     out = []
     for n in range(1, args.max_cells + 1):
         for s in enum_skew_shapes(

@@ -94,18 +94,20 @@ class BudgetError(ValueError):
     """A parameter exceeds its cap and no override is set."""
 
 
-# property -> {param: (default, cap)}
-_BUDGETS: dict[str, dict[str, tuple[int, int]]] = {
-    "cor_sskew": {"max_cells": (9, 9), "kmax": (3, 3),
-                  "refine_cells": (7, 7), "max_entry": (2, 2)},
-    "conjecture": {"max_cells": (9, 9), "kmax": (3, 3)},
-    "thm_bp": {"max_cells": (9, 9)},
-    "genskew": {"max_cells": (10, 10)},
-    "lemma_gi": {"max_cells": (8, 10)},
-    "lem_ferrers": {"max_cells": (8, 8), "kmax": (2, 2),
-                    "lmax": (2, 2), "max_entry": (2, 2)},
-    "rubey": {"max_cells": (8, 10), "max_entry": (1, 2)},
-    "ds_free_oracle": {"max_cells": (9, 9)},
+# property -> {param: (floor, default, cap)}; a value below the floor is
+# an error even with the override.  A Ferrers frame may have no special
+# columns or rows, so lem_ferrers' kmax and lmax start at 0.
+_BUDGETS: dict[str, dict[str, tuple[int, int, int]]] = {
+    "cor_sskew": {"max_cells": (1, 9, 9), "kmax": (1, 3, 3),
+                  "refine_cells": (0, 7, 7), "max_entry": (1, 2, 2)},
+    "conjecture": {"max_cells": (1, 9, 9), "kmax": (1, 3, 3)},
+    "thm_bp": {"max_cells": (1, 9, 9)},
+    "genskew": {"max_cells": (1, 10, 11)},
+    "lemma_gi": {"max_cells": (1, 8, 10)},
+    "lem_ferrers": {"max_cells": (1, 8, 8), "kmax": (0, 2, 2),
+                    "lmax": (0, 2, 2), "max_entry": (1, 2, 2)},
+    "rubey": {"max_cells": (1, 8, 10), "max_entry": (1, 1, 2)},
+    "ds_free_oracle": {"max_cells": (1, 9, 9)},
 }
 
 _SHAPE_PARAM_OK = {"genskew", "lemma_gi"}
@@ -645,13 +647,15 @@ def verify(prop: str, **params) -> VerificationReport:
     refine_cells, max_entry) plus jobs and, for genskew/lemma_gi, an
     optional single shape (catalog line or Shape).  Values above the
     documented caps, and a single shape with more cells than the max_cells
-    cap, raise BudgetError unless SKEWFILL_BUDGET_OVERRIDE=1.  More than
-    64 jobs raise BudgetError even with the override.
+    cap, raise BudgetError unless SKEWFILL_BUDGET_OVERRIDE=1.  Values
+    below their floor (1, or 0 for refine_cells and lem_ferrers' kmax and
+    lmax) raise ValueError, and more than 64 jobs BudgetError, even with
+    the override.
     """
     if prop not in _RUNNERS:
         raise ValueError(f"unknown property {prop!r}, expected one of {PROPERTIES}")
     budgets = _BUDGETS[prop]
-    effective = {name: default for name, (default, _) in budgets.items()}
+    effective = {name: default for name, (_, default, _) in budgets.items()}
     jobs = 1
     for key, val in params.items():
         if key == "jobs":
@@ -665,8 +669,11 @@ def verify(prop: str, **params) -> VerificationReport:
         if key not in budgets:
             raise ValueError(f"property {prop} does not take parameter {key!r}")
         effective[key] = int(val)
+    for name, (floor, _, _) in budgets.items():
+        if effective[name] < floor:
+            raise ValueError(f"{prop}: {name}={effective[name]} is below {floor}")
     if not _override_active():
-        for name, (_, cap) in budgets.items():
+        for name, (_, _, cap) in budgets.items():
             if effective[name] > cap:
                 raise BudgetError(
                     f"{prop}: {name}={effective[name]} exceeds cap {cap} "
@@ -674,7 +681,7 @@ def verify(prop: str, **params) -> VerificationReport:
                 )
         if effective.get("shape") is not None:
             cells = parse_catalog_line(effective["shape"]).size
-            cap = budgets["max_cells"][1]
+            cap = budgets["max_cells"][2]
             if cells > cap:
                 raise BudgetError(
                     f"{prop}: shape has {cells} cells, exceeds max_cells cap {cap} "

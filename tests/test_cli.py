@@ -164,6 +164,25 @@ def test_enum_shapes_rejects_nonpositive(capsys):
     assert code == 2 and err.startswith("error:")
 
 
+def test_enum_shapes_capped_at_twelve_cells(capsys, monkeypatch):
+    monkeypatch.delenv("SKEWFILL_BUDGET_OVERRIDE", raising=False)
+    listed = []
+
+    def no_shapes(n, connected=None, ds_free=None):
+        listed.append(n)
+        return iter(())
+
+    monkeypatch.setattr("skewfill.cli.enum_skew_shapes", no_shapes)
+    code, out, err = run(capsys, "enum-shapes", "--max-cells", "13")
+    assert (code, out) == (2, "") and "exceeds cap 12" in err
+    assert listed == []
+    assert run(capsys, "enum-shapes", "--max-cells", "12")[0] == 0
+    assert listed == list(range(1, 13))
+    monkeypatch.setenv("SKEWFILL_BUDGET_OVERRIDE", "1")
+    assert run(capsys, "enum-shapes", "--max-cells", "13")[0] == 0
+    assert listed[12:] == list(range(1, 14))
+
+
 def test_bijection_forward_with_trace(capsys, tmp_path):
     path = tmp_path / "f.txt"
     path.write_text(".00\n010\n11.\n")
@@ -266,6 +285,27 @@ def test_verify_jobs_cap_is_usage_error(capsys, fake_pool):
     code, out, err = run(capsys, *argv, "--jobs", "65")
     assert (code, out) == (2, "") and err.startswith("error:") and "jobs" in err
     assert fake_pool == [64]
+
+
+@pytest.mark.parametrize("override", [False, True])
+@pytest.mark.parametrize("argv", [
+    ("cor_sskew", "--max-cells", "4", "--k", "0"),
+    ("conjecture", "--k", "0"),
+    ("lem_ferrers", "--max-entry", "-1"),
+    ("rubey", "--max-entry", "-1"),
+    ("cor_sskew", "--max-entry", "0"),
+    ("genskew", "--max-cells", "0"),
+    ("thm_bp", "--max-cells", "-1"),
+])
+def test_verify_rejects_low_values_before_any_pool(capsys, monkeypatch, fake_pool,
+                                                    argv, override):
+    if override:
+        monkeypatch.setenv("SKEWFILL_BUDGET_OVERRIDE", "1")
+    else:
+        monkeypatch.delenv("SKEWFILL_BUDGET_OVERRIDE", raising=False)
+    code, out, err = run(capsys, "verify", *argv, "--jobs", "2")
+    assert (code, out) == (2, "") and err.startswith("error:") and "is below" in err
+    assert fake_pool == []
 
 
 def test_verify_rubey_at_its_cell_cap(capsys, monkeypatch):

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import skew_shapes
 from skewfill._engine import ShapeContext, _packed_keys, _step_table, multiset_equal
-from skewfill.bijection import in_G, step_backward, step_forward
+from skewfill.bijection import in_G, label_index, step_backward, step_forward
 from skewfill.enumeration import enum_skew_shapes
 from skewfill.fillings import Filling, as_pattern, find_filling_occurrences
 from skewfill.harness import _contexts
@@ -33,8 +33,8 @@ def reference_occurrences(ctx, token):
         mask = 0
         for (px, py), v in pat.items():
             if v:
-                mask |= 1 << ctx.pos[(occ.cols[px - 1], occ.rows[py - 1])]
-        out.append((mask, ctx.pos[(occ.cols[-1], occ.rows[-1])] + 1))
+                mask |= 1 << label_index(ctx.shape, (occ.cols[px - 1], occ.rows[py - 1])) - 1
+        out.append((mask, label_index(ctx.shape, (occ.cols[-1], occ.rows[-1]))))
     return sorted(out)
 
 
@@ -107,7 +107,8 @@ def step_images(F, step, forward):
 
 
 def whole_shape_tables(s):
-    """dmax, umin, row keys and the forward and backward image tables."""
+    """dmax, umin, row keys and the forward and backward images of all
+    codes under all steps, -1 where some step is undefined."""
     n = s.size
     dmax, umin = bounds_from({t: whole_shape_occurrences(s, t) for t in TOKENS}, n)
     weight, radix = {}, 1
@@ -132,8 +133,13 @@ def assert_tables_match(ctx):
     assert got_umin.min(initial=ctx.n + 1) >= 1
     assert np.array_equal(ctx.row_keys(), keys)
     assert ctx._compiled_steps() == whole_shape_steps(ctx.shape)
-    assert np.array_equal(ctx._image_table(True), forward)
-    assert np.array_equal(ctx._image_table(False), backward)
+    codes = np.arange(1 << ctx.n, dtype=np.int64)
+    for direction, table in ((True, forward), (False, backward)):
+        defined = table >= 0
+        assert np.array_equal(ctx.apply_all(codes[defined], direction), table[defined])
+        for code in codes[~defined].tolist():
+            with pytest.raises(ValueError, match="is undefined"):
+                ctx.apply_all(np.array([code], dtype=np.int64), direction)
 
 
 def test_walk_tables_match_whole_shape_construction():
@@ -214,7 +220,7 @@ def filling_of(ctx, code):
 
 
 def code_of(ctx, f):
-    return sum(1 << ctx.pos[c] for c in f.support())
+    return sum(1 << label_index(ctx.shape, c) - 1 for c in f.support())
 
 
 def check_stages_and_steps(s):
@@ -265,7 +271,7 @@ def test_apply_step_matches_filling_maps_off_the_stage_sets(text):
                     assert ctx.apply_step(F, i, forward).tolist() == [expected]
     assert rejected == (3 if ctx.shape.size == 6 else 0)
     if rejected:
-        # the whole-code tables raise what the steps, replayed one by one, raise
+        # apply_all raises what the steps, applied one by one, raise
         codes = np.arange(1 << ctx.n, dtype=np.int64)
         with pytest.raises(ValueError) as stepwise:
             F = codes

@@ -119,7 +119,7 @@ def test_budget_caps_enforced():
         with pytest.raises(BudgetError):
             verify("cor_sskew", max_cells=10)
         with pytest.raises(BudgetError):
-            verify("genskew", max_cells=11)
+            verify("genskew", max_cells=12)
         with pytest.raises(BudgetError):
             verify("rubey", max_entry=3)
         with pytest.raises(BudgetError):
@@ -144,14 +144,28 @@ def test_budget_override_unlocks():
 
 def test_shape_parameter_respects_cell_cap(monkeypatch):
     monkeypatch.delenv("SKEWFILL_BUDGET_OVERRIDE", raising=False)
-    for prop in ("genskew", "lemma_gi"):
+    for prop, line in (("genskew", "[(1,12)]"), ("lemma_gi", "[(1,11)]")):
         with pytest.raises(BudgetError):
-            verify(prop, shape="[(1,11)]")
+            verify(prop, shape=line)
     assert verify("lemma_gi", shape="[(1,10)]").instances == 9  # at the cap
     monkeypatch.setenv("SKEWFILL_BUDGET_OVERRIDE", "1")
     r = verify("genskew", shape="[(1,11)]")
     assert r.passed and r.instances == 2048
     assert verify("lemma_gi", shape="[(1,11)]").instances == 10
+
+
+def test_parameters_below_their_floor_rejected(monkeypatch):
+    monkeypatch.setenv("SKEWFILL_BUDGET_OVERRIDE", "1")  # lifts no floor
+    for prop, kw in (("cor_sskew", dict(refine_cells=-1)), ("cor_sskew", dict(kmax=0)),
+                     ("lem_ferrers", dict(kmax=-1)), ("lem_ferrers", dict(lmax=-1)),
+                     ("lemma_gi", dict(max_cells=0)), ("rubey", dict(max_entry=0))):
+        with pytest.raises(ValueError, match="is below"):
+            verify(prop, **kw)
+    # a frame with no special columns or rows is still a frame: one per
+    # Ferrers shape, and the partitions of 1..4 number 1 + 2 + 3 + 5
+    r = verify("lem_ferrers", max_cells=4, kmax=0, lmax=0)
+    assert r.passed and r.instances == 11
+    assert verify("cor_sskew", max_cells=4, refine_cells=0).details["refined_shapes"] == 0
 
 
 def test_jobs_must_be_positive():
@@ -183,6 +197,19 @@ def test_lemma_gi_failure_names_its_shape(monkeypatch):
     r = verify("lemma_gi", max_cells=5)
     assert r.failures == [{"shape": line, "clause": "step image", "i": i}
                           for i in range(1, broken.size)]
+
+
+def test_genskew_failure_names_its_shape(monkeypatch):
+    line = "[(1,2),(1,3)]"
+    broken = parse_catalog_line(line)
+    apply_all = ShapeContext.apply_all
+
+    def identity_for_one_shape(self, F, forward=True):
+        return F if self.shape == broken else apply_all(self, F, forward)
+
+    monkeypatch.setattr(ShapeContext, "apply_all", identity_for_one_shape)
+    r = verify("genskew", max_cells=5)
+    assert r.failures == [{"shape": line, "clause": "image is not the final stage"}]
 
 
 def test_parallel_run_matches_serial():
