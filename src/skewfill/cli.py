@@ -13,10 +13,10 @@ import sys
 
 from .bijection import full_backward, full_forward, render_trace
 from .enumeration import EnumSpec, catalog_line, count_avoiders, enum_skew_shapes
-from .fillings import parse_filling, pattern_library, render_filling
-from .harness import PROPERTIES, BudgetError, _override_active, format_report, verify
-from .shapes import ParseError, classify_shape, parse_shape
-from .structure import DecompositionError, ferrers_decompose, render_decomposition
+from .fillings import _TOKEN_RE, parse_filling, pattern_library, render_filling
+from .harness import PROPERTIES, check_budget, format_report, verify
+from .shapes import classify_shape, parse_shape
+from .structure import ferrers_decompose, render_decomposition
 
 _FLAG_ORDER = (
     "connected",
@@ -40,6 +40,16 @@ _COUNT_BUDGET = 1 << 20
 # further cell takes about three times the time and memory.
 _ENUM_SHAPES_CAP = 12
 
+# Most grid cells, holes included, that classify, decompose and bijection
+# take: a 15 x 15 grid.  bijection's fd box scan is C(h,3) * C(w,3) on an
+# h x w grid, so its cost grows like the sixth power of the side.
+_GRID_CELLS_CAP = 225
+
+# Largest k of an iota<k> or delta<k> token.  A k x k pattern occurs only in
+# a host holding a k x k square, so within the count budget no k above 4
+# can occur; the cap stops the k x k build before it starts.
+_PATTERN_CAP = 20
+
 
 def _read(path: str) -> str:
     if path == "-":
@@ -51,6 +61,9 @@ def _read(path: str) -> str:
 def _pattern_arg(text: str):
     if text.startswith("@"):
         return parse_filling(_read(text[1:]))
+    m = _TOKEN_RE.fullmatch(text.strip())
+    if m is not None and m.group(2) is not None:
+        check_budget("pattern size k", int(m.group(2)), 1, _PATTERN_CAP)
     pattern_library(text)  # validates the token
     return text
 
@@ -108,6 +121,7 @@ def _flag_text(value) -> str:
 
 def _cmd_classify(args) -> int:
     s = parse_shape(_read(args.file))
+    check_budget("classify: grid cells", s.width * s.height, 1, _GRID_CELLS_CAP)
     props = classify_shape(s)
     lines = [f"cells: {s.size}", f"width: {s.width}", f"height: {s.height}"]
     for name in _FLAG_ORDER:
@@ -119,6 +133,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_decompose(args) -> int:
     s = parse_shape(_read(args.file))
+    check_budget("decompose: grid cells", s.width * s.height, 1, _GRID_CELLS_CAP)
     print(render_decomposition(ferrers_decompose(s)))
     return 0
 
@@ -131,23 +146,13 @@ def _cmd_count(args) -> int:
         avoid=tuple(_pattern_arg(a) for a in args.avoid),
     )
     base = spec.max_entry + 1 if spec.mode == "integer" else 2
-    if base**s.size > _COUNT_BUDGET and not _override_active():
-        raise BudgetError(
-            f"count: {base}^{s.size} fillings exceed the budget of {_COUNT_BUDGET} "
-            "(set SKEWFILL_BUDGET_OVERRIDE=1 to unlock)"
-        )
+    check_budget(f"count budget: {base}^{s.size} fillings", base**s.size, 1, _COUNT_BUDGET)
     print(count_avoiders(s, spec))
     return 0
 
 
 def _cmd_enum_shapes(args) -> int:
-    if args.max_cells < 1:
-        raise ValueError("--max-cells must be positive")
-    if args.max_cells > _ENUM_SHAPES_CAP and not _override_active():
-        raise BudgetError(
-            f"enum-shapes: max_cells={args.max_cells} exceeds cap {_ENUM_SHAPES_CAP} "
-            "(set SKEWFILL_BUDGET_OVERRIDE=1 to unlock)"
-        )
+    check_budget("enum-shapes: max_cells", args.max_cells, 1, _ENUM_SHAPES_CAP)
     out = []
     for n in range(1, args.max_cells + 1):
         for s in enum_skew_shapes(
@@ -162,6 +167,7 @@ def _cmd_enum_shapes(args) -> int:
 
 def _cmd_bijection(args) -> int:
     f = parse_filling(_read(args.file))
+    check_budget("bijection: grid cells", f.shape.width * f.shape.height, 1, _GRID_CELLS_CAP)
     run = full_backward if args.backward else full_forward
     result, trace = run(f, keep_trace=args.trace)
     out = render_filling(result)
@@ -207,13 +213,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return _COMMANDS[args.verb](args)
-    except BudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ParseError, DecompositionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # BudgetError, ParseError, DecompositionError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

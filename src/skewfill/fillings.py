@@ -20,9 +20,10 @@ from functools import lru_cache
 from .shapes import (
     Cell,
     Occurrence,
-    ParseError,
     Rect,
     Shape,
+    _read_grid,
+    _write_grid,
     dent_shape,
     find_shape_occurrences,
     is_skew,
@@ -130,88 +131,28 @@ def sum_vector(f: Filling) -> SumVector:
 
 def parse_filling(text: str) -> Filling:
     """Parse a grid of digits 0-9 and '.' holes, top row first."""
-    lines = text.splitlines()
-    while lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise ParseError("empty filling text")
-    widths = {len(line) for line in lines}
-    if len(widths) != 1 or 0 in widths:
-        raise ParseError("ragged or empty grid lines")
-    vals: dict[Cell, int] = {}
-    h = len(lines)
-    for k, line in enumerate(lines):
-        row = h - k
-        for x0, ch in enumerate(line):
-            if ch == ".":
-                continue
-            if not ch.isdigit():
-                raise ParseError(f"bad character {ch!r} in filling text")
-            vals[(x0 + 1, row)] = int(ch)
-    if not vals:
-        raise ParseError("filling text contains no cells")
-    dx = min(x for x, _ in vals) - 1
-    dy = min(y for _, y in vals) - 1
-    shifted = {(x - dx, y - dy): v for (x, y), v in vals.items()}
-    return Filling.from_map(Shape(frozenset(shifted)), shifted)
+    vals = _read_grid(text.splitlines(), ".", lambda ch: int(ch) if ch.isdigit() else None,
+                      "filling text")
+    return Filling.from_map(Shape(frozenset(vals)), vals)
 
 
 def render_filling(f: Filling) -> str:
     """Inverse of parse_filling; requires all values <= 9."""
     if any(v > 9 for v in f.values):
         raise ValueError("values above 9 need the numeric format")
-    vals = dict(f.items())
-    s = f.shape
-    lines = []
-    for row in range(s.height, 0, -1):
-        lines.append(
-            "".join(
-                str(vals[(x, row)]) if (x, row) in s.cells else "."
-                for x in range(1, s.width + 1)
-            )
-        )
-    return "\n".join(lines)
+    return _write_grid(f.shape, lambda c: str(f.value(c)), ".")
 
 
 def parse_numeric_filling(text: str) -> Filling:
     """Extended format: rows of comma-separated integers, 'x' for holes."""
-    lines = [line for line in text.splitlines() if line.strip() != ""]
-    if not lines:
-        raise ParseError("empty filling text")
-    grid = [[tok.strip() for tok in line.split(",")] for line in lines]
-    widths = {len(row) for row in grid}
-    if len(widths) != 1:
-        raise ParseError("ragged numeric grid")
-    vals: dict[Cell, int] = {}
-    h = len(grid)
-    for k, row_toks in enumerate(grid):
-        row = h - k
-        for x0, tok in enumerate(row_toks):
-            if tok == "x":
-                continue
-            if not re.fullmatch(r"\d+", tok):
-                raise ParseError(f"bad token {tok!r} in numeric filling")
-            vals[(x0 + 1, row)] = int(tok)
-    if not vals:
-        raise ParseError("numeric filling contains no cells")
-    dx = min(x for x, _ in vals) - 1
-    dy = min(y for _, y in vals) - 1
-    shifted = {(x - dx, y - dy): v for (x, y), v in vals.items()}
-    return Filling.from_map(Shape(frozenset(shifted)), shifted)
+    rows = [[tok.strip() for tok in line.split(",")] for line in text.splitlines() if line.strip()]
+    vals = _read_grid(rows, "x", lambda tok: int(tok) if re.fullmatch(r"\d+", tok) else None,
+                      "numeric filling")
+    return Filling.from_map(Shape(frozenset(vals)), vals)
 
 
 def render_numeric_filling(f: Filling) -> str:
-    vals = dict(f.items())
-    s = f.shape
-    lines = []
-    for row in range(s.height, 0, -1):
-        lines.append(
-            ",".join(
-                str(vals[(x, row)]) if (x, row) in s.cells else "x"
-                for x in range(1, s.width + 1)
-            )
-        )
-    return "\n".join(lines)
+    return _write_grid(f.shape, lambda c: str(f.value(c)), "x", ",")
 
 
 # --- pattern library ------------------------------------------------------

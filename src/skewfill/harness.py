@@ -78,68 +78,41 @@ from .shapes import Rect, Shape, _interval_shape, dent_shape, is_connected, is_n
     maximal_rectangles
 from .structure import DecompositionError, ferrers_decompose, is_ds_free, sum_permutations
 
-PROPERTIES = (
-    "cor_sskew",
-    "conjecture",
-    "thm_bp",
-    "genskew",
-    "lemma_gi",
-    "lem_ferrers",
-    "rubey",
-    "ds_free_oracle",
-)
-
-
 class BudgetError(ValueError):
     """A parameter exceeds its cap and no override is set."""
 
 
-# property -> {param: (floor, default, cap)}; a value below the floor is
-# an error even with the override.  A Ferrers frame may have no special
-# columns or rows, so lem_ferrers' kmax and lmax start at 0.
-_BUDGETS: dict[str, dict[str, tuple[int, int, int]]] = {
-    "cor_sskew": {"max_cells": (1, 9, 9), "kmax": (1, 3, 3),
-                  "refine_cells": (0, 7, 7), "max_entry": (1, 2, 2)},
-    "conjecture": {"max_cells": (1, 9, 9), "kmax": (1, 3, 3)},
-    "thm_bp": {"max_cells": (1, 9, 9)},
-    "genskew": {"max_cells": (1, 10, 11)},
-    "lemma_gi": {"max_cells": (1, 8, 10)},
-    "lem_ferrers": {"max_cells": (1, 8, 8), "kmax": (0, 2, 2),
-                    "lmax": (0, 2, 2), "max_entry": (1, 2, 2)},
-    "rubey": {"max_cells": (1, 8, 10), "max_entry": (1, 1, 2)},
-    "ds_free_oracle": {"max_cells": (1, 9, 9)},
-}
+def check_budget(what: str, value: int, floor: int, cap: int, unlock: bool = True) -> None:
+    """Refuse a value from outside the program that is out of its range.
 
-_SHAPE_PARAM_OK = {"genskew", "lemma_gi"}
+    Below the floor raises ValueError, with or without the override.
+    Above the cap raises BudgetError, unless unlock is set and
+    SKEWFILL_BUDGET_OVERRIDE=1.
+    """
+    if value < floor:
+        raise ValueError(f"{what}={value} is below {floor}")
+    if value > cap and not (unlock and os.environ.get("SKEWFILL_BUDGET_OVERRIDE") == "1"):
+        hint = " (set SKEWFILL_BUDGET_OVERRIDE=1 to unlock)" if unlock else ""
+        raise BudgetError(f"{what}={value} exceeds cap {cap}{hint}")
+
 
 # worker processes for one verify call, on every machine and with or
 # without the override, so a jobs value passes or fails everywhere alike
 _MAX_JOBS = 64
 
 
-@dataclass(eq=False)
+@dataclass
 class VerificationReport:
     property: str
     params: dict
     instances: int
     failures: list = field(default_factory=list)
     details: dict = field(default_factory=dict)
-    elapsed_ms: float = 0.0
+    elapsed_ms: float = field(default=0.0, compare=False)
 
     @property
     def passed(self) -> bool:
         return not self.failures
-
-    def __eq__(self, other):
-        if not isinstance(other, VerificationReport):
-            return NotImplemented
-        return (
-            self.property == other.property
-            and self.params == other.params
-            and self.instances == other.instances
-            and self.failures == other.failures
-            and self.details == other.details
-        )
 
 
 def _kv(d: dict) -> str:
@@ -607,20 +580,29 @@ def _run_ds_free_oracle(params, shard):
             "details": {"dent_free": dent_free, "decomposed": decomposed}}
 
 
-_RUNNERS = {
-    "cor_sskew": _run_cor_sskew,
-    "conjecture": _run_conjecture,
-    "thm_bp": _run_thm_bp,
-    "genskew": _run_genskew,
-    "lemma_gi": _run_lemma_gi,
-    "lem_ferrers": _run_lem_ferrers,
-    "rubey": _run_rubey,
-    "ds_free_oracle": _run_ds_free_oracle,
+# property -> (runner, {param: (floor, default, cap)}).  A value below the
+# floor is an error even with the override.  A Ferrers frame may have no
+# special columns or rows, so lem_ferrers' kmax and lmax start at 0.  The
+# optional single shape of genskew and lemma_gi has no default; its budget
+# counts cells, up to the max_cells cap.
+_PROPERTIES = {
+    "cor_sskew": (_run_cor_sskew, {"max_cells": (1, 9, 9), "kmax": (1, 3, 3),
+                                   "refine_cells": (0, 7, 7), "max_entry": (1, 2, 2)}),
+    "conjecture": (_run_conjecture, {"max_cells": (1, 9, 9), "kmax": (1, 3, 3)}),
+    "thm_bp": (_run_thm_bp, {"max_cells": (1, 9, 9)}),
+    "genskew": (_run_genskew, {"max_cells": (1, 10, 11), "shape": (1, None, 11)}),
+    "lemma_gi": (_run_lemma_gi, {"max_cells": (1, 8, 10), "shape": (1, None, 10)}),
+    "lem_ferrers": (_run_lem_ferrers, {"max_cells": (1, 8, 8), "kmax": (0, 2, 2),
+                                       "lmax": (0, 2, 2), "max_entry": (1, 2, 2)}),
+    "rubey": (_run_rubey, {"max_cells": (1, 8, 10), "max_entry": (1, 1, 2)}),
+    "ds_free_oracle": (_run_ds_free_oracle, {"max_cells": (1, 9, 9)}),
 }
+
+PROPERTIES = tuple(_PROPERTIES)
 
 
 def _run(prop: str, params: dict, shard: tuple[int, int]) -> dict:
-    return _RUNNERS[prop](params, shard)
+    return _PROPERTIES[prop][0](params, shard)
 
 
 def _merge_details(parts) -> dict:
@@ -636,61 +618,37 @@ def _merge_details(parts) -> dict:
     return out
 
 
-def _override_active() -> bool:
-    return os.environ.get("SKEWFILL_BUDGET_OVERRIDE") == "1"
-
-
 def verify(prop: str, **params) -> VerificationReport:
     """Run one property check and return its report.
 
     Keyword params are property-specific ranges (max_cells, kmax, lmax,
     refine_cells, max_entry) plus jobs and, for genskew/lemma_gi, an
-    optional single shape (catalog line or Shape).  Values above the
-    documented caps, and a single shape with more cells than the max_cells
-    cap, raise BudgetError unless SKEWFILL_BUDGET_OVERRIDE=1.  Values
-    below their floor (1, or 0 for refine_cells and lem_ferrers' kmax and
-    lmax) raise ValueError, and more than 64 jobs BudgetError, even with
-    the override.
+    optional single shape (catalog line or Shape).  Each given value goes
+    through check_budget: below its floor (1, or 0 for refine_cells and
+    lem_ferrers' kmax and lmax) it raises ValueError, and above its cap
+    BudgetError unless SKEWFILL_BUDGET_OVERRIDE=1.  A single shape is
+    budgeted by its cells against the max_cells cap.  jobs runs from 1 to
+    64, and no override lifts that cap.
     """
-    if prop not in _RUNNERS:
+    if prop not in _PROPERTIES:
         raise ValueError(f"unknown property {prop!r}, expected one of {PROPERTIES}")
-    budgets = _BUDGETS[prop]
-    effective = {name: default for name, (_, default, _) in budgets.items()}
-    jobs = 1
+    budgets = _PROPERTIES[prop][1]
+    effective = {name: default for name, (_, default, _) in budgets.items()
+                 if default is not None}
+    jobs = int(params.pop("jobs", 1))
     for key, val in params.items():
-        if key == "jobs":
-            jobs = int(val)
-            continue
-        if key == "shape" and prop in _SHAPE_PARAM_OK:
-            if isinstance(val, Shape):
-                val = catalog_line(val)
-            effective["shape"] = val
-            continue
         if key not in budgets:
             raise ValueError(f"property {prop} does not take parameter {key!r}")
-        effective[key] = int(val)
-    for name, (floor, _, _) in budgets.items():
-        if effective[name] < floor:
-            raise ValueError(f"{prop}: {name}={effective[name]} is below {floor}")
-    if not _override_active():
-        for name, (_, _, cap) in budgets.items():
-            if effective[name] > cap:
-                raise BudgetError(
-                    f"{prop}: {name}={effective[name]} exceeds cap {cap} "
-                    "(set SKEWFILL_BUDGET_OVERRIDE=1 to unlock)"
-                )
-        if effective.get("shape") is not None:
-            cells = parse_catalog_line(effective["shape"]).size
-            cap = budgets["max_cells"][2]
-            if cells > cap:
-                raise BudgetError(
-                    f"{prop}: shape has {cells} cells, exceeds max_cells cap {cap} "
-                    "(set SKEWFILL_BUDGET_OVERRIDE=1 to unlock)"
-                )
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    if jobs > _MAX_JOBS:
-        raise BudgetError(f"jobs={jobs} exceeds cap {_MAX_JOBS}")
+        floor, _, cap = budgets[key]
+        if key == "shape":
+            val = catalog_line(val) if isinstance(val, Shape) else val
+            if val is not None:
+                check_budget(f"{prop}: shape cells", parse_catalog_line(val).size, floor, cap)
+        else:
+            val = int(val)
+            check_budget(f"{prop}: {key}", val, floor, cap)
+        effective[key] = val
+    check_budget("jobs", jobs, 1, _MAX_JOBS, unlock=False)
 
     start = time.perf_counter()
     if jobs == 1:

@@ -158,38 +158,54 @@ def normalize(cells) -> Shape:
     return Shape(frozenset((x - dx, y - dy) for x, y in cells))
 
 
-def parse_shape(text: str) -> Shape:
-    """Parse a '#'/'.' grid, top row first, into a normalized Shape."""
-    lines = text.splitlines()
-    while lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise ParseError("empty shape text")
-    widths = {len(line) for line in lines}
+def _read_grid(rows, hole: str, value, what: str) -> dict:
+    """Cell -> value of a grid of token rows, top row first, in normal
+    position.  Trailing empty rows are dropped; a hole token has no cell,
+    and value(token) gives any other token's value, or None if it is bad."""
+    rows = list(rows)
+    while rows and not rows[-1]:
+        rows.pop()
+    if not rows:
+        raise ParseError(f"empty {what}")
+    widths = {len(row) for row in rows}
     if len(widths) != 1 or 0 in widths:
         raise ParseError("ragged or empty grid lines")
-    cells = set()
-    h = len(lines)
-    for k, line in enumerate(lines):
-        row = h - k  # first line is the top row
-        for x0, ch in enumerate(line):
-            if ch == "#":
-                cells.add((x0 + 1, row))
-            elif ch != ".":
-                raise ParseError(f"bad character {ch!r} in shape text")
-    if not cells:
-        raise ParseError("shape text contains no cells")
-    return normalize(cells)
+    vals = {}
+    for k, row in enumerate(rows):
+        for x0, tok in enumerate(row):
+            if tok == hole:
+                continue
+            v = value(tok)
+            if v is None:
+                raise ParseError(f"bad token {tok!r} in {what}")
+            vals[(x0 + 1, len(rows) - k)] = v  # the first row is the top row
+    if not vals:
+        raise ParseError(f"{what} contains no cells")
+    dx = min(x for x, _ in vals) - 1
+    dy = min(y for _, y in vals) - 1
+    return {(x - dx, y - dy): v for (x, y), v in vals.items()}
+
+
+def _write_grid(s: Shape, text, hole: str, sep: str = "") -> str:
+    """Inverse of _read_grid: text(cell) for each cell, top row first."""
+    return "\n".join(
+        sep.join(text((x, row)) if (x, row) in s.cells else hole for x in range(1, s.width + 1))
+        for row in range(s.height, 0, -1)
+    )
+
+
+def parse_shape(text: str) -> Shape:
+    """Parse a '#'/'.' grid, top row first, into a normalized Shape."""
+    cells = _read_grid(text.splitlines(), ".", lambda ch: True if ch == "#" else None,
+                       "shape text")
+    return Shape(frozenset(cells))
 
 
 def render_shape(s: Shape) -> str:
     """Inverse of parse_shape for normalized shapes."""
     if not s.cells:
         raise ValueError("cannot render the empty shape")
-    lines = []
-    for row in range(s.height, 0, -1):
-        lines.append("".join("#" if (x, row) in s.cells else "." for x in range(1, s.width + 1)))
-    return "\n".join(lines)
+    return _write_grid(s, lambda c: "#", ".")
 
 
 def _contiguous(values) -> bool:

@@ -3,8 +3,10 @@ import pytest
 from skewfill import cli
 from skewfill.cli import main
 from skewfill.enumeration import EnumSpec, count_avoiders
+from skewfill.fillings import pattern_library
 from skewfill.harness import parse_report_csv, parse_report_json
-from skewfill.shapes import parse_shape
+from skewfill.shapes import classify_shape, parse_shape
+from skewfill.structure import ferrers_decompose
 
 DENT_TEXT = ".##\n###\n##.\n"
 
@@ -338,3 +340,61 @@ def test_classify_reads_stdin(capsys, monkeypatch):
     code, out, _ = run(capsys, "classify", "-")
     assert code == 0
     assert out.startswith("cells: 7\n")
+
+
+def test_grid_verbs_refuse_grids_over_budget(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("SKEWFILL_BUDGET_OVERRIDE", raising=False)
+    calls = []
+
+    def recorded(verb, body):
+        def run_body(*args, **kwargs):
+            calls.append(verb)
+            return body(*args, **kwargs)
+        return run_body
+
+    monkeypatch.setattr("skewfill.cli.classify_shape", recorded("classify", classify_shape))
+    monkeypatch.setattr("skewfill.cli.ferrers_decompose",
+                        recorded("decompose", ferrers_decompose))
+    monkeypatch.setattr("skewfill.cli.full_forward",
+                        recorded("bijection", lambda f, keep_trace: (f, None)))
+
+    def grid(n, ch):
+        return (ch * n + "\n") * n
+
+    diagonal = "".join("." * (15 - i) + "#" + "." * i + "\n" for i in range(16))
+    path = tmp_path / "grid.txt"
+    big = [("classify", grid(16, "#")), ("classify", diagonal),
+           ("decompose", grid(16, "#")), ("bijection", grid(16, "0"))]
+    for verb, text in big:  # the diagonal has 16 cells on a 16 x 16 grid
+        path.write_text(text)
+        code, out, err = run(capsys, verb, str(path))
+        assert (code, out) == (2, "") and "grid cells=256 exceeds cap 225" in err
+    assert calls == []
+    for verb, ch in (("classify", "#"), ("decompose", "#"), ("bijection", "0")):
+        path.write_text(grid(15, ch))  # at the cap
+        assert run(capsys, verb, str(path))[0] == 0
+    assert calls == ["classify", "decompose", "bijection"]
+    monkeypatch.setenv("SKEWFILL_BUDGET_OVERRIDE", "1")
+    for verb, text in big:
+        path.write_text(text)
+        assert run(capsys, verb, str(path))[0] == 0
+    assert calls[3:] == [verb for verb, _ in big]
+
+
+def test_count_refuses_oversized_pattern_tokens(capsys, dent_file, monkeypatch):
+    monkeypatch.delenv("SKEWFILL_BUDGET_OVERRIDE", raising=False)
+    built = []
+
+    def recorded_library(name):
+        built.append(name)
+        return pattern_library(name)
+
+    monkeypatch.setattr("skewfill.cli.pattern_library", recorded_library)
+    for token in ("iota21", "delta1000", " iota 100000000"):
+        code, out, err = run(capsys, "count", "--avoid", token, dent_file)
+        assert (code, out) == (2, "") and "exceeds cap 20" in err
+    assert built == []
+    assert run(capsys, "count", "--avoid", "delta20", dent_file)[:2] == (0, "128\n")
+    monkeypatch.setenv("SKEWFILL_BUDGET_OVERRIDE", "1")
+    assert run(capsys, "count", "--avoid", "iota21", dent_file)[:2] == (0, "128\n")
+    assert built == ["delta20", "iota21"]

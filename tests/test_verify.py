@@ -12,6 +12,7 @@ from skewfill.harness import (
     GammaFrame,
     VerificationReport,
     admissible_frame_counts,
+    check_budget,
     format_report,
     parse_report_csv,
     parse_report_json,
@@ -168,6 +169,23 @@ def test_parameters_below_their_floor_rejected(monkeypatch):
     assert verify("cor_sskew", max_cells=4, refine_cells=0).details["refined_shapes"] == 0
 
 
+def test_check_budget_floor_cap_and_override(monkeypatch):
+    monkeypatch.delenv("SKEWFILL_BUDGET_OVERRIDE", raising=False)
+    check_budget("x", 1, 1, 3)
+    check_budget("x", 3, 1, 3)
+    with pytest.raises(ValueError, match="x=0 is below 1") as below:
+        check_budget("x", 0, 1, 3)
+    assert below.type is ValueError
+    with pytest.raises(BudgetError, match="x=4 exceeds cap 3"):
+        check_budget("x", 4, 1, 3)
+    monkeypatch.setenv("SKEWFILL_BUDGET_OVERRIDE", "1")
+    check_budget("x", 4, 1, 3)
+    with pytest.raises(ValueError, match="is below"):
+        check_budget("x", 0, 1, 3)
+    with pytest.raises(BudgetError, match="x=4 exceeds cap 3$"):
+        check_budget("x", 4, 1, 3, unlock=False)
+
+
 def test_jobs_must_be_positive():
     with pytest.raises(ValueError):
         verify("thm_bp", max_cells=4, jobs=0)
@@ -241,6 +259,11 @@ def test_report_equality_ignores_timing():
     assert a != "not a report"
     b.elapsed_ms = a.elapsed_ms + 123.0
     assert a == b
+
+
+def test_reports_are_unhashable():
+    with pytest.raises(TypeError):
+        hash(verify("thm_bp", max_cells=2))
 
 
 def test_format_report_text():
