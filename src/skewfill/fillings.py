@@ -20,6 +20,7 @@ from functools import lru_cache
 from .shapes import (
     Cell,
     Occurrence,
+    ParseError,
     Rect,
     Shape,
     _read_grid,
@@ -131,7 +132,7 @@ def sum_vector(f: Filling) -> SumVector:
 
 def parse_filling(text: str) -> Filling:
     """Parse a grid of digits 0-9 and '.' holes, top row first."""
-    vals = _read_grid(text.splitlines(), ".", lambda ch: int(ch) if ch.isdigit() else None,
+    vals = _read_grid(text.splitlines(), ".", lambda ch: int(ch) if "0" <= ch <= "9" else None,
                       "filling text")
     return Filling.from_map(Shape(frozenset(vals)), vals)
 
@@ -146,7 +147,7 @@ def render_filling(f: Filling) -> str:
 def parse_numeric_filling(text: str) -> Filling:
     """Extended format: rows of comma-separated integers, 'x' for holes."""
     rows = [[tok.strip() for tok in line.split(",")] for line in text.splitlines() if line.strip()]
-    vals = _read_grid(rows, "x", lambda tok: int(tok) if re.fullmatch(r"\d+", tok) else None,
+    vals = _read_grid(rows, "x", lambda tok: int(tok) if re.fullmatch(r"[0-9]+", tok) else None,
                       "numeric filling")
     return Filling.from_map(Shape(frozenset(vals)), vals)
 
@@ -157,7 +158,7 @@ def render_numeric_filling(f: Filling) -> str:
 
 # --- pattern library ------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"(iota|delta)\s*(\d+)|fd|ds")
+_TOKEN_RE = re.compile(r"(iota|delta)\s*([0-9]+)|fd|ds")
 
 
 @lru_cache(maxsize=64)
@@ -165,7 +166,7 @@ def pattern_library(name: str) -> Filling:
     """Canonical patterns: iota<k>, delta<k>, fd, and the all-zero ds."""
     m = _TOKEN_RE.fullmatch(name.strip())
     if m is None:
-        raise ValueError(f"unknown pattern token {name!r}")
+        raise ParseError(f"unknown pattern token {name!r}")
     if m.group(1) is not None:
         k = int(m.group(2))
         if k < 1:

@@ -149,6 +149,15 @@ def test_count_rejects_unknown_pattern(capsys, dent_file):
     assert code == 2 and err.startswith("error:")
 
 
+def test_count_rejects_non_ascii_digits_in_pattern_tokens(capsys, tmp_path):
+    square = tmp_path / "square.txt"
+    square.write_text("##\n##\n")
+    code, out, _ = run(capsys, "count", "--avoid", "iota2", str(square))
+    assert (code, out) == (0, "12\n")
+    code, out, err = run(capsys, "count", "--avoid", "iota\u0662", str(square))
+    assert (code, out) == (2, "") and "unknown pattern token" in err
+
+
 def test_enum_shapes_listing(capsys):
     code, out, _ = run(capsys, "enum-shapes", "--max-cells", "2")
     assert code == 0
@@ -221,6 +230,14 @@ def test_bijection_rejects_invalid_member(capsys, tmp_path):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("grid", ["0\u0663\n00\n", "0\u00b2\n00\n"])
+def test_bijection_rejects_non_ascii_digits(capsys, tmp_path, grid):
+    path = tmp_path / "f.txt"
+    path.write_text(grid, encoding="utf-8")
+    code, out, err = run(capsys, "bijection", str(path))
+    assert (code, out) == (2, "") and "bad token" in err
+
+
 def test_verify_text_output(capsys):
     code, out, _ = run(capsys, "verify", "thm_bp", "--max-cells", "5")
     assert code == 0
@@ -274,7 +291,7 @@ def test_verify_output_independent_of_jobs(capsys):
 
 def test_verify_budget_violation_is_usage_error(capsys, monkeypatch):
     monkeypatch.delenv("SKEWFILL_BUDGET_OVERRIDE", raising=False)
-    code, _, err = run(capsys, "verify", "genskew", "--max-cells", "12")
+    code, _, err = run(capsys, "verify", "genskew", "--max-cells", "13")
     assert code == 2 and "exceeds cap" in err
 
 

@@ -28,6 +28,7 @@ from skewfill.fillings import (
     sum_vector,
 )
 from skewfill.shapes import (
+    ParseError,
     Rect,
     dent_shape,
     is_skew,
@@ -101,6 +102,25 @@ def test_render_filling_rejects_wide_values():
 def test_render_filling_dent_transversal():
     f = Filling.from_support(DENT, frozenset({(1, 1), (2, 2), (3, 3)}))
     assert render_filling(f) == ".01\n010\n10."
+
+
+@pytest.mark.parametrize("text", ["0\u0663\n00", "0\u00b2\n00", "0\uff11\n00"])
+def test_parse_filling_takes_ascii_digits_only(text):
+    # an Arabic-Indic three, a superscript two, a fullwidth one
+    with pytest.raises(ParseError, match="bad token"):
+        parse_filling(text)
+
+
+@pytest.mark.parametrize("text", ["0,\u0663\n0,0", "0,1\u00b2\n0,0", "\u0661\u0660,0\n0,0"])
+def test_parse_numeric_filling_takes_ascii_digits_only(text):
+    with pytest.raises(ParseError, match="bad token"):
+        parse_numeric_filling(text)
+
+
+@pytest.mark.parametrize("token", ["iota\u0662", "delta\u00b2", "iota1\u0660"])
+def test_pattern_tokens_take_ascii_digits_only(token):
+    with pytest.raises(ParseError, match="unknown pattern token"):
+        pattern_library(token)
 
 
 def test_numeric_filling_round_trip():

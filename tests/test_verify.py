@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from skewfill import harness
 from skewfill._engine import ShapeContext
 from skewfill.enumeration import parse_catalog_line
 from skewfill.harness import (
@@ -120,7 +121,7 @@ def test_budget_caps_enforced():
         with pytest.raises(BudgetError):
             verify("cor_sskew", max_cells=10)
         with pytest.raises(BudgetError):
-            verify("genskew", max_cells=12)
+            verify("genskew", max_cells=13)
         with pytest.raises(BudgetError):
             verify("rubey", max_entry=3)
         with pytest.raises(BudgetError):
@@ -145,7 +146,7 @@ def test_budget_override_unlocks():
 
 def test_shape_parameter_respects_cell_cap(monkeypatch):
     monkeypatch.delenv("SKEWFILL_BUDGET_OVERRIDE", raising=False)
-    for prop, line in (("genskew", "[(1,12)]"), ("lemma_gi", "[(1,11)]")):
+    for prop, line in (("genskew", "[(1,13)]"), ("lemma_gi", "[(1,11)]")):
         with pytest.raises(BudgetError):
             verify(prop, shape=line)
     assert verify("lemma_gi", shape="[(1,10)]").instances == 9  # at the cap
@@ -367,3 +368,23 @@ def test_report_is_deterministic_data():
     assert isinstance(r, VerificationReport)
     assert r.params == {"max_cells": 5, "kmax": 2, "lmax": 2, "max_entry": 2}
     assert r.passed
+
+
+def test_lem_ferrers_builds_each_table_once_per_shape(monkeypatch):
+    built = []
+    capped, chains = harness._capped_fillings, harness.support_chain_table
+
+    def count_fillings(s, max_entry):
+        built.append(("fillings", s))
+        return capped(s, max_entry)
+
+    def count_chains(s, direction, region=None):
+        built.append((direction, region, s))
+        return chains(s, direction, region)
+
+    monkeypatch.setattr(harness, "_capped_fillings", count_fillings)
+    monkeypatch.setattr(harness, "support_chain_table", count_chains)
+    r = verify("lem_ferrers", max_cells=6)
+    assert r.passed and r.instances == 159
+    assert len(built) == len(set(built))
+    assert sum(key[0] == "fillings" for key in built) == 29  # partitions of 1..6
