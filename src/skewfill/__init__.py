@@ -17,10 +17,8 @@ from .bijection import (
 )
 from .enumeration import (
     EnumSpec,
-    LambdaSpec,
     catalog_line,
     count_avoiders,
-    enum_FNE,
     enum_fillings,
     enum_moon_polyominoes,
     enum_skew_shapes,

@@ -9,13 +9,14 @@ printed with the timing field zeroed so runs are byte-comparable.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from .bijection import full_backward, full_forward, render_trace
 from .enumeration import EnumSpec, catalog_line, count_avoiders, enum_skew_shapes
 from .fillings import _TOKEN_RE, parse_filling, pattern_library, render_filling
 from .harness import PROPERTIES, check_budget, format_report, verify
-from .shapes import classify_shape, parse_shape
+from .shapes import ParseError, classify_shape, parse_shape
 from .structure import ferrers_decompose, render_decomposition
 
 _FLAG_ORDER = (
@@ -68,6 +69,15 @@ def _pattern_arg(text: str):
     return text
 
 
+def integer(text: str) -> int:
+    """An integer option: ASCII digits 0-9 after an optional minus sign.
+    int() alone takes any Unicode decimal digit.  argparse reports the
+    error and exits 2."""
+    if re.fullmatch(r"-?[0-9]+", text) is None:
+        raise ParseError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="skewfill",
@@ -85,13 +95,13 @@ def _build_parser() -> argparse.ArgumentParser:
     co = sub.add_parser("count", help="count fillings of a shape")
     co.add_argument("--mode", choices=("binary", "sparse", "transversal", "integer"),
                     default="binary")
-    co.add_argument("--max-entry", dest="max_entry", type=int, default=None)
+    co.add_argument("--max-entry", dest="max_entry", type=integer, default=None)
     co.add_argument("--avoid", action="append", default=[],
                     metavar="PAT", help="iota<k>, delta<k>, fd, or @file; repeatable")
     co.add_argument("file")
 
     e = sub.add_parser("enum-shapes", help="list skew shapes up to a cell count")
-    e.add_argument("--max-cells", dest="max_cells", type=int, required=True)
+    e.add_argument("--max-cells", dest="max_cells", type=integer, required=True)
     e.add_argument("--connected", action="store_true")
     e.add_argument("--ds-free", dest="ds_free", action="store_true")
 
@@ -104,10 +114,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run a property check")
     v.add_argument("property", choices=PROPERTIES)
-    v.add_argument("--max-cells", dest="max_cells", type=int, default=None)
-    v.add_argument("--k", dest="kmax", type=int, default=None)
-    v.add_argument("--max-entry", dest="max_entry", type=int, default=None)
-    v.add_argument("--jobs", type=int, default=1)
+    v.add_argument("--max-cells", dest="max_cells", type=integer, default=None)
+    v.add_argument("--k", dest="kmax", type=integer, default=None)
+    v.add_argument("--max-entry", dest="max_entry", type=integer, default=None)
+    v.add_argument("--jobs", type=integer, default=1)
     v.add_argument("--format", dest="format", choices=("text", "csv", "json"),
                    default="text")
     return p

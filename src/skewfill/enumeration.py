@@ -27,27 +27,19 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
+from functools import lru_cache, partial
 
 import numpy as np
 
 from ._engine import line_sums, support_index, value_matrix
-from .fillings import (
-    NE,
-    Filling,
-    SumVector,
-    as_pattern,
-    avoids,
-    longest_chain,
-    sum_vector,
-)
+from .fillings import Filling, SumVector, as_pattern, avoids, sum_vector
 from .shapes import (
     Shape,
     _contains_dent,
     _interval_shape,
     _row_spans,
+    _top_row_dents,
     find_shape_occurrences,
-    is_moon,
-    maximal_rectangles,
 )
 
 _MODES = ("binary", "sparse", "transversal", "integer")
@@ -73,10 +65,30 @@ class EnumSpec:
             raise ValueError(f"max_entry does not apply to mode {self.mode!r}")
 
 
-def _catalog_walk(max_cells: int, shard: tuple[int, int] = (0, 1)):
+def _add_children(out: list, intervals, used: int, room: int) -> list:
+    """Append to out the one-row extensions (intervals, cells) of a list
+    of `used` cells that the catalog grammar allows with room cells left,
+    in the order the walk pushes them (the reverse of its visiting order),
+    and return out.  The first row of a list sits above the virtual row
+    (1, 0)."""
+    a_lo, b_lo = intervals[-1] if intervals else (1, 0)
+    for a in range(b_lo + 1, max(a_lo, b_lo + 1 - room) - 1, -1):
+        for b in range(a + room - 1, max(a, b_lo) - 1, -1):
+            out.append((intervals + ((a, b),), used + b - a + 1))
+    return out
+
+
+def _catalog_walk(max_cells: int, shard: tuple[int, int] = (0, 1), keep=None):
     """Depth first over the catalog's row-interval lists of at most
     max_cells cells, in lexicographic order: each list comes right before
     its extensions by one more row.  Yields (intervals, cells, mine).
+
+    keep, if given, is a prefix test keep(intervals, room), with room the
+    cells left in the budget.  It is asked only about lists whose parent
+    passed it, and a list that fails it is dropped with its extensions.
+    When every row prefix of a list that passes also passes, the pruned
+    walk yields exactly the lists of the full walk that pass, in the same
+    order.  Without keep, children go straight onto the stack.
 
     With shard = (index, count) the lists are dealt out in subtrees keyed
     by their first two rows (a one-row list is its own key), round-robin
@@ -85,7 +97,9 @@ def _catalog_walk(max_cells: int, shard: tuple[int, int] = (0, 1)):
     """
     index, count = shard
     key = -1
-    stack = [(((1, b),), b) for b in range(max_cells, 0, -1)]
+    stack = _add_children([], (), 0, max_cells)
+    if keep is not None:
+        stack = [c for c in stack if keep(c[0], max_cells - c[1])]
     while stack:
         intervals, used = stack.pop()
         mine = True
@@ -95,12 +109,76 @@ def _catalog_walk(max_cells: int, shard: tuple[int, int] = (0, 1)):
             if not mine and len(intervals) == 2:
                 continue
         yield intervals, used, mine
-        room = max_cells - used
-        if room:
-            a_lo, b_lo = intervals[-1]
-            for a in range(b_lo + 1, max(a_lo, b_lo + 1 - room) - 1, -1):
-                for b in range(a + room - 1, max(a, b_lo) - 1, -1):
-                    stack.append((intervals + ((a, b),), used + b - a + 1))
+        if used == max_cells:
+            continue
+        if keep is None:
+            _add_children(stack, intervals, used, max_cells - used)
+        else:
+            stack += [c for c in _add_children([], intervals, used, max_cells - used)
+                      if keep(c[0], max_cells - c[1])]
+
+
+@lru_cache(maxsize=None)
+def _subtree_size(last, room: int) -> int:
+    """Lists in the catalog walk below a list whose top row is `last`,
+    with room cells left in the budget: the list itself included, unless
+    last is the virtual row (1, 0)."""
+    return (last != (1, 0)) + sum(_subtree_size(rows[-1], room - cells)
+                                  for rows, cells in _add_children([], (last,), 0, room))
+
+
+def catalog_size(max_cells: int) -> int:
+    """How many shapes of at most max_cells cells the catalog holds,
+    counted without walking it."""
+    return _subtree_size((1, 0), max_cells)
+
+
+def _admits_transversal(intervals) -> bool:
+    """Whether the shape with these rows admits a transversal.
+
+    The rows y = 1..m are intervals [a_y, b_y] whose ends weakly grow
+    upward, and the width is b_m.  The shape admits a transversal exactly
+    when it is square (b_m = m) and a_y <= y <= b_y for every row y.  If
+    a_y > y, rows y..m all lie in columns a_y..m, fewer than the m-y+1
+    they need.  If b_y < y, rows 1..y all lie in columns 1..b_y, fewer
+    than y.  Otherwise the diagonal cells (y, y) form a transversal.
+    """
+    return intervals[-1][1] == len(intervals) and all(
+        a <= y <= b for y, (a, b) in enumerate(intervals, start=1))
+
+
+def _diagonal_prefix(intervals, room: int) -> bool:
+    """Prefix test of the lists that finish, within the budget, as shapes
+    admitting a transversal (see _admits_transversal), for a list whose
+    parent passes it.
+
+    The new top row y = (a, b) must satisfy a <= y <= b.  The finished
+    shape is a square of side at least b, and each row y' of y+1..b must
+    reach from column y' (or further left) to column b (or further
+    right): at least d(d+1)/2 more cells for d = b - y.  The rows a_y' =
+    y', b_y' = b take exactly that many and keep the grammar, so a list
+    passes exactly when it is a row prefix of a shape admitting a
+    transversal within the budget.
+    """
+    y = len(intervals)
+    a, b = intervals[-1]
+    d = b - y
+    return a <= y <= b and d * (d + 1) <= 2 * room
+
+
+def _new_dent(intervals) -> bool:
+    """Whether a placement of the dented shape has its top in the top row."""
+    return len(intervals) > 2 and next(_top_row_dents(
+        list(enumerate(intervals[:-1], start=1)), (len(intervals), intervals[-1])), None) is not None
+
+
+def _filter_prefix(intervals, room: int, connected: bool, ds_free: bool) -> bool:
+    """Prefix test of the connected lists, the dent-free ones, or both,
+    for a list whose parent passes it: the new top row meets the row
+    below, and no dent placement has its top in it (any other placement
+    lies in the parent).  Both properties hold for every row prefix of a
+    list that has them."""
+    return not (connected and not _joined(intervals[-2:]) or ds_free and _new_dent(intervals))
 
 
 def _joined(intervals) -> bool:
@@ -110,14 +188,19 @@ def _joined(intervals) -> bool:
 def _catalog_shapes(max_cells: int, shard=(0, 1), connected: bool | None = None,
                     ds_free: bool | None = None, size: int | None = None):
     """A shard's catalog shapes of at most max_cells cells (exactly size,
-    if given), in walk order, filtered as enum_skew_shapes filters."""
-    for intervals, used, mine in _catalog_walk(max_cells, shard):
+    if given), in walk order, filtered as enum_skew_shapes filters.  The
+    True filters prune the walk; the False ones, which row prefixes do not
+    keep, filter its shapes."""
+    keep = None
+    if connected or ds_free:
+        keep = partial(_filter_prefix, connected=connected is True, ds_free=ds_free is True)
+    for intervals, used, mine in _catalog_walk(max_cells, shard, keep):
         if not mine or (size is not None and used != size):
             continue
-        if connected is not None and _joined(intervals) != connected:
+        if connected is False and _joined(intervals):
             continue
         s = _interval_shape(intervals)
-        if ds_free is None or _contains_dent(s) != ds_free:
+        if ds_free is not False or _contains_dent(s):
             yield s
 
 
@@ -342,36 +425,3 @@ def count_avoiders(s: Shape, spec: EnumSpec) -> int:
     keep = (line_sums(values, s, by_row=True) == sums.row_sums).all(axis=1)
     keep &= (line_sums(values, s, by_row=False) == sums.col_sums).all(axis=1)
     return int(keep.sum())
-
-
-@dataclass(frozen=True)
-class LambdaSpec:
-    """Required longest NE-chain per maximal rectangle, keyed by width."""
-
-    entries: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LambdaSpec":
-        return cls(tuple(sorted((int(w), int(v)) for w, v in d.items())))
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.entries)
-
-
-def enum_FNE(m: Shape, lam: LambdaSpec, sums: SumVector, mode: str = "binary",
-             max_entry: int | None = None):
-    """Fillings of a moon polyomino with fixed sums and fixed longest
-    NE-chain length in every maximal rectangle."""
-    if not is_moon(m):
-        raise ValueError("host shape is not a moon polyomino")
-    rects = maximal_rectangles(m)
-    wanted = lam.as_dict()
-    widths = {r.width for r in rects}
-    if set(wanted) != widths:
-        raise ValueError(
-            f"lambda keys {sorted(wanted)} do not match rectangle widths {sorted(widths)}"
-        )
-    spec = EnumSpec(mode=mode, max_entry=max_entry, sums=sums)
-    for f in enum_fillings(m, spec):
-        if all(longest_chain(f, NE, region=r) == wanted[r.width] for r in rects):
-            yield f

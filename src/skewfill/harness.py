@@ -11,7 +11,8 @@ Property tokens and their instance counts:
                  refined sum-class check under (rho, sigma); instances =
                  (shape, k) pairs checked across both parts.
   conjecture     Tr(S, iota_k) >= Tr(S, delta_k) over all skew shapes;
-                 instances = (shape, k) pairs.
+                 instances = (shape, k) pairs, kmax times the catalog's
+                 size.
   thm_bp         unique delta_2-avoiding and unique {iota_2, fd}-avoiding
                  transversal; instances = shapes admitting a transversal.
   genskew        stage-1 vs stage-N equality refined by row sums, and the
@@ -26,6 +27,21 @@ Property tokens and their instance counts:
                  column transpositions; instances = (moon, swap) pairs.
   ds_free_oracle agreement of the two dent-freeness criteria plus the
                  decompose/validate round-trip; instances = shapes.
+
+The three transversal properties walk only the catalog shapes they can
+use; a pruned walk yields the lists of the full walk that pass its
+prefix test, in the same order (enumeration._catalog_walk).  thm_bp and
+conjecture take the diagonal walk, which keeps the row prefixes of the
+shapes admitting a transversal; its square shapes are those shapes.
+thm_bp extends a ShapeContext along it, the prefixes included, and tests
+the square shapes.  conjecture counts a shape without a transversal as
+(0, 0) for every k, never a failure, so it tests the square shapes and
+takes its instance count, kmax per catalog shape, from
+enumeration.catalog_size, which counts the catalog by the walk's own
+child rule without walking it; shard 0 reports it.  cor_sskew
+walks the connected, dent-free row prefixes and, for the same reason,
+counts transversals only on the shapes that admit one; its refined part
+runs on the shapes of at most refine_cells cells of the same walk.
 
 genskew first maps stage 1 forward and checks that the sorted image is
 stage N and that each code keeps its row key; then it maps the image
@@ -68,6 +84,7 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -80,11 +97,12 @@ from ._engine import (
     support_index,
     value_matrix,
 )
-from .enumeration import EnumSpec, _catalog_shapes, _catalog_walk, _value_rows, catalog_line, \
+from .enumeration import EnumSpec, _admits_transversal, _catalog_shapes, _catalog_walk, \
+    _diagonal_prefix, _filter_prefix, _value_rows, catalog_line, catalog_size, \
     enum_moon_polyominoes, parse_catalog_line
 from .fillings import NE, SE
-from .shapes import Rect, Shape, _kept_skew, dent_shape, is_connected, is_nw_ferrers, \
-    maximal_rectangles
+from .shapes import Rect, Shape, _interval_shape, _kept_skew, dent_shape, is_connected, \
+    is_nw_ferrers, maximal_rectangles
 from .structure import DecompositionError, ferrers_decompose, is_ds_free, sum_permutations
 
 class BudgetError(ValueError):
@@ -280,15 +298,17 @@ def admissible_frame_counts(s: Shape) -> tuple[int, int]:
 # --- runners ---------------------------------------------------------------
 
 
-def _contexts(params, shard):
+def _contexts(params, shard, keep=None):
     """A shard's ShapeContexts: of the single shape param on shard 0, or of
-    its catalog shapes, each extending the context of its parent."""
+    its catalog shapes, each extending the context of its parent.  keep
+    prunes the walk as in _catalog_walk; it must pass every row prefix of
+    a list it passes, so each parent is on the walk."""
     if params.get("shape") is not None:
         if shard[0] == 0:
             yield ShapeContext(parse_catalog_line(params["shape"]))
         return
     stack = [ShapeContext(Shape(frozenset()))]
-    for intervals, _, mine in _catalog_walk(params["max_cells"], shard):
+    for intervals, _, mine in _catalog_walk(params["max_cells"], shard, keep):
         del stack[len(intervals):]
         (a, b), y = intervals[-1], len(intervals)
         cells = stack[-1].shape.sorted_cells() + tuple((x, y) for x in range(a, b + 1))
@@ -314,14 +334,17 @@ def _tr_counts(s: Shape, ts: np.ndarray, ks) -> list[tuple[int, int]]:
 
 
 def _run_conjecture(params, shard):
-    instances, failures = 0, []
+    failures = []
     strict = 0
     ds_strict = False
     dent = dent_shape()
     ks = range(1, params["kmax"] + 1)
-    for s in _catalog_shapes(params["max_cells"], shard):
+    instances = len(ks) * catalog_size(params["max_cells"]) if shard[0] == 0 else 0
+    for intervals, _, mine in _catalog_walk(params["max_cells"], shard, _diagonal_prefix):
+        if not mine or intervals[-1][1] != len(intervals):
+            continue
+        s = _interval_shape(intervals)
         for k, (ti, td) in zip(ks, _tr_counts(s, _transversals(s), ks)):
-            instances += 1
             if ti < td:
                 failures.append({"shape": catalog_line(s), "k": k,
                                  "iota": ti, "delta": td})
@@ -335,11 +358,11 @@ def _run_conjecture(params, shard):
 
 def _run_thm_bp(params, shard):
     instances, failures = 0, []
-    for ctx in _contexts(params, shard):
+    for ctx in _contexts(params, shard, _diagonal_prefix):
         s = ctx.shape
-        ts = _transversals(s)
-        if not ts.size:
+        if s.height != s.width:
             continue
+        ts = _transversals(s)
         instances += 1
         d_count = int(np.isin(ts, ctx.stage_members(1)).sum())  # delta2-avoiders
         u_count = int(np.isin(ts, ctx.stage_members(ctx.n)).sum())  # {iota2, fd}-avoiders
@@ -383,15 +406,20 @@ def _run_cor_sskew(params, shard):
     instances, failures = 0, []
     shapes_checked = 0
     refined_checked = 0
-    for s in _catalog_shapes(params["max_cells"], shard, connected=True, ds_free=True):
+    ks = range(2, params["kmax"] + 1)
+    keep = partial(_filter_prefix, connected=True, ds_free=True)
+    for intervals, used, mine in _catalog_walk(params["max_cells"], shard, keep):
+        if not mine:
+            continue
+        s = _interval_shape(intervals)
         shapes_checked += 1
-        ks = range(2, params["kmax"] + 1)
-        for k, (ti, td) in zip(ks, _tr_counts(s, _transversals(s), ks)):
-            instances += 1
-            if ti != td:
-                failures.append({"shape": catalog_line(s), "k": k,
-                                 "iota": ti, "delta": td})
-        if s.size <= params["refine_cells"]:
+        instances += len(ks)
+        if _admits_transversal(intervals):
+            for k, (ti, td) in zip(ks, _tr_counts(s, _transversals(s), ks)):
+                if ti != td:
+                    failures.append({"shape": catalog_line(s), "k": k,
+                                     "iota": ti, "delta": td})
+        if used <= params["refine_cells"]:
             refined_checked += 1
             for k in _refined_sum_check(s, params["kmax"], params["max_entry"]):
                 failures.append({"shape": catalog_line(s), "k": k,
@@ -606,10 +634,10 @@ def _run_ds_free_oracle(params, shard):
 # optional single shape of genskew and lemma_gi has no default; its budget
 # counts cells, up to the max_cells cap.
 _PROPERTIES = {
-    "cor_sskew": (_run_cor_sskew, {"max_cells": (1, 9, 9), "kmax": (1, 3, 3),
+    "cor_sskew": (_run_cor_sskew, {"max_cells": (1, 9, 14), "kmax": (1, 3, 3),
                                    "refine_cells": (0, 7, 7), "max_entry": (1, 2, 2)}),
-    "conjecture": (_run_conjecture, {"max_cells": (1, 9, 9), "kmax": (1, 3, 3)}),
-    "thm_bp": (_run_thm_bp, {"max_cells": (1, 9, 9)}),
+    "conjecture": (_run_conjecture, {"max_cells": (1, 9, 14), "kmax": (1, 3, 3)}),
+    "thm_bp": (_run_thm_bp, {"max_cells": (1, 9, 14)}),
     "genskew": (_run_genskew, {"max_cells": (1, 10, 12), "shape": (1, None, 12)}),
     "lemma_gi": (_run_lemma_gi, {"max_cells": (1, 8, 10), "shape": (1, None, 10)}),
     "lem_ferrers": (_run_lem_ferrers, {"max_cells": (1, 8, 8), "kmax": (0, 2, 2),

@@ -306,6 +306,36 @@ def test_verify_jobs_cap_is_usage_error(capsys, fake_pool):
     assert fake_pool == [64]
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "thm_bp", "--max-cells", "\u0663"),  # an Arabic-Indic three
+    ("verify", "thm_bp", "--max-cells", "3", "--jobs", "\u0661"),  # an Arabic-Indic one
+    ("verify", "conjecture", "--max-cells", "3", "--k", "\u0661"),
+    ("verify", "rubey", "--max-cells", "3", "--max-entry", "\u0661"),
+    ("enum-shapes", "--max-cells", "\u0663"),
+])
+def test_integer_options_take_ascii_digits_only(capsys, fake_pool, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and "invalid integer value" in err
+    assert fake_pool == []
+
+
+def test_count_max_entry_takes_ascii_digits_only(capsys, tmp_path):
+    square = tmp_path / "square.txt"
+    square.write_text("##\n##\n")
+    code, out, _ = run(capsys, "count", "--mode", "integer", "--max-entry", "1", str(square))
+    assert (code, out) == (0, "16\n")
+    code, out, err = run(capsys, "count", "--mode", "integer", "--max-entry", "\u0661",
+                         str(square))
+    assert (code, out) == (2, "") and "invalid integer value" in err
+
+
+def test_integer_options_take_plain_ascii_digits(capsys):
+    code, out, _ = run(capsys, "verify", "thm_bp", "--max-cells", "3", "--jobs", "1",
+                       "--format", "json")
+    report = parse_report_json(out)
+    assert code == 0 and report.params == {"max_cells": 3} and report.instances == 5
+
+
 @pytest.mark.parametrize("override", [False, True])
 @pytest.mark.parametrize("argv", [
     ("cor_sskew", "--max-cells", "4", "--k", "0"),

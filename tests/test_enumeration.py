@@ -1,26 +1,37 @@
 import ast
 import itertools
+from dataclasses import dataclass
+from functools import partial
 
 import pytest
 
 from conftest import brute_transversal_count, ferrers_difference_shapes
 from skewfill.enumeration import (
     EnumSpec,
-    LambdaSpec,
+    _admits_transversal,
+    _catalog_walk,
+    _diagonal_prefix,
+    _filter_prefix,
+    _joined,
+    catalog_size,
     catalog_line,
     count_avoiders,
-    enum_FNE,
     enum_fillings,
     enum_moon_polyominoes,
     enum_skew_shapes,
     parse_catalog_line,
 )
 from skewfill.fillings import NE, SE, SumVector, longest_chain, sum_vector
+from skewfill.harness import _transversals
 from skewfill.shapes import (
+    Shape,
+    _contains_dent,
+    _interval_shape,
     dent_shape,
     is_connected,
     is_moon,
     is_skew,
+    maximal_rectangles,
     normalize,
 )
 from skewfill.structure import is_ds_free
@@ -266,6 +277,39 @@ def test_count_avoiders_matches_filter_oracle():
     assert count_avoiders(DENT, EnumSpec(mode="transversal", avoid=("delta2",))) == oracle
 
 
+@dataclass(frozen=True)
+class LambdaSpec:
+    """Required longest NE-chain per maximal rectangle, keyed by width."""
+
+    entries: tuple[tuple[int, int], ...]
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "LambdaSpec":
+        return cls(tuple(sorted((int(w), int(v)) for w, v in d.items())))
+
+    def as_dict(self) -> dict[int, int]:
+        return dict(self.entries)
+
+
+def enum_FNE(m: Shape, lam: LambdaSpec, sums: SumVector, mode: str = "binary",
+             max_entry: int | None = None):
+    """Reference: fillings of a moon polyomino with fixed sums and fixed
+    longest NE-chain length in every maximal rectangle."""
+    if not is_moon(m):
+        raise ValueError("host shape is not a moon polyomino")
+    rects = maximal_rectangles(m)
+    wanted = lam.as_dict()
+    widths = {r.width for r in rects}
+    if set(wanted) != widths:
+        raise ValueError(
+            f"lambda keys {sorted(wanted)} do not match rectangle widths {sorted(widths)}"
+        )
+    spec = EnumSpec(mode=mode, max_entry=max_entry, sums=sums)
+    for f in enum_fillings(m, spec):
+        if all(longest_chain(f, NE, region=r) == wanted[r.width] for r in rects):
+            yield f
+
+
 def test_lambda_spec_round_trip():
     lam = LambdaSpec.from_dict({2: 1, 3: 2})
     assert lam.as_dict() == {2: 1, 3: 2}
@@ -287,3 +331,77 @@ def test_enum_FNE_requires_moon_host():
     sums = SumVector(row_sums=(1, 1, 1), col_sums=(1, 1, 1))
     with pytest.raises(ValueError):
         list(enum_FNE(DENT, lam, sums))
+
+
+# --- pruned catalog walks ---------------------------------------------------
+
+WALK_CELLS = 10
+
+
+def walk(max_cells, keep=None, shard=(0, 1)):
+    return [iv for iv, _, mine in _catalog_walk(max_cells, shard, keep) if mine]
+
+
+@pytest.fixture(scope="module")
+def full_catalog():
+    """The unpruned walk to WALK_CELLS cells: (intervals, cells, admits a
+    transversal, connected, dent-free) per list, in walk order, each flag
+    from its reference test."""
+    out = []
+    for iv, used, _ in _catalog_walk(WALK_CELLS):
+        s = _interval_shape(iv)
+        out.append((iv, used, _transversals(s).size > 0, _joined(iv), not _contains_dent(s)))
+    return out
+
+
+def test_catalog_walk_at_a_budget_is_the_lists_within_it(full_catalog):
+    for n in range(1, WALK_CELLS + 1):
+        assert walk(n) == [iv for iv, used, *_ in full_catalog if used <= n]
+
+
+def test_catalog_size_counts_the_walk(full_catalog):
+    for n in range(1, WALK_CELLS + 1):
+        assert catalog_size(n) == sum(1 for _, used, *_ in full_catalog if used <= n)
+    assert catalog_size(WALK_CELLS) == len(full_catalog) == 38252
+
+
+def test_diagonal_walk_yields_the_shapes_with_a_transversal(full_catalog):
+    # the square lists of the pruned walk are exactly the catalog shapes
+    # that admit a transversal, in the same order, at every budget
+    for n in range(1, WALK_CELLS + 1):
+        pruned = walk(n, _diagonal_prefix)
+        square = [iv for iv in pruned if iv[-1][1] == len(iv)]
+        assert square == [iv for iv, used, tr, *_ in full_catalog if used <= n and tr]
+        assert square == [iv for iv in pruned if _admits_transversal(iv)]
+        # the prune leaves no dead ends: every list it keeps is a row
+        # prefix of a kept square one
+        prefixes = {iv[:k] for iv in square for k in range(1, len(iv) + 1)}
+        assert set(pruned) == prefixes
+
+
+@pytest.mark.parametrize("connected,ds_free", [(True, True), (True, False), (False, True)])
+def test_filter_walk_yields_the_filtered_catalog(full_catalog, connected, ds_free):
+    keep = partial(_filter_prefix, connected=connected, ds_free=ds_free)
+    for n in range(1, WALK_CELLS + 1):
+        want = [iv for iv, used, _, joined, free in full_catalog
+                if used <= n and (joined or not connected) and (free or not ds_free)]
+        assert walk(n, keep) == want
+
+
+@pytest.mark.parametrize("keep", [
+    None,
+    _diagonal_prefix,
+    partial(_filter_prefix, connected=True, ds_free=True),
+    partial(_filter_prefix, connected=True, ds_free=False),
+])
+def test_shards_of_a_pruned_walk_split_its_lists(keep):
+    everything = walk(8, keep)
+    for count in (2, 3, 4):
+        parts = [walk(8, keep, (index, count)) for index in range(count)]
+        dealt = [iv for part in parts for iv in part]
+        assert len(dealt) == len(set(dealt)) == len(everything)
+        assert set(dealt) == set(everything)
+        # each shard keeps the walk's order
+        rank = {iv: k for k, iv in enumerate(everything)}
+        assert all([rank[iv] for iv in part] == sorted(rank[iv] for iv in part)
+                   for part in parts)

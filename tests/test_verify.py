@@ -118,8 +118,9 @@ def test_unknown_parameter_rejected():
 def test_budget_caps_enforced():
     saved = os.environ.pop("SKEWFILL_BUDGET_OVERRIDE", None)
     try:
-        with pytest.raises(BudgetError):
-            verify("cor_sskew", max_cells=10)
+        for prop in ("cor_sskew", "conjecture", "thm_bp"):
+            with pytest.raises(BudgetError):
+                verify(prop, max_cells=15)
         with pytest.raises(BudgetError):
             verify("genskew", max_cells=13)
         with pytest.raises(BudgetError):
@@ -242,6 +243,13 @@ def test_parallel_run_matches_serial():
 @pytest.mark.parametrize("prop", PROPERTIES)
 def test_three_jobs_match_one(prop):
     assert verify(prop, jobs=3, **SMALL_BUDGETS[prop]) == verify(prop, **SMALL_BUDGETS[prop])
+
+
+@pytest.mark.parametrize("prop", ["thm_bp", "conjecture", "cor_sskew"])
+def test_three_jobs_match_one_on_pruned_walks(prop):
+    # these runners deal out pruned walks, whose subtrees differ from the
+    # full catalog's; conjecture's shard 0 also reports the catalog size
+    assert verify(prop, max_cells=8, jobs=3) == verify(prop, max_cells=8)
 
 
 def test_three_jobs_with_empty_and_lopsided_shards():
