@@ -3,10 +3,8 @@ stagewise chain bijection, with an exhaustive verification harness."""
 
 from .bijection import (
     BijectionTrace,
-    ClassTag,
     StepAnatomy,
     cell_labels,
-    class_of,
     full_backward,
     full_forward,
     in_G,
@@ -59,7 +57,6 @@ from .shapes import (
     Shape,
     ShapeProperties,
     classify_shape,
-    connected_components,
     dent_shape,
     find_shape_occurrences,
     is_connected,

@@ -170,15 +170,23 @@ class ShapeContext:
         self._umin = umin.ravel()
         return self._dmax, self._umin
 
-    def stage_members(self, i: int) -> np.ndarray:
-        """Codes of the fillings in stage set i, ascending."""
+    def _in_stage(self, i: int, codes: np.ndarray | None = None) -> np.ndarray:
+        """Per code (of all, or of the given ones): whether it lies in
+        stage set i, that is dmax <= i < umin."""
         dmax, umin = self._bounds()
-        return ((dmax <= i) & (umin > i)).nonzero()[0].astype(np.int64, copy=False)
+        if codes is not None:
+            dmax, umin = dmax[codes], umin[codes]
+        return (dmax <= i) & (umin > i)
+
+    def stage_members(self, i: int, codes: np.ndarray | None = None) -> np.ndarray:
+        """Codes of the fillings in stage set i, ascending; given codes,
+        those of them in stage set i, in their order."""
+        if codes is not None:
+            return codes[self._in_stage(i, codes)]
+        return self._in_stage(i).nonzero()[0].astype(np.int64, copy=False)
 
     def stage_counts(self) -> list[int]:
-        dmax, umin = self._bounds()
-        return [int(np.count_nonzero((dmax <= i) & (umin > i)))
-                for i in range(1, self.n + 1)]
+        return [int(np.count_nonzero(self._in_stage(i))) for i in range(1, self.n + 1)]
 
     # --- step application ---------------------------------------------------
 

@@ -24,8 +24,6 @@ from .shapes import Cell, Occurrence, Rect, Shape, is_skew
 
 ROW_BREAK = "rowbreak"
 IN_ROW = "inrow"
-LOWER = "lower"
-UPPER = "upper"
 
 
 def cell_labels(s: Shape) -> tuple[Cell, ...]:
@@ -82,12 +80,6 @@ class StepAnatomy:
     R: frozenset[Cell]
     C: frozenset[Cell]
     A: Rect | None
-
-
-@dataclass(frozen=True)
-class ClassTag:
-    side: str  # lower | upper
-    cls: int  # 1..5
 
 
 @lru_cache(maxsize=65536)
@@ -249,21 +241,6 @@ def _backward_support(an: StepAnatomy, support: frozenset[Cell]) -> frozenset[Ce
 
 
 # --- public step and full maps ---------------------------------------------
-
-
-def class_of(f: Filling, i: int, side: str) -> ClassTag:
-    """The class 1-5 of a stage-set member at an in-row step."""
-    if side not in (LOWER, UPPER):
-        raise ValueError(f"side must be lower or upper, got {side!r}")
-    an = step_anatomy(f.shape, i)
-    if an.kind != IN_ROW:
-        raise ValueError(f"step {i} is a row break; classes are undefined")
-    stage = i if side == LOWER else i + 1
-    if not in_G(f.shape, f, stage):
-        raise ValueError(f"filling is not in stage set {stage}")
-    sup = f.support()
-    cls = classify_lower(an, sup) if side == LOWER else classify_upper(an, sup)
-    return ClassTag(side=side, cls=cls)
 
 
 def step_forward(f: Filling, i: int, validate: bool = True) -> Filling:

@@ -9,6 +9,7 @@ printed with the timing field zeroed so runs are byte-comparable.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import re
 import sys
 
@@ -18,20 +19,6 @@ from .fillings import _TOKEN_RE, parse_filling, pattern_library, render_filling
 from .harness import PROPERTIES, check_budget, format_report, verify
 from .shapes import ParseError, classify_shape, parse_shape
 from .structure import ferrers_decompose, render_decomposition
-
-_FLAG_ORDER = (
-    "connected",
-    "convex",
-    "intersection_free",
-    "moon",
-    "nw_ferrers",
-    "se_ferrers",
-    "top_justified",
-    "bottom_justified",
-    "left_justified",
-    "right_justified",
-    "skew",
-)
 
 # Most fillings one count call may scan: (max_entry + 1) ** cells, with a
 # base of 2 in the binary, sparse and transversal modes.
@@ -134,9 +121,8 @@ def _cmd_classify(args) -> int:
     check_budget("classify: grid cells", s.width * s.height, 1, _GRID_CELLS_CAP)
     props = classify_shape(s)
     lines = [f"cells: {s.size}", f"width: {s.width}", f"height: {s.height}"]
-    for name in _FLAG_ORDER:
-        lines.append(f"{name}: {_flag_text(getattr(props, name))}")
-    lines.append(f"ds_free: {_flag_text(props.ds_free)}")
+    for flag in dataclasses.fields(props):
+        lines.append(f"{flag.name}: {_flag_text(getattr(props, flag.name))}")
     print("\n".join(lines))
     return 0
 

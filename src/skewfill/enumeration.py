@@ -229,8 +229,14 @@ def catalog_line(s: Shape) -> str:
 
 
 def parse_catalog_line(text: str) -> Shape:
-    """Inverse of catalog_line: integer pairs (a_y, b_y) with a_1 = 1,
-    a_{y-1} <= a_y <= b_{y-1} + 1 and b_y >= max(a_y, b_{y-1})."""
+    """Inverse of catalog_line."""
+    return _interval_shape(_catalog_intervals(text))
+
+
+def _catalog_intervals(text: str) -> tuple:
+    """The rows of a catalog line, without building its cells: integer
+    pairs (a_y, b_y) with a_1 = 1, a_{y-1} <= a_y <= b_{y-1} + 1 and
+    b_y >= max(a_y, b_{y-1})."""
     try:
         intervals = ast.literal_eval(text.strip())
     except (SyntaxError, ValueError):
@@ -246,7 +252,7 @@ def parse_catalog_line(text: str) -> Shape:
                 and a <= pair[0] <= b + 1 and pair[1] >= max(pair[0], b)):
             raise ValueError(f"interval {pair!r} breaks the catalog grammar")
         a, b = pair
-    return _interval_shape(intervals)
+    return tuple(intervals)
 
 
 def _moon_columns(n: int):

@@ -276,17 +276,3 @@ def _longest_chain_generic(f: Filling, direction: str) -> int:
     while k < bound and find_filling_occurrences(f, f"{token}{k + 1}"):
         k += 1
     return k
-
-
-def mirror_filling_lr(f: Filling) -> Filling:
-    """Left-right mirror; swaps NE-chains with SE-chains."""
-    w = f.shape.width
-    flipped = {(w + 1 - x, y): v for (x, y), v in f.items()}
-    cells = frozenset(flipped)
-    return Filling.from_map(Shape(cells), flipped)
-
-
-def rotate_filling_180(f: Filling) -> Filling:
-    w, h = f.shape.width, f.shape.height
-    rot = {(w + 1 - x, h + 1 - y): v for (x, y), v in f.items()}
-    return Filling.from_map(Shape(frozenset(rot)), rot)

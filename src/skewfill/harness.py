@@ -97,8 +97,8 @@ from ._engine import (
     support_index,
     value_matrix,
 )
-from .enumeration import EnumSpec, _admits_transversal, _catalog_shapes, _catalog_walk, \
-    _diagonal_prefix, _filter_prefix, _value_rows, catalog_line, catalog_size, \
+from .enumeration import EnumSpec, _admits_transversal, _catalog_intervals, _catalog_shapes, \
+    _catalog_walk, _diagonal_prefix, _filter_prefix, _value_rows, catalog_line, catalog_size, \
     enum_moon_polyominoes, parse_catalog_line
 from .fillings import NE, SE
 from .shapes import Rect, Shape, _interval_shape, _kept_skew, dent_shape, is_connected, \
@@ -191,14 +191,19 @@ def format_report(r: VerificationReport, fmt: str = "text") -> str:
 
 def parse_report_json(text: str) -> VerificationReport:
     d = json.loads(text)
-    return VerificationReport(
-        property=d["property"],
-        params=d["params"],
-        instances=d["instances"],
-        failures=d["failures"],
-        details=d["details"],
-        elapsed_ms=d["millis"],
-    )
+    if not isinstance(d, dict):
+        raise ValueError("not a report JSON object")
+    try:
+        return VerificationReport(
+            property=d["property"],
+            params=d["params"],
+            instances=d["instances"],
+            failures=d["failures"],
+            details=d["details"],
+            elapsed_ms=d["millis"],
+        )
+    except KeyError as exc:
+        raise ValueError(f"report JSON lacks the field {exc}") from None
 
 
 def parse_report_csv(text: str) -> VerificationReport:
@@ -234,16 +239,10 @@ class GammaFrame:
     def __post_init__(self):
         if not is_nw_ferrers(self.F):
             raise ValueError("frame base must be a NW Ferrers shape")
-        h, w = self.F.height, self.F.width
-        if not 0 <= self.k <= w or not 0 <= self.l <= h:
-            raise ValueError("special counts out of range")
-        for x in range(1, self.k + 1):
-            if len(self.F.col_rows(x)) != h:
-                raise ValueError(f"column {x} does not span the full height")
-        t = self.t
-        for j in range(self.l):
-            if len(self.F.row_cols(h - j)) != t:
-                raise ValueError(f"top {self.l} rows are not of equal length")
+        k_adm, l_adm = admissible_frame_counts(self.F)
+        if not (0 <= self.k <= k_adm and 0 <= self.l <= l_adm):
+            raise ValueError(f"special counts ({self.k}, {self.l}) outside "
+                             f"0..{k_adm} full-height columns and 0..{l_adm} equal top rows")
 
     @property
     def h(self) -> int:
@@ -364,8 +363,8 @@ def _run_thm_bp(params, shard):
             continue
         ts = _transversals(s)
         instances += 1
-        d_count = int(np.isin(ts, ctx.stage_members(1)).sum())  # delta2-avoiders
-        u_count = int(np.isin(ts, ctx.stage_members(ctx.n)).sum())  # {iota2, fd}-avoiders
+        d_count = ctx.stage_members(1, ts).size  # delta2-avoiders
+        u_count = ctx.stage_members(ctx.n, ts).size  # {iota2, fd}-avoiders
         if d_count != 1:
             failures.append({"shape": catalog_line(s), "clause": "delta2",
                              "count": d_count})
@@ -690,8 +689,9 @@ def verify(prop: str, **params) -> VerificationReport:
         floor, _, cap = budgets[key]
         if key == "shape":
             val = catalog_line(val) if isinstance(val, Shape) else val
-            if val is not None:
-                check_budget(f"{prop}: shape cells", parse_catalog_line(val).size, floor, cap)
+            if val is not None:  # counted from the grammar, before any cell is built
+                cells = sum(b - a + 1 for a, b in _catalog_intervals(val))
+                check_budget(f"{prop}: shape cells", cells, floor, cap)
         else:
             val = int(val)
             check_budget(f"{prop}: {key}", val, floor, cap)

@@ -65,16 +65,18 @@ class Occurrence:
 
 @dataclass(frozen=True)
 class ShapeProperties:
+    """Shape flags, in the order `skewfill classify` prints them."""
+
     connected: bool
     convex: bool
     intersection_free: bool
     moon: bool
+    nw_ferrers: bool
+    se_ferrers: bool
     top_justified: bool
     bottom_justified: bool
     left_justified: bool
     right_justified: bool
-    nw_ferrers: bool
-    se_ferrers: bool
     skew: bool
     ds_free: bool | None  # None when the shape is not skew
 
@@ -238,11 +240,6 @@ def component_cell_sets(s: Shape) -> list[frozenset[Cell]]:
     return parts
 
 
-def connected_components(s: Shape) -> list[Shape]:
-    """Components translated back to normal position, lowest-leftmost first."""
-    return [normalize(part) for part in component_cell_sets(s)]
-
-
 def is_convex(s: Shape) -> bool:
     """Every row and every column is contiguous."""
     return all(_contiguous(s.row_cols(y)) for y in range(1, s.height + 1)) and all(
@@ -342,12 +339,12 @@ def classify_shape(s: Shape) -> ShapeProperties:
         convex=is_convex(s),
         intersection_free=is_intersection_free(s),
         moon=is_moon(s),
+        nw_ferrers=is_nw_ferrers(s),
+        se_ferrers=is_se_ferrers(s),
         top_justified=is_top_justified(s),
         bottom_justified=is_bottom_justified(s),
         left_justified=is_left_justified(s),
         right_justified=is_right_justified(s),
-        nw_ferrers=is_nw_ferrers(s),
-        se_ferrers=is_se_ferrers(s),
         skew=skew,
         ds_free=None if not skew else not _contains_dent(s),
     )
@@ -379,24 +376,6 @@ def find_shape_occurrences(host: Shape, pattern: Shape) -> list[Occurrence]:
             if ok:
                 hits.append(Occurrence(cols=cols, rows=rows))
     return hits
-
-
-def subshape(s: Shape, cols, rows) -> Shape:
-    """Shape induced by strictly ascending column and row selections."""
-    cols = tuple(cols)
-    rows = tuple(rows)
-    if list(cols) != sorted(set(cols)) or list(rows) != sorted(set(rows)):
-        raise ValueError("selections must be strictly ascending")
-    cells = set()
-    for i, x in enumerate(cols, start=1):
-        for j, y in enumerate(rows, start=1):
-            if (x, y) in s.cells:
-                cells.add((i, j))
-    return normalize(cells) if cells else Shape(frozenset())
-
-
-def contains_rect(s: Shape, r: Rect) -> bool:
-    return all(c in s.cells for c in r.cells())
 
 
 def _rectangles(s: Shape) -> list[Rect]:
@@ -436,17 +415,6 @@ def maximal_rectangles(s: Shape) -> list[Rect]:
 def skew_rectangles(s: Shape) -> list[Rect]:
     """Inclusion-maximal rectangles of a skew shape."""
     return _rectangles(s)
-
-
-def mirror_lr(s: Shape) -> Shape:
-    """Left-right mirror image."""
-    w = s.width
-    return Shape(frozenset((w + 1 - x, y) for x, y in s.cells))
-
-
-def rotate_180(s: Shape) -> Shape:
-    w, h = s.width, s.height
-    return Shape(frozenset((w + 1 - x, h + 1 - y) for x, y in s.cells))
 
 
 # --- the 7-cell dented shape --------------------------------------------

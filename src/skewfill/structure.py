@@ -82,14 +82,6 @@ class Decomposition:
     def n(self) -> int:
         return len(self.blocks) // 2
 
-    @property
-    def f_blocks(self) -> tuple[frozenset[Cell], ...]:
-        return self.blocks[0::2]
-
-    @property
-    def g_blocks(self) -> tuple[frozenset[Cell], ...]:
-        return self.blocks[1::2]
-
 
 def _split_blocks(cells: frozenset[Cell]) -> list[frozenset[Cell]]:
     """Run the block-splitting procedure on one connected component."""

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import strategies as st
 
 from skewfill.fillings import Filling
-from skewfill.shapes import Shape, normalize
+from skewfill.shapes import Rect, Shape, normalize
 
 
 def row_intervals_to_cells(intervals):
@@ -76,6 +76,38 @@ def brute_chain(f: Filling, direction: str) -> int:
                 best = size
                 break
     return best
+
+
+def subshape(s: Shape, cols, rows) -> Shape:
+    """Shape induced by strictly ascending column and row selections."""
+    cells = {(i, j) for i, x in enumerate(cols, start=1)
+             for j, y in enumerate(rows, start=1) if (x, y) in s.cells}
+    return normalize(cells)
+
+
+def contains_rect(s: Shape, r: Rect) -> bool:
+    return all(c in s.cells for c in r.cells())
+
+
+def mirror_lr(s: Shape) -> Shape:
+    """Left-right mirror image."""
+    return Shape(frozenset((s.width + 1 - x, y) for x, y in s.cells))
+
+
+def rotate_180(s: Shape) -> Shape:
+    return Shape(frozenset((s.width + 1 - x, s.height + 1 - y) for x, y in s.cells))
+
+
+def mirror_filling_lr(f: Filling) -> Filling:
+    """Left-right mirror; swaps NE-chains with SE-chains."""
+    flipped = {(f.shape.width + 1 - x, y): v for (x, y), v in f.items()}
+    return Filling.from_map(Shape(frozenset(flipped)), flipped)
+
+
+def rotate_filling_180(f: Filling) -> Filling:
+    w, h = f.shape.width, f.shape.height
+    rot = {(w + 1 - x, h + 1 - y): v for (x, y), v in f.items()}
+    return Filling.from_map(Shape(frozenset(rot)), rot)
 
 
 def nw_ferrers_shapes(max_width, max_height):

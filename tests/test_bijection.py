@@ -5,7 +5,8 @@ from conftest import skew_shapes
 from skewfill._engine import ShapeContext
 from skewfill.bijection import (
     cell_labels,
-    class_of,
+    classify_lower,
+    classify_upper,
     full_backward,
     full_forward,
     in_G,
@@ -109,7 +110,7 @@ def test_trace_render_format():
 
 def test_step_three_class_two_rewiring():
     f = support_of_labels(DENT, (1, 2, 4))
-    assert class_of(f, 3, "lower").cls == 2
+    assert classify_lower(step_anatomy(DENT, 3), f.support()) == 2
     g = step_forward(f, 3)
     assert g == support_of_labels(DENT, (1, 2, 3))
     assert step_backward(g, 3) == f
@@ -123,11 +124,10 @@ def test_rowbreak_steps_are_identity():
 
 
 def test_class_of_undefined_at_rowbreaks():
-    f = support_of_labels(DENT, (1, 4, 7))
-    with pytest.raises(ValueError):
-        class_of(f, 2, "lower")
-    with pytest.raises(ValueError):
-        class_of(f, 3, "sideways")
+    support = support_of_labels(DENT, (1, 4, 7)).support()
+    for classify in (classify_lower, classify_upper):
+        with pytest.raises(ValueError):
+            classify(step_anatomy(DENT, 2), support)
 
 
 def test_step_anatomy_kinds():

@@ -62,8 +62,6 @@ def test_decompose_staircase():
     assert d.vertical_cuts == (1, 3)
     assert d.horizontal_cuts == (1,)
     assert d.n == 2
-    assert d.f_blocks == (d.blocks[0], d.blocks[2])
-    assert d.g_blocks == (d.blocks[1], d.blocks[3])
     assert validate_decomposition(STAIRCASE, d)
 
 

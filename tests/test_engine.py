@@ -151,6 +151,18 @@ def test_walk_tables_match_whole_shape_construction():
     assert seen == 3909
 
 
+def test_stage_members_of_given_codes_match_intersection():
+    # every walk node of at most 7 cells: all codes, then a seeded subset
+    rng = np.random.default_rng(7)
+    for ctx in _contexts({"max_cells": 7}, (0, 1)):
+        every = np.arange(1 << ctx.n, dtype=np.int64)
+        subset = np.sort(rng.choice(every, size=rng.integers(0, every.size + 1), replace=False))
+        for i in range(1, ctx.n + 1):
+            for codes in (every, subset):
+                got = ctx.stage_members(i, codes)
+                assert np.array_equal(got, np.intersect1d(ctx.stage_members(i), codes))
+
+
 @st.composite
 def gapped_skew_shapes(draw, max_blocks=3):
     """Skew shapes with at least one empty row: skew blocks stacked with

@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import binary_fillings, brute_chain, integer_fillings, skew_shapes
+from conftest import (
+    binary_fillings,
+    brute_chain,
+    integer_fillings,
+    mirror_filling_lr,
+    rotate_filling_180,
+    skew_shapes,
+)
 from skewfill._engine import support_chain_table
 from skewfill.enumeration import enum_moon_polyominoes
 from skewfill.fillings import (
@@ -17,13 +24,11 @@ from skewfill.fillings import (
     filling_kind,
     find_filling_occurrences,
     longest_chain,
-    mirror_filling_lr,
     parse_filling,
     parse_numeric_filling,
     pattern_library,
     render_filling,
     render_numeric_filling,
-    rotate_filling_180,
     skew_rectangles,
     sum_vector,
 )

@@ -4,8 +4,12 @@ from hypothesis import strategies as st
 
 from conftest import (
     all_subshapes_of_box,
+    contains_rect,
     ferrers_difference_shapes,
+    mirror_lr,
+    rotate_180,
     skew_shapes,
+    subshape,
 )
 from skewfill.enumeration import enum_moon_polyominoes
 from skewfill.fillings import skew_rectangles
@@ -16,8 +20,6 @@ from skewfill.shapes import (
     Shape,
     classify_shape,
     component_cell_sets,
-    connected_components,
-    contains_rect,
     dent_shape,
     find_shape_occurrences,
     is_connected,
@@ -28,12 +30,9 @@ from skewfill.shapes import (
     is_se_ferrers,
     is_skew,
     maximal_rectangles,
-    mirror_lr,
     normalize,
     parse_shape,
     render_shape,
-    rotate_180,
-    subshape,
 )
 
 DENT = dent_shape()
@@ -128,8 +127,6 @@ def test_connectivity():
     assert is_connected(DENT)
     two = normalize([(1, 1), (3, 3)])
     assert not is_connected(two)
-    comps = connected_components(two)
-    assert len(comps) == 2
     sets = component_cell_sets(two)
     assert {frozenset(c) for c in sets} == {frozenset({(1, 1)}), frozenset({(3, 3)})}
 
@@ -181,12 +178,6 @@ def test_no_dent_in_small_shapes():
         assert find_shape_occurrences(s, DENT) == []
 
 
-def test_contains_rect():
-    assert contains_rect(DENT, Rect(1, 2, 1, 2))
-    assert contains_rect(DENT, Rect(2, 3, 2, 3))
-    assert not contains_rect(DENT, Rect(1, 3, 1, 3))
-
-
 def test_maximal_rectangles_of_moon_shapes():
     square = normalize([(1, 1), (2, 1), (1, 2), (2, 2)])
     assert maximal_rectangles(square) == [Rect(1, 2, 1, 2)]
@@ -227,12 +218,6 @@ def test_skew_rectangles_are_maximal(s):
 def test_skew_rectangles_of_dent():
     rects = set(skew_rectangles(DENT))
     assert rects == {Rect(1, 2, 1, 2), Rect(2, 3, 2, 3), Rect(1, 3, 2, 2), Rect(2, 2, 1, 3)}
-
-
-def test_mirror_and_rotate_are_involutions():
-    for s in (DENT, normalize([(1, 1), (1, 2), (2, 2)])):
-        assert mirror_lr(mirror_lr(s)) == s
-        assert rotate_180(rotate_180(s)) == s
 
 
 @given(skew_shapes())

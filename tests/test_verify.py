@@ -157,6 +157,20 @@ def test_shape_parameter_respects_cell_cap(monkeypatch):
     assert verify("lemma_gi", shape="[(1,11)]").instances == 10
 
 
+def test_shape_budget_is_checked_before_the_shape_is_built(monkeypatch):
+    monkeypatch.delenv("SKEWFILL_BUDGET_OVERRIDE", raising=False)
+    built = []
+
+    def recording(intervals):
+        built.append(intervals)
+        raise AssertionError("a shape was built")
+
+    monkeypatch.setattr("skewfill.enumeration._interval_shape", recording)
+    with pytest.raises(BudgetError):
+        verify("genskew", shape="[(1,1000000000)]")
+    assert built == []
+
+
 def test_parameters_below_their_floor_rejected(monkeypatch):
     monkeypatch.setenv("SKEWFILL_BUDGET_OVERRIDE", "1")  # lifts no floor
     for prop, kw in (("cor_sskew", dict(refine_cells=-1)), ("cor_sskew", dict(kmax=0)),
@@ -290,6 +304,9 @@ def test_report_json_round_trip():
     r = verify("conjecture", max_cells=5)
     back = parse_report_json(format_report(r, fmt="json"))
     assert back == r
+    for text in ("[]", '"report"', "{}", '{"property": "thm_bp"}'):
+        with pytest.raises(ValueError):
+            parse_report_json(text)
 
 
 def test_report_csv_round_trip():
