@@ -14,8 +14,8 @@ import re
 import sys
 
 from .bijection import full_backward, full_forward, render_trace
-from .enumeration import EnumSpec, catalog_line, count_avoiders, enum_skew_shapes
-from .fillings import _TOKEN_RE, parse_filling, pattern_library, render_filling
+from .enumeration import EnumSpec, catalog_lines, count_avoiders
+from .fillings import TOKEN_RE, parse_filling, pattern_library, render_filling
 from .harness import PROPERTIES, check_budget, format_report, verify
 from .shapes import ParseError, classify_shape, parse_shape
 from .structure import ferrers_decompose, render_decomposition
@@ -49,7 +49,7 @@ def _read(path: str) -> str:
 def _pattern_arg(text: str):
     if text.startswith("@"):
         return parse_filling(_read(text[1:]))
-    m = _TOKEN_RE.fullmatch(text.strip())
+    m = TOKEN_RE.fullmatch(text.strip())
     if m is not None and m.group(2) is not None:
         check_budget("pattern size k", int(m.group(2)), 1, _PATTERN_CAP)
     pattern_library(text)  # validates the token
@@ -149,15 +149,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_enum_shapes(args) -> int:
     check_budget("enum-shapes: max_cells", args.max_cells, 1, _ENUM_SHAPES_CAP)
-    out = []
-    for n in range(1, args.max_cells + 1):
-        for s in enum_skew_shapes(
-            n,
-            connected=True if args.connected else None,
-            ds_free=True if args.ds_free else None,
-        ):
-            out.append(catalog_line(s))
-    print("\n".join(out))
+    print("\n".join(catalog_lines(args.max_cells, args.connected, args.ds_free)))
     return 0
 
 

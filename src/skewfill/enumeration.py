@@ -166,6 +166,18 @@ def _diagonal_prefix(intervals, room: int) -> bool:
     return a <= y <= b and d * (d + 1) <= 2 * room
 
 
+def _ferrers_prefix(intervals, room: int) -> bool:
+    """Prefix test of the NW Ferrers shapes (the partitions), for a list
+    whose parent passes it: the new top row starts at column 1.
+
+    In the catalog grammar a list is left-justified exactly when every row
+    starts at column 1, and then it is a NW Ferrers shape: row ends grow
+    upward, so every column reaches the top row.  room is not needed,
+    since every budget holds a one-column row.
+    """
+    return intervals[-1][0] == 1
+
+
 def _new_dent(intervals) -> bool:
     """Whether a placement of the dented shape has its top in the top row."""
     return len(intervals) > 2 and next(_top_row_dents(
@@ -185,35 +197,45 @@ def _joined(intervals) -> bool:
     return all(nxt[0] <= prev[1] for prev, nxt in zip(intervals, intervals[1:]))
 
 
-def _catalog_shapes(max_cells: int, shard=(0, 1), connected: bool | None = None,
-                    ds_free: bool | None = None, size: int | None = None):
-    """A shard's catalog shapes of at most max_cells cells (exactly size,
-    if given), in walk order, filtered as enum_skew_shapes filters.  The
-    True filters prune the walk; the False ones, which row prefixes do not
-    keep, filter its shapes."""
-    keep = None
-    if connected or ds_free:
-        keep = partial(_filter_prefix, connected=connected is True, ds_free=ds_free is True)
-    for intervals, used, mine in _catalog_walk(max_cells, shard, keep):
-        if not mine or (size is not None and used != size):
-            continue
-        if connected is False and _joined(intervals):
+def enum_skew_shapes(n: int, connected: bool | None = None, ds_free: bool | None = None):
+    """All normalized n-cell skew shapes without empty rows or columns.
+
+    Deterministic lexicographic order on the row-interval encoding.  The
+    optional flags filter by connectivity and by dent-freeness (tri-state:
+    None keeps everything).  The True filters prune the walk; the False
+    ones, which row prefixes do not keep, filter its shapes.
+    """
+    if n < 1:
+        raise ValueError("cell count must be positive")
+    for intervals, used, _ in _catalog_walk(n, keep=_flag_prefix(connected, ds_free)):
+        if used != n or connected is False and _joined(intervals):
             continue
         s = _interval_shape(intervals)
         if ds_free is not False or _contains_dent(s):
             yield s
 
 
-def enum_skew_shapes(n: int, connected: bool | None = None, ds_free: bool | None = None):
-    """All normalized n-cell skew shapes without empty rows or columns.
+def catalog_lines(max_cells: int, connected: bool, ds_free: bool) -> list[str]:
+    """The catalog lines of the shapes of at most max_cells cells, only
+    the connected or dent-free ones if asked: by cell count, and each
+    size in lexicographic order, as enum_skew_shapes lists it.  One walk,
+    and no shape is built."""
+    by_size = [[] for _ in range(max_cells + 1)]
+    for intervals, used, _ in _catalog_walk(max_cells, keep=_flag_prefix(connected, ds_free)):
+        by_size[used].append(_line(intervals))
+    return [line for lines in by_size for line in lines]
 
-    Deterministic lexicographic order on the row-interval encoding.  The
-    optional flags filter by connectivity and by dent-freeness (tri-state:
-    None keeps everything).
-    """
-    if n < 1:
-        raise ValueError("cell count must be positive")
-    yield from _catalog_shapes(n, connected=connected, ds_free=ds_free, size=n)
+
+def _flag_prefix(connected: bool | None, ds_free: bool | None):
+    """The prefix test of the True filters, or None if there is none."""
+    if connected or ds_free:
+        return partial(_filter_prefix, connected=connected is True, ds_free=ds_free is True)
+    return None
+
+
+def _line(intervals) -> str:
+    """The catalog line of a list of row intervals, bottom row first."""
+    return "[" + ",".join(f"({a},{b})" for a, b in intervals) + "]"
 
 
 def catalog_line(s: Shape) -> str:
@@ -225,7 +247,7 @@ def catalog_line(s: Shape) -> str:
     # the row is contiguous
     if sum(b - a + 1 for a, b in spans.values()) != s.size:
         raise ValueError("catalog notation requires contiguous rows")
-    return "[" + ",".join(f"({a},{b})" for a, b in spans.values()) + "]"
+    return _line(spans.values())
 
 
 def parse_catalog_line(text: str) -> Shape:

@@ -158,13 +158,14 @@ def render_numeric_filling(f: Filling) -> str:
 
 # --- pattern library ------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"(iota|delta)\s*([0-9]+)|fd|ds")
+# the tokens pattern_library takes; group 2 is the k of iota<k> or delta<k>
+TOKEN_RE = re.compile(r"(iota|delta)\s*([0-9]+)|fd|ds")
 
 
 @lru_cache(maxsize=64)
 def pattern_library(name: str) -> Filling:
     """Canonical patterns: iota<k>, delta<k>, fd, and the all-zero ds."""
-    m = _TOKEN_RE.fullmatch(name.strip())
+    m = TOKEN_RE.fullmatch(name.strip())
     if m is None:
         raise ParseError(f"unknown pattern token {name!r}")
     if m.group(1) is not None:

@@ -49,8 +49,11 @@ back.  The repeat test and the direct refined counts follow from the
 first two checks, so they run only when one of those fails (the argument
 is at _run_genskew).  A shape still reports every clause it fails.
 
-lem_ferrers builds each Ferrers shape's fillings once, and each of its
-(direction, region) chain tables once, for all of the shape's frames.
+lem_ferrers walks the partitions: the row prefixes whose rows all start
+at column 1, which are exactly the NW Ferrers shapes
+(enumeration._ferrers_prefix).  It builds each shape's fillings once,
+and each of its (direction, region) chain tables once, for all of the
+shape's frames.
 
 rubey compares a moon with each moon it turns into by swapping two
 adjacent columns.  A swap keeps the multiset of column intervals, so the
@@ -97,12 +100,12 @@ from ._engine import (
     support_index,
     value_matrix,
 )
-from .enumeration import EnumSpec, _admits_transversal, _catalog_intervals, _catalog_shapes, \
-    _catalog_walk, _diagonal_prefix, _filter_prefix, _value_rows, catalog_line, catalog_size, \
-    enum_moon_polyominoes, parse_catalog_line
+from .enumeration import EnumSpec, _admits_transversal, _catalog_intervals, _catalog_walk, \
+    _diagonal_prefix, _ferrers_prefix, _filter_prefix, _joined, _line, _value_rows, catalog_line, \
+    catalog_size, enum_moon_polyominoes, parse_catalog_line
 from .fillings import NE, SE
-from .shapes import Rect, Shape, _interval_shape, _kept_skew, dent_shape, is_connected, \
-    is_nw_ferrers, maximal_rectangles
+from .shapes import Rect, Shape, _interval_shape, _kept_skew, dent_shape, is_nw_ferrers, \
+    maximal_rectangles
 from .structure import DecompositionError, ferrers_decompose, is_ds_free, sum_permutations
 
 class BudgetError(ValueError):
@@ -189,19 +192,26 @@ def format_report(r: VerificationReport, fmt: str = "text") -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
+# each report field's type, as format_report writes it; a bool is no number
+_FIELD_TYPES = {"property": str, "params": dict, "instances": int, "failures": list,
+                "details": dict, "millis": (int, float)}
+
+
+def _typed_report(fields: dict) -> VerificationReport:
+    """The report of parsed fields, each of which must have its type."""
+    for name, kind in _FIELD_TYPES.items():
+        if not isinstance(fields[name], kind) or isinstance(fields[name], bool):
+            raise ValueError(f"report field {name!r} has the wrong type")
+    fields["elapsed_ms"] = fields.pop("millis")
+    return VerificationReport(**fields)
+
+
 def parse_report_json(text: str) -> VerificationReport:
     d = json.loads(text)
     if not isinstance(d, dict):
         raise ValueError("not a report JSON object")
     try:
-        return VerificationReport(
-            property=d["property"],
-            params=d["params"],
-            instances=d["instances"],
-            failures=d["failures"],
-            details=d["details"],
-            elapsed_ms=d["millis"],
-        )
+        return _typed_report({name: d[name] for name in _FIELD_TYPES})
     except KeyError as exc:
         raise ValueError(f"report JSON lacks the field {exc}") from None
 
@@ -210,15 +220,10 @@ def parse_report_csv(text: str) -> VerificationReport:
     rows = list(csv.reader(io.StringIO(text)))
     if len(rows) != 2 or rows[0][:5] != ["property", "params", "instances", "failures", "details"]:
         raise ValueError("not a report CSV")
-    _, params, instances, failures, details, millis = rows[1]
-    return VerificationReport(
-        property=rows[1][0],
-        params=json.loads(params),
-        instances=int(instances),
-        failures=json.loads(failures),
-        details=json.loads(details),
-        elapsed_ms=float(millis),
-    )
+    prop, params, instances, failures, details, millis = rows[1]
+    return _typed_report({"property": prop, "params": json.loads(params),
+                          "instances": int(instances), "failures": json.loads(failures),
+                          "details": json.loads(details), "millis": float(millis)})
 
 
 @dataclass(frozen=True)
@@ -244,41 +249,21 @@ class GammaFrame:
             raise ValueError(f"special counts ({self.k}, {self.l}) outside "
                              f"0..{k_adm} full-height columns and 0..{l_adm} equal top rows")
 
-    @property
-    def h(self) -> int:
-        return self.F.height
-
-    @property
-    def w(self) -> int:
-        return self.F.width
-
-    @property
-    def t(self) -> int:
-        return len(self.F.row_cols(self.h))
-
-    def c_rect(self, i: int) -> Rect:
-        return Rect(1, i, 1, self.h)
-
-    def c_prime_rect(self, i: int) -> Rect:
-        return Rect(self.k - i + 1, self.k, 1, self.h)
-
-    def r_rect(self, j: int) -> Rect:
-        return Rect(1, self.t, self.h - j + 1, self.h)
-
-    def r_prime_rect(self, j: int) -> Rect:
-        return Rect(1, self.t, self.h - self.l + 1, self.h - self.l + j)
-
-    def c_line(self, i: int) -> int:
-        return i
-
-    def c_prime_line(self, i: int) -> int:
-        return self.k + 1 - i
-
-    def r_line(self, j: int) -> int:
-        return self.h + 1 - j
-
-    def r_prime_line(self, j: int) -> int:
-        return self.h - self.l + j
+    def side(self, se: bool) -> tuple[list[Rect], list[int], list[int]]:
+        """The SE side's C_1..C_k, R_1..R_l (C_i the leftmost i special
+        columns, R_j the topmost j special rows) and their sum lines,
+        columns 1..k and rows h..h-l+1; or the NE side's C'_i (the
+        rightmost i), R'_j (the bottommost j) and columns k..1, rows
+        h-l+1..h."""
+        h, k, l = self.F.height, self.k, self.l
+        t = len(self.F.row_cols(h))
+        if se:
+            rects = [Rect(1, i, 1, h) for i in range(1, k + 1)]
+            rects += [Rect(1, t, h - j + 1, h) for j in range(1, l + 1)]
+            return rects, list(range(1, k + 1)), [h + 1 - j for j in range(1, l + 1)]
+        rects = [Rect(k - i + 1, k, 1, h) for i in range(1, k + 1)]
+        rects += [Rect(1, t, h - l + 1, h - l + j) for j in range(1, l + 1)]
+        return rects, [k + 1 - i for i in range(1, k + 1)], [h - l + j for j in range(1, l + 1)]
 
 
 def admissible_frame_counts(s: Shape) -> tuple[int, int]:
@@ -345,7 +330,7 @@ def _run_conjecture(params, shard):
         s = _interval_shape(intervals)
         for k, (ti, td) in zip(ks, _tr_counts(s, _transversals(s), ks)):
             if ti < td:
-                failures.append({"shape": catalog_line(s), "k": k,
+                failures.append({"shape": _line(intervals), "k": k,
                                  "iota": ti, "delta": td})
             elif ti > td:
                 strict += 1
@@ -416,12 +401,12 @@ def _run_cor_sskew(params, shard):
         if _admits_transversal(intervals):
             for k, (ti, td) in zip(ks, _tr_counts(s, _transversals(s), ks)):
                 if ti != td:
-                    failures.append({"shape": catalog_line(s), "k": k,
+                    failures.append({"shape": _line(intervals), "k": k,
                                      "iota": ti, "delta": td})
         if used <= params["refine_cells"]:
             refined_checked += 1
             for k in _refined_sum_check(s, params["kmax"], params["max_entry"]):
-                failures.append({"shape": catalog_line(s), "k": k,
+                failures.append({"shape": _line(intervals), "k": k,
                                  "clause": "refined sum classes"})
             instances += params["kmax"] - 1
     return {"instances": instances, "failures": failures,
@@ -472,17 +457,14 @@ def _run_lemma_gi(params, shard):
     for ctx in _contexts(params, shard):
         shapes += 1
         clauses = []
-        counts = ctx.stage_counts()
+        stages = [ctx.stage_members(i) for i in range(1, ctx.n + 1)]
+        counts = [int(g.size) for g in stages]
         if len(set(counts)) > 1:
             clauses.append({"clause": "stage sizes differ", "counts": counts})
-        members = ctx.stage_members(1)
         for i in range(1, ctx.n):
-            nxt = ctx.stage_members(i + 1)
-            image = ctx.apply_step(members, i)
             instances += 1
-            if not np.array_equal(np.sort(image), nxt):
+            if not np.array_equal(np.sort(ctx.apply_step(stages[i - 1], i)), stages[i]):
                 clauses.append({"clause": "step image", "i": i})
-            members = nxt
         failures += [{"shape": catalog_line(ctx.shape), **c} for c in clauses]
     return {"instances": instances, "failures": failures,
             "details": {"shapes": shapes}}
@@ -492,33 +474,25 @@ def _frame_signature(frame: GammaFrame, se_side: bool, tables: dict, sidx, rows,
     """One side's statistic columns over the fillings with supports sidx;
     tables keeps the shape's chain tables by (direction, region)."""
     direction = SE if se_side else NE
-    regions = [None]  # the whole shape, then C_i or C'_i, then R_j or R'_j
-    for i in range(1, frame.k + 1):
-        regions.append(frame.c_rect(i) if se_side else frame.c_prime_rect(i))
-    for j in range(1, frame.l + 1):
-        regions.append(frame.r_rect(j) if se_side else frame.r_prime_rect(j))
-    for r in regions:
+    rects, col_lines, row_lines = frame.side(se_side)
+    columns = []
+    for r in [None, *rects]:  # the whole shape, then the side's rectangles
         if (direction, r) not in tables:
             tables[direction, r] = support_chain_table(frame.F, direction, r)[sidx]
-    columns = [tables[direction, r] for r in regions]
-    for i in range(1, frame.k + 1):
-        line = frame.c_line(i) if se_side else frame.c_prime_line(i)
-        columns.append(cols[:, line - 1])
-    for j in range(1, frame.l + 1):
-        line = frame.r_line(j) if se_side else frame.r_prime_line(j)
-        columns.append(rows[:, line - 1])
-    for x in range(frame.k + 1, frame.w + 1):
-        columns.append(cols[:, x - 1])
-    for y in range(1, frame.h - frame.l + 1):
-        columns.append(rows[:, y - 1])
+        columns.append(tables[direction, r])
+    columns += [cols[:, x - 1] for x in col_lines]
+    columns += [rows[:, y - 1] for y in row_lines]
+    columns += [cols[:, x - 1] for x in range(frame.k + 1, frame.F.width + 1)]
+    columns += [rows[:, y - 1] for y in range(1, frame.F.height - frame.l + 1)]
     return np.column_stack(columns)
 
 
 def _run_lem_ferrers(params, shard):
     instances, failures = 0, []
-    for s in _catalog_shapes(params["max_cells"], shard, connected=True):
-        if not is_nw_ferrers(s):
+    for intervals, _, mine in _catalog_walk(params["max_cells"], shard, _ferrers_prefix):
+        if not mine:
             continue
+        s = _interval_shape(intervals)
         rows, cols, sidx = _capped_fillings(s, params["max_entry"])
         tables = {}
         k_adm, l_adm = admissible_frame_counts(s)
@@ -529,7 +503,7 @@ def _run_lem_ferrers(params, shard):
                 ne_sig = _frame_signature(frame, False, tables, sidx, rows, cols)
                 instances += 1
                 if not multiset_equal(se_sig, ne_sig):
-                    failures.append({"shape": catalog_line(s), "k": k, "l": l})
+                    failures.append({"shape": _line(intervals), "k": k, "l": l})
     return {"instances": instances, "failures": failures,
             "details": {"level": "statistic multisets"}}
 
@@ -598,30 +572,31 @@ def _run_ds_free_oracle(params, shard):
     instances, failures = 0, []
     dent_free = 0
     decomposed = 0
-    for s in _catalog_shapes(params["max_cells"], shard):
+    for intervals, _, mine in _catalog_walk(params["max_cells"], shard):
+        if not mine:
+            continue
+        s = _interval_shape(intervals)
         instances += 1
-        line = None
         by_pattern = is_ds_free(s, "pattern")
         by_rect = is_ds_free(s, "rectangle")
         if by_pattern != by_rect:
-            line = catalog_line(s)
-            failures.append({"shape": line, "clause": "criteria disagree",
+            failures.append({"shape": _line(intervals), "clause": "criteria disagree",
                              "pattern": by_pattern, "rectangle": by_rect})
         if by_pattern:
             dent_free += 1
-        if not is_connected(s):
+        if not _joined(intervals):
             continue
         try:
             ferrers_decompose(s)
         except DecompositionError as exc:
             if by_pattern:
-                failures.append({"shape": catalog_line(s),
+                failures.append({"shape": _line(intervals),
                                  "clause": "decompose failed", "error": str(exc)})
             continue
         if by_pattern:
             decomposed += 1
         else:
-            failures.append({"shape": catalog_line(s),
+            failures.append({"shape": _line(intervals),
                              "clause": "decompose succeeded on dented shape"})
     return {"instances": instances, "failures": failures,
             "details": {"dent_free": dent_free, "decomposed": decomposed}}

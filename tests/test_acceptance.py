@@ -8,8 +8,6 @@ to watch the lines appear; the whole suite is sized for a single core.
 import itertools
 import time
 
-import pytest
-
 from skewfill.bijection import cell_labels, full_backward, full_forward, in_G
 from skewfill.enumeration import EnumSpec, count_avoiders, enum_skew_shapes
 from skewfill.fillings import Filling, sum_vector

@@ -18,7 +18,7 @@ from skewfill.bijection import (
 )
 from skewfill.enumeration import enum_skew_shapes
 from skewfill.fillings import NE, SE, Filling, avoids, longest_chain, sum_vector
-from skewfill.shapes import dent_shape, normalize
+from skewfill.shapes import dent_shape
 
 DENT = dent_shape()
 LABELS = cell_labels(DENT)

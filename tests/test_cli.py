@@ -2,7 +2,7 @@ import pytest
 
 from skewfill import cli
 from skewfill.cli import main
-from skewfill.enumeration import EnumSpec, count_avoiders
+from skewfill.enumeration import EnumSpec, catalog_line, count_avoiders, enum_skew_shapes
 from skewfill.fillings import pattern_library
 from skewfill.harness import parse_report_csv, parse_report_json
 from skewfill.shapes import classify_shape, parse_shape
@@ -170,6 +170,18 @@ def test_enum_shapes_filters(capsys):
     assert len(out.splitlines()) == 1 + 2 + 4 + 9
 
 
+@pytest.mark.parametrize("flags", [(), ("--connected",), ("--ds-free",),
+                                   ("--connected", "--ds-free")])
+def test_enum_shapes_lists_each_size_as_enum_skew_shapes(capsys, flags):
+    connected = True if "--connected" in flags else None
+    ds_free = True if "--ds-free" in flags else None
+    want = []
+    for n in range(1, 9):
+        want += [catalog_line(s) for s in enum_skew_shapes(n, connected, ds_free)]
+        code, out, _ = run(capsys, "enum-shapes", "--max-cells", str(n), *flags)
+        assert (code, out) == (0, "\n".join(want) + "\n")
+
+
 def test_enum_shapes_rejects_nonpositive(capsys):
     code, _, err = run(capsys, "enum-shapes", "--max-cells", "0")
     assert code == 2 and err.startswith("error:")
@@ -177,21 +189,21 @@ def test_enum_shapes_rejects_nonpositive(capsys):
 
 def test_enum_shapes_capped_at_twelve_cells(capsys, monkeypatch):
     monkeypatch.delenv("SKEWFILL_BUDGET_OVERRIDE", raising=False)
-    listed = []
+    walked = []
 
-    def no_shapes(n, connected=None, ds_free=None):
-        listed.append(n)
-        return iter(())
+    def no_lines(max_cells, connected, ds_free):
+        walked.append(max_cells)
+        return []
 
-    monkeypatch.setattr("skewfill.cli.enum_skew_shapes", no_shapes)
+    monkeypatch.setattr("skewfill.cli.catalog_lines", no_lines)
     code, out, err = run(capsys, "enum-shapes", "--max-cells", "13")
     assert (code, out) == (2, "") and "exceeds cap 12" in err
-    assert listed == []
+    assert walked == []
     assert run(capsys, "enum-shapes", "--max-cells", "12")[0] == 0
-    assert listed == list(range(1, 13))
+    assert walked == [12]
     monkeypatch.setenv("SKEWFILL_BUDGET_OVERRIDE", "1")
     assert run(capsys, "enum-shapes", "--max-cells", "13")[0] == 0
-    assert listed[12:] == list(range(1, 14))
+    assert walked == [12, 13]
 
 
 def test_bijection_forward_with_trace(capsys, tmp_path):

@@ -1,5 +1,6 @@
 import ast
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import partial
 
@@ -11,8 +12,8 @@ from skewfill.enumeration import (
     _admits_transversal,
     _catalog_walk,
     _diagonal_prefix,
+    _ferrers_prefix,
     _filter_prefix,
-    _joined,
     catalog_size,
     catalog_line,
     count_avoiders,
@@ -30,6 +31,7 @@ from skewfill.shapes import (
     dent_shape,
     is_connected,
     is_moon,
+    is_nw_ferrers,
     is_skew,
     maximal_rectangles,
     normalize,
@@ -342,15 +344,18 @@ def walk(max_cells, keep=None, shard=(0, 1)):
     return [iv for iv, _, mine in _catalog_walk(max_cells, shard, keep) if mine]
 
 
+Listed = namedtuple("Listed", "intervals cells transversal connected ds_free ferrers")
+
+
 @pytest.fixture(scope="module")
 def full_catalog():
-    """The unpruned walk to WALK_CELLS cells: (intervals, cells, admits a
-    transversal, connected, dent-free) per list, in walk order, each flag
-    from its reference test."""
+    """The unpruned walk to WALK_CELLS cells: one Listed per list, in walk
+    order, each flag from its reference test on the list's cells."""
     out = []
     for iv, used, _ in _catalog_walk(WALK_CELLS):
         s = _interval_shape(iv)
-        out.append((iv, used, _transversals(s).size > 0, _joined(iv), not _contains_dent(s)))
+        out.append(Listed(iv, used, _transversals(s).size > 0, is_connected(s),
+                          not _contains_dent(s), is_nw_ferrers(s)))
     return out
 
 
@@ -379,13 +384,18 @@ def test_diagonal_walk_yields_the_shapes_with_a_transversal(full_catalog):
         assert set(pruned) == prefixes
 
 
-@pytest.mark.parametrize("connected,ds_free", [(True, True), (True, False), (False, True)])
-def test_filter_walk_yields_the_filtered_catalog(full_catalog, connected, ds_free):
-    keep = partial(_filter_prefix, connected=connected, ds_free=ds_free)
+@pytest.mark.parametrize("keep,passes", [
+    pytest.param(partial(_filter_prefix, connected=True, ds_free=True),
+                 lambda x: x.connected and x.ds_free, id="True-True"),
+    pytest.param(partial(_filter_prefix, connected=True, ds_free=False),
+                 lambda x: x.connected, id="True-False"),
+    pytest.param(partial(_filter_prefix, connected=False, ds_free=True),
+                 lambda x: x.ds_free, id="False-True"),
+    pytest.param(_ferrers_prefix, lambda x: x.ferrers, id="ferrers"),
+])
+def test_filter_walk_yields_the_filtered_catalog(full_catalog, keep, passes):
     for n in range(1, WALK_CELLS + 1):
-        want = [iv for iv, used, _, joined, free in full_catalog
-                if used <= n and (joined or not connected) and (free or not ds_free)]
-        assert walk(n, keep) == want
+        assert walk(n, keep) == [x.intervals for x in full_catalog if x.cells <= n and passes(x)]
 
 
 @pytest.mark.parametrize("keep", [
@@ -393,6 +403,7 @@ def test_filter_walk_yields_the_filtered_catalog(full_catalog, connected, ds_fre
     _diagonal_prefix,
     partial(_filter_prefix, connected=True, ds_free=True),
     partial(_filter_prefix, connected=True, ds_free=False),
+    _ferrers_prefix,
 ])
 def test_shards_of_a_pruned_walk_split_its_lists(keep):
     everything = walk(8, keep)

@@ -1,8 +1,5 @@
-import itertools
-
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import (
     binary_fillings,
@@ -39,7 +36,6 @@ from skewfill.shapes import (
     is_skew,
     maximal_rectangles,
     normalize,
-    parse_shape,
 )
 
 DENT = dent_shape()

@@ -1,6 +1,5 @@
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from hypothesis import given
 
 from conftest import (
     all_subshapes_of_box,
@@ -17,7 +16,6 @@ from skewfill.shapes import (
     Occurrence,
     ParseError,
     Rect,
-    Shape,
     classify_shape,
     component_cell_sets,
     dent_shape,

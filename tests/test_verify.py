@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -304,7 +305,10 @@ def test_report_json_round_trip():
     r = verify("conjecture", max_cells=5)
     back = parse_report_json(format_report(r, fmt="json"))
     assert back == r
-    for text in ("[]", '"report"', "{}", '{"property": "thm_bp"}'):
+    for text in ("[]", '"report"', "{}", '{"property": "thm_bp"}',
+                 '{"property": 1, "params": 2, "instances": "x", "failures": 5, '
+                 '"details": 6, "millis": "z"}',
+                 json.dumps(dict(json.loads(format_report(r, fmt="json")), instances=True))):
         with pytest.raises(ValueError):
             parse_report_json(text)
 
@@ -313,8 +317,13 @@ def test_report_csv_round_trip():
     r = verify("rubey", max_cells=5)
     back = parse_report_csv(format_report(r, fmt="csv"))
     assert back == r
-    with pytest.raises(ValueError):
-        parse_report_csv("property,extra\nx,y\n")
+    header = "property,params,instances,failures,details,millis\n"
+    for text in ("property,extra\nx,y\n",
+                 header + 'thm_bp,1,3,"[]",{},0.0\n',
+                 header + 'thm_bp,{},3,{},{},0.0\n',
+                 header + 'thm_bp,{},3,"[]",[],0.0\n'):
+        with pytest.raises(ValueError):
+            parse_report_csv(text)
 
 
 def test_format_report_unknown_format():
@@ -326,13 +335,18 @@ def test_format_report_unknown_format():
 def test_gamma_frame_geometry():
     f = shape_from_intervals([(1, 2), (1, 4), (1, 4)])
     frame = GammaFrame(F=f, k=2, l=2)
-    assert frame.h == 3 and frame.w == 4 and frame.t == 4
-    assert frame.c_rect(1) == Rect(1, 1, 1, 3)
-    assert frame.c_prime_rect(1) == Rect(2, 2, 1, 3)
-    assert frame.r_rect(1) == Rect(1, 4, 3, 3)
-    assert frame.r_prime_rect(1) == Rect(1, 4, 2, 2)
-    assert frame.c_line(2) == 2 and frame.c_prime_line(2) == 1
-    assert frame.r_line(1) == 3 and frame.r_prime_line(2) == 3
+    # C_1, C_2, R_1, R_2 over columns 1..2 and the top row's 4 columns
+    assert frame.side(True) == (
+        [Rect(1, 1, 1, 3), Rect(1, 2, 1, 3), Rect(1, 4, 3, 3), Rect(1, 4, 2, 3)],
+        [1, 2],
+        [3, 2],
+    )
+    # C'_1, C'_2, R'_1, R'_2
+    assert frame.side(False) == (
+        [Rect(2, 2, 1, 3), Rect(1, 2, 1, 3), Rect(1, 4, 2, 2), Rect(1, 4, 2, 3)],
+        [2, 1],
+        [2, 3],
+    )
 
 
 def test_gamma_frame_validation():
@@ -368,7 +382,6 @@ def test_sum_capped_family_is_closed_but_plain_cap_is_not():
     import numpy as np
 
     from skewfill._engine import line_sums, sum_capped_mask, value_matrix
-    from skewfill.fillings import sum_vector
 
     square = shape_from_intervals([(1, 2), (1, 2)])
     values = value_matrix(4, 3)
