@@ -41,7 +41,6 @@ from .fillings import (
 )
 from .harness import (
     BudgetError,
-    GammaFrame,
     VerificationReport,
     check_budget,
     format_report,
@@ -72,12 +71,10 @@ from .shapes import (
 from .structure import (
     Decomposition,
     DecompositionError,
-    SpecialBlocks,
     SumPermutations,
     ferrers_decompose,
     is_ds_free,
     render_decomposition,
-    special_blocks,
     sum_permutations,
     validate_decomposition,
 )

@@ -270,7 +270,7 @@ def _catalog_intervals(text: str) -> tuple:
     a, b = 1, 0
     for pair in intervals:
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2
-                and all(isinstance(v, int) for v in pair)
+                and all(isinstance(v, int) and not isinstance(v, bool) for v in pair)
                 and a <= pair[0] <= b + 1 and pair[1] >= max(pair[0], b)):
             raise ValueError(f"interval {pair!r} breaks the catalog grammar")
         a, b = pair

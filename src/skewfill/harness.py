@@ -51,9 +51,11 @@ is at _run_genskew).  A shape still reports every clause it fails.
 
 lem_ferrers walks the partitions: the row prefixes whose rows all start
 at column 1, which are exactly the NW Ferrers shapes
-(enumeration._ferrers_prefix).  It builds each shape's fillings once,
-and each of its (direction, region) chain tables once, for all of the
-shape's frames.
+(enumeration._ferrers_prefix).  A frame is a pair (k, l) of special
+column and row counts, bounded by the partition's rows: the full-height
+columns and the rows as long as the top row.  It builds each shape's
+fillings once, and each of its (direction, region) chain tables once,
+for all of the shape's frames.
 
 rubey compares a moon with each moon it turns into by swapping two
 adjacent columns.  A swap keeps the multiset of column intervals, so the
@@ -104,8 +106,7 @@ from .enumeration import EnumSpec, _admits_transversal, _catalog_intervals, _cat
     _diagonal_prefix, _ferrers_prefix, _filter_prefix, _joined, _line, _value_rows, catalog_line, \
     catalog_size, enum_moon_polyominoes, parse_catalog_line
 from .fillings import NE, SE
-from .shapes import Rect, Shape, _interval_shape, _kept_skew, dent_shape, is_nw_ferrers, \
-    maximal_rectangles
+from .shapes import Rect, Shape, _interval_shape, _kept_skew, dent_shape, maximal_rectangles
 from .structure import DecompositionError, ferrers_decompose, is_ds_free, sum_permutations
 
 class BudgetError(ValueError):
@@ -115,10 +116,13 @@ class BudgetError(ValueError):
 def check_budget(what: str, value: int, floor: int, cap: int, unlock: bool = True) -> None:
     """Refuse a value from outside the program that is out of its range.
 
-    Below the floor raises ValueError, with or without the override.
-    Above the cap raises BudgetError, unless unlock is set and
+    A value that is not an int, or is a bool, raises ValueError.  Below
+    the floor raises ValueError, with or without the override.  Above the
+    cap raises BudgetError, unless unlock is set and
     SKEWFILL_BUDGET_OVERRIDE=1.
     """
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what}={value!r} is not an integer")
     if value < floor:
         raise ValueError(f"{what}={value} is below {floor}")
     if value > cap and not (unlock and os.environ.get("SKEWFILL_BUDGET_OVERRIDE") == "1"):
@@ -149,6 +153,12 @@ def _kv(d: dict) -> str:
     return ", ".join(f"{k}={json.dumps(d[k], sort_keys=True)}" for k in sorted(d))
 
 
+# each report field, in the order format_report writes it, with its type;
+# a bool is no number
+_FIELD_TYPES = {"property": str, "params": dict, "instances": int, "failures": list,
+                "details": dict, "millis": (int, float)}
+
+
 def format_report(r: VerificationReport, fmt: str = "text") -> str:
     if fmt == "text":
         lines = [
@@ -177,7 +187,7 @@ def format_report(r: VerificationReport, fmt: str = "text") -> str:
     if fmt == "csv":
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["property", "params", "instances", "failures", "details", "millis"])
+        w.writerow(_FIELD_TYPES)
         w.writerow(
             [
                 r.property,
@@ -190,11 +200,6 @@ def format_report(r: VerificationReport, fmt: str = "text") -> str:
         )
         return buf.getvalue()
     raise ValueError(f"unknown format {fmt!r}")
-
-
-# each report field's type, as format_report writes it; a bool is no number
-_FIELD_TYPES = {"property": str, "params": dict, "instances": int, "failures": list,
-                "details": dict, "millis": (int, float)}
 
 
 def _typed_report(fields: dict) -> VerificationReport:
@@ -218,65 +223,12 @@ def parse_report_json(text: str) -> VerificationReport:
 
 def parse_report_csv(text: str) -> VerificationReport:
     rows = list(csv.reader(io.StringIO(text)))
-    if len(rows) != 2 or rows[0][:5] != ["property", "params", "instances", "failures", "details"]:
+    if len(rows) != 2 or rows[0] != list(_FIELD_TYPES) or len(rows[1]) != len(_FIELD_TYPES):
         raise ValueError("not a report CSV")
     prop, params, instances, failures, details, millis = rows[1]
     return _typed_report({"property": prop, "params": json.loads(params),
                           "instances": int(instances), "failures": json.loads(failures),
                           "details": json.loads(details), "millis": float(millis)})
-
-
-@dataclass(frozen=True)
-class GammaFrame:
-    """A NW Ferrers shape with k special columns and l special rows.
-
-    The special columns are the leftmost k (all spanning the full
-    height), the special rows the topmost l (all of equal length t).
-    The frame fixes the rectangles whose chain statistics are compared:
-    C_i / C'_i over the special columns and R_j / R'_j over the special
-    rows, along with the matched sum lines.
-    """
-
-    F: Shape
-    k: int
-    l: int
-
-    def __post_init__(self):
-        if not is_nw_ferrers(self.F):
-            raise ValueError("frame base must be a NW Ferrers shape")
-        k_adm, l_adm = admissible_frame_counts(self.F)
-        if not (0 <= self.k <= k_adm and 0 <= self.l <= l_adm):
-            raise ValueError(f"special counts ({self.k}, {self.l}) outside "
-                             f"0..{k_adm} full-height columns and 0..{l_adm} equal top rows")
-
-    def side(self, se: bool) -> tuple[list[Rect], list[int], list[int]]:
-        """The SE side's C_1..C_k, R_1..R_l (C_i the leftmost i special
-        columns, R_j the topmost j special rows) and their sum lines,
-        columns 1..k and rows h..h-l+1; or the NE side's C'_i (the
-        rightmost i), R'_j (the bottommost j) and columns k..1, rows
-        h-l+1..h."""
-        h, k, l = self.F.height, self.k, self.l
-        t = len(self.F.row_cols(h))
-        if se:
-            rects = [Rect(1, i, 1, h) for i in range(1, k + 1)]
-            rects += [Rect(1, t, h - j + 1, h) for j in range(1, l + 1)]
-            return rects, list(range(1, k + 1)), [h + 1 - j for j in range(1, l + 1)]
-        rects = [Rect(k - i + 1, k, 1, h) for i in range(1, k + 1)]
-        rects += [Rect(1, t, h - l + 1, h - l + j) for j in range(1, l + 1)]
-        return rects, [k + 1 - i for i in range(1, k + 1)], [h - l + j for j in range(1, l + 1)]
-
-
-def admissible_frame_counts(s: Shape) -> tuple[int, int]:
-    """Largest k and l for which GammaFrame(s, k, l) is valid."""
-    h = s.height
-    k = 0
-    while k < s.width and len(s.col_rows(k + 1)) == h:
-        k += 1
-    t = len(s.row_cols(h))
-    l = 0
-    while l < h and len(s.row_cols(h - l)) == t:
-        l += 1
-    return k, l
 
 
 # --- runners ---------------------------------------------------------------
@@ -470,20 +422,43 @@ def _run_lemma_gi(params, shard):
             "details": {"shapes": shapes}}
 
 
-def _frame_signature(frame: GammaFrame, se_side: bool, tables: dict, sidx, rows, cols):
-    """One side's statistic columns over the fillings with supports sidx;
-    tables keeps the shape's chain tables by (direction, region)."""
+def _frame_side(h: int, t: int, k: int, l: int,
+                se: bool) -> tuple[list[Rect], list[int], list[int]]:
+    """One side's rectangles and sum lines of a frame on a NW Ferrers shape
+    of height h whose top row has length t.
+
+    The frame's special columns are the leftmost k (all spanning the full
+    height), its special rows the topmost l (all of length t).  The SE
+    side gives C_1..C_k, R_1..R_l (C_i the leftmost i special columns,
+    R_j the topmost j special rows) and their sum lines, columns 1..k and
+    rows h..h-l+1; the NE side gives C'_i (the rightmost i), R'_j (the
+    bottommost j) and columns k..1, rows h-l+1..h.
+    """
+    if se:
+        rects = [Rect(1, i, 1, h) for i in range(1, k + 1)]
+        rects += [Rect(1, t, h - j + 1, h) for j in range(1, l + 1)]
+        return rects, list(range(1, k + 1)), [h + 1 - j for j in range(1, l + 1)]
+    rects = [Rect(k - i + 1, k, 1, h) for i in range(1, k + 1)]
+    rects += [Rect(1, t, h - l + 1, h - l + j) for j in range(1, l + 1)]
+    return rects, [k + 1 - i for i in range(1, k + 1)], [h - l + j for j in range(1, l + 1)]
+
+
+def _frame_signature(s: Shape, k: int, l: int, se_side: bool, tables: dict, sidx, rows, cols):
+    """One side's statistic columns of the frame (k, l) on the partition s,
+    over the fillings with supports sidx; tables keeps the shape's chain
+    tables by (direction, region).  A partition's top row is its widest,
+    so its length is s.width."""
     direction = SE if se_side else NE
-    rects, col_lines, row_lines = frame.side(se_side)
+    rects, col_lines, row_lines = _frame_side(s.height, s.width, k, l, se_side)
     columns = []
     for r in [None, *rects]:  # the whole shape, then the side's rectangles
         if (direction, r) not in tables:
-            tables[direction, r] = support_chain_table(frame.F, direction, r)[sidx]
+            tables[direction, r] = support_chain_table(s, direction, r)[sidx]
         columns.append(tables[direction, r])
     columns += [cols[:, x - 1] for x in col_lines]
     columns += [rows[:, y - 1] for y in row_lines]
-    columns += [cols[:, x - 1] for x in range(frame.k + 1, frame.F.width + 1)]
-    columns += [rows[:, y - 1] for y in range(1, frame.F.height - frame.l + 1)]
+    columns += [cols[:, x - 1] for x in range(k + 1, s.width + 1)]
+    columns += [rows[:, y - 1] for y in range(1, s.height - l + 1)]
     return np.column_stack(columns)
 
 
@@ -495,12 +470,15 @@ def _run_lem_ferrers(params, shard):
         s = _interval_shape(intervals)
         rows, cols, sidx = _capped_fillings(s, params["max_entry"])
         tables = {}
-        k_adm, l_adm = admissible_frame_counts(s)
+        # The rows all start at column 1 and their ends grow upward, so
+        # the columns spanning the full height are 1..b_1, and the rows as
+        # long as the top row are the topmost ones ending where it ends.
+        k_adm = intervals[0][1]
+        l_adm = sum(b == intervals[-1][1] for _, b in intervals)
         for k in range(0, min(k_adm, params["kmax"]) + 1):
             for l in range(0, min(l_adm, params["lmax"]) + 1):
-                frame = GammaFrame(s, k, l)
-                se_sig = _frame_signature(frame, True, tables, sidx, rows, cols)
-                ne_sig = _frame_signature(frame, False, tables, sidx, rows, cols)
+                se_sig = _frame_signature(s, k, l, True, tables, sidx, rows, cols)
+                ne_sig = _frame_signature(s, k, l, False, tables, sidx, rows, cols)
                 instances += 1
                 if not multiset_equal(se_sig, ne_sig):
                     failures.append({"shape": _line(intervals), "k": k, "l": l})
@@ -646,9 +624,10 @@ def verify(prop: str, **params) -> VerificationReport:
     Keyword params are property-specific ranges (max_cells, kmax, lmax,
     refine_cells, max_entry) plus jobs and, for genskew/lemma_gi, an
     optional single shape (catalog line or Shape).  Each given value goes
-    through check_budget: below its floor (1, or 0 for refine_cells and
-    lem_ferrers' kmax and lmax) it raises ValueError, and above its cap
-    BudgetError unless SKEWFILL_BUDGET_OVERRIDE=1.  A single shape is
+    through check_budget: a value that is not an int, or is a bool, raises
+    ValueError, and so does one below its floor (1, or 0 for refine_cells
+    and lem_ferrers' kmax and lmax); above its cap it raises BudgetError
+    unless SKEWFILL_BUDGET_OVERRIDE=1.  A single shape is
     budgeted by its cells against the max_cells cap.  jobs runs from 1 to
     64, and no override lifts that cap.
     """
@@ -657,7 +636,7 @@ def verify(prop: str, **params) -> VerificationReport:
     budgets = _PROPERTIES[prop][1]
     effective = {name: default for name, (_, default, _) in budgets.items()
                  if default is not None}
-    jobs = int(params.pop("jobs", 1))
+    jobs = params.pop("jobs", 1)
     for key, val in params.items():
         if key not in budgets:
             raise ValueError(f"property {prop} does not take parameter {key!r}")
@@ -668,7 +647,6 @@ def verify(prop: str, **params) -> VerificationReport:
                 cells = sum(b - a + 1 for a, b in _catalog_intervals(val))
                 check_budget(f"{prop}: shape cells", cells, floor, cap)
         else:
-            val = int(val)
             check_budget(f"{prop}: {key}", val, floor, cap)
         effective[key] = val
     check_budget("jobs", jobs, 1, _MAX_JOBS, unlock=False)

@@ -187,8 +187,7 @@ def validate_decomposition(s: Shape, d: Decomposition) -> bool:
             c = max(x for x, _ in f)
             if min(x for x, _ in rest) != c + 1:
                 return False
-            right_col = max(x for x, _ in f)
-            col_bottom = min(y for x, y in f if x == right_col)
+            col_bottom = min(y for x, y in f if x == c)
             if min(y for _, y in rest) < col_bottom:
                 return False
         elif k < n - 1 or gs[k]:
@@ -201,8 +200,7 @@ def validate_decomposition(s: Shape, d: Decomposition) -> bool:
             r = max(y for _, y in g)
             if min(y for _, y in rest) != r + 1:
                 return False
-            top_row = max(y for _, y in g)
-            row_left = min(x for x, y in g if y == top_row)
+            row_left = min(x for x, y in g if y == r)
             if min(x for x, _ in rest) < row_left:
                 return False
         elif k < n - 1:
@@ -232,40 +230,6 @@ def validate_decomposition(s: Shape, d: Decomposition) -> bool:
 
 
 @dataclass(frozen=True)
-class SpecialBlocks:
-    """Runs of shared row indices (F_i with G_i) and column indices
-    (G_i with F_{i+1}), in host coordinates."""
-
-    row_blocks: tuple[tuple[int, ...], ...]
-    col_blocks: tuple[tuple[int, ...], ...]
-
-
-def _component_blocks(s: Shape) -> list[list[frozenset[Cell]]]:
-    _require_skew(s)
-    return [_split_blocks(comp) for comp in component_cell_sets(s)]
-
-
-def special_blocks(s: Shape) -> SpecialBlocks:
-    """Shared-index runs of the decomposition, per connected component."""
-    row_blocks = []
-    col_blocks = []
-    for blocks in _component_blocks(s):
-        fs, gs = blocks[0::2], blocks[1::2]
-        for f, g in zip(fs, gs):
-            shared = sorted({y for _, y in f} & {y for _, y in g})
-            if shared:
-                row_blocks.append(tuple(shared))
-        for g, f2 in zip(gs, fs[1:]):
-            shared = sorted({x for x, _ in g} & {x for x, _ in f2})
-            if shared:
-                col_blocks.append(tuple(shared))
-    for block in row_blocks + col_blocks:
-        if block[-1] - block[0] + 1 != len(block):
-            raise AssertionError(f"special block {block} is not contiguous")
-    return SpecialBlocks(tuple(sorted(row_blocks)), tuple(sorted(col_blocks)))
-
-
-@dataclass(frozen=True)
 class SumPermutations:
     """Row and column permutations, 1-based images in index order."""
 
@@ -273,26 +237,28 @@ class SumPermutations:
     sigma: tuple[int, ...]
 
 
-def _reversing_permutation(size: int, blocks) -> tuple[int, ...]:
-    perm = list(range(1, size + 1))
-    for block in blocks:
-        lo, hi = block[0], block[-1]
-        for offset in range(hi - lo + 1):
-            perm[lo - 1 + offset] = hi - offset
-    return tuple(perm)
-
-
 def sum_permutations(s: Shape) -> SumPermutations:
     """The row/column involutions that transport sum vectors.
 
-    Built by reversing each special block; disconnected shapes contribute
-    blocks per component.
+    Built by reversing each special block: each run of rows shared by F_i
+    and G_i, and each run of columns shared by G_i and F_{i+1}, taken per
+    connected component.
     """
-    sb = special_blocks(s)
-    return SumPermutations(
-        rho=_reversing_permutation(s.height, sb.row_blocks),
-        sigma=_reversing_permutation(s.width, sb.col_blocks),
-    )
+    _require_skew(s)
+    rho, sigma = list(range(1, s.height + 1)), list(range(1, s.width + 1))
+    for comp in component_cell_sets(s):
+        blocks = _split_blocks(comp)
+        fs, gs = blocks[0::2], blocks[1::2]
+        runs = [(rho, {y for _, y in f} & {y for _, y in g}) for f, g in zip(fs, gs)]
+        runs += [(sigma, {x for x, _ in g} & {x for x, _ in f}) for g, f in zip(gs, fs[1:])]
+        for perm, run in runs:
+            if not run:
+                continue
+            lo, hi = min(run), max(run)
+            if hi - lo + 1 != len(run):
+                raise AssertionError(f"special block {sorted(run)} is not contiguous")
+            perm[lo - 1:hi] = range(hi, lo - 1, -1)
+    return SumPermutations(tuple(rho), tuple(sigma))
 
 
 def render_decomposition(d: Decomposition) -> str:

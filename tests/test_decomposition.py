@@ -7,12 +7,10 @@ from skewfill.shapes import dent_shape, is_connected, normalize
 from skewfill.structure import (
     Decomposition,
     DecompositionError,
-    SpecialBlocks,
     SumPermutations,
     ferrers_decompose,
     is_ds_free,
     render_decomposition,
-    special_blocks,
     sum_permutations,
     validate_decomposition,
 )
@@ -146,18 +144,6 @@ def test_validate_rejects_incomplete_cover():
 def test_validate_rejects_odd_block_count():
     d = ferrers_decompose(STAIRCASE)
     assert not validate_decomposition(STAIRCASE, Decomposition(d.blocks[:3], (1, 3), (1,)))
-
-
-def test_special_blocks_staircase():
-    assert special_blocks(STAIRCASE) == SpecialBlocks(
-        row_blocks=((1,),), col_blocks=((2,),)
-    )
-
-
-def test_special_blocks_three_stage():
-    assert special_blocks(THREE_STAGE) == SpecialBlocks(
-        row_blocks=((1,), (2,)), col_blocks=((2,), (3, 4))
-    )
 
 
 def test_sum_permutations_ferrers_identity():

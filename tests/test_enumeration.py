@@ -142,6 +142,7 @@ def test_parse_catalog_line_errors():
         "[]",
         "[(1,2),(5,6)]",  # skips columns 4 and 5
         "[(1,2),(0,3)]",  # left endpoint moves left: not skew
+        "[(True,True)]",  # a bool is no column number
     ):
         with pytest.raises(ValueError):
             parse_catalog_line(text)

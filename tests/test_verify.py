@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 
@@ -6,21 +7,20 @@ import pytest
 
 from skewfill import harness
 from skewfill._engine import ShapeContext
-from skewfill.enumeration import parse_catalog_line
+from skewfill.enumeration import catalog_line, enum_skew_shapes, parse_catalog_line
 from skewfill.harness import (
     _MAX_JOBS,
     PROPERTIES,
     BudgetError,
-    GammaFrame,
     VerificationReport,
-    admissible_frame_counts,
+    _frame_side,
     check_budget,
     format_report,
     parse_report_csv,
     parse_report_json,
     verify,
 )
-from skewfill.shapes import Rect, dent_shape, normalize
+from skewfill.shapes import Rect, dent_shape, is_nw_ferrers, normalize
 
 
 def shape_from_intervals(intervals):
@@ -208,6 +208,22 @@ def test_jobs_must_be_positive():
         verify("thm_bp", max_cells=4, jobs=0)
 
 
+def test_budgets_and_jobs_must_be_ints(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("a runner started")
+
+    monkeypatch.setattr(harness, "_run", no_work)
+    for prop, kw in (("thm_bp", dict(max_cells=2.7)), ("thm_bp", dict(kmax=True)),
+                     ("genskew", dict(jobs=True)), ("genskew", dict(jobs=1.0)),
+                     ("genskew", dict(shape="[(True,True)]"))):
+        with pytest.raises(ValueError):
+            verify(prop, **kw)
+    with pytest.raises(ValueError, match="is not an integer"):
+        check_budget("x", 2.7, 1, 3)
+    with pytest.raises(ValueError, match="is not an integer"):
+        check_budget("x", True, 1, 3)
+
+
 def test_jobs_capped_before_any_pool(fake_pool, monkeypatch):
     serial = verify("thm_bp", max_cells=3)
     assert verify("thm_bp", max_cells=3, jobs=_MAX_JOBS) == serial
@@ -319,6 +335,8 @@ def test_report_csv_round_trip():
     assert back == r
     header = "property,params,instances,failures,details,millis\n"
     for text in ("property,extra\nx,y\n",
+                 header.replace("millis", "bogus") + 'thm_bp,{},3,"[]",{},0.0\n',
+                 header + 'thm_bp,{},3,"[]",{}\n',
                  header + 'thm_bp,1,3,"[]",{},0.0\n',
                  header + 'thm_bp,{},3,{},{},0.0\n',
                  header + 'thm_bp,{},3,"[]",[],0.0\n'):
@@ -333,42 +351,60 @@ def test_format_report_unknown_format():
 
 
 def test_gamma_frame_geometry():
-    f = shape_from_intervals([(1, 2), (1, 4), (1, 4)])
-    frame = GammaFrame(F=f, k=2, l=2)
+    # the frame (2, 2) on the partition with rows (1, 2), (1, 4), (1, 4):
+    # height 3, top row of length 4
     # C_1, C_2, R_1, R_2 over columns 1..2 and the top row's 4 columns
-    assert frame.side(True) == (
+    assert _frame_side(3, 4, 2, 2, True) == (
         [Rect(1, 1, 1, 3), Rect(1, 2, 1, 3), Rect(1, 4, 3, 3), Rect(1, 4, 2, 3)],
         [1, 2],
         [3, 2],
     )
     # C'_1, C'_2, R'_1, R'_2
-    assert frame.side(False) == (
+    assert _frame_side(3, 4, 2, 2, False) == (
         [Rect(2, 2, 1, 3), Rect(1, 2, 1, 3), Rect(1, 4, 2, 2), Rect(1, 4, 2, 3)],
         [2, 1],
         [2, 3],
     )
 
 
-def test_gamma_frame_validation():
-    dent = dent_shape()
-    with pytest.raises(ValueError):
-        GammaFrame(F=dent, k=1, l=1)
-    tri = shape_from_intervals([(1, 1), (1, 2), (1, 3)])
-    with pytest.raises(ValueError):
-        GammaFrame(F=tri, k=2, l=1)  # column 2 misses the bottom row
-    with pytest.raises(ValueError):
-        GammaFrame(F=tri, k=1, l=2)  # top two rows differ in length
-    with pytest.raises(ValueError):
-        GammaFrame(F=tri, k=5, l=0)
+def frame_counts_by_cells(s):
+    """The full-height columns counted from the left and the rows as long
+    as the top row counted from the top, by scanning the cells."""
+    h = s.height
+    k = 0
+    while k < s.width and len(s.col_rows(k + 1)) == h:
+        k += 1
+    t = len(s.row_cols(h))
+    l = 0
+    while l < h and len(s.row_cols(h - l)) == t:
+        l += 1
+    return k, l
 
 
-def test_admissible_frame_counts():
+def test_admissible_frame_counts(monkeypatch):
     tri = shape_from_intervals([(1, 1), (1, 2), (1, 3)])
-    assert admissible_frame_counts(tri) == (1, 1)
+    assert frame_counts_by_cells(tri) == (1, 1)
     box = shape_from_intervals([(1, 3), (1, 3)])
-    assert admissible_frame_counts(box) == (3, 2)
+    assert frame_counts_by_cells(box) == (3, 2)
     stacked = shape_from_intervals([(1, 2), (1, 4), (1, 4)])
-    assert admissible_frame_counts(stacked) == (2, 2)
+    assert frame_counts_by_cells(stacked) == (2, 2)
+    # the runner's row rule, with kmax and lmax past every bound, takes
+    # each frame the cell scan allows on every partition of <= 8 cells
+    frames = {}
+
+    def record(s, k, l, se_side, *rest):
+        frames.setdefault(catalog_line(s), set()).add((k, l))
+        return np.zeros((1, 1), dtype=np.int64)
+
+    monkeypatch.setattr(harness, "_frame_signature", record)
+    harness._run_lem_ferrers({"max_cells": 8, "kmax": 8, "lmax": 8, "max_entry": 1}, (0, 1))
+    expected = {}
+    for n in range(1, 9):
+        for s in filter(is_nw_ferrers, enum_skew_shapes(n)):
+            k_adm, l_adm = frame_counts_by_cells(s)
+            expected[catalog_line(s)] = set(itertools.product(range(k_adm + 1), range(l_adm + 1)))
+    assert len(expected) == 66  # partitions of 1..8
+    assert frames == expected
 
 
 def test_sum_capped_family_is_closed_but_plain_cap_is_not():
