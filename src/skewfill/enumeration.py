@@ -118,6 +118,37 @@ def _catalog_walk(max_cells: int, shard: tuple[int, int] = (0, 1), keep=None):
                       if keep(c[0], max_cells - c[1])]
 
 
+def _sibling_walk(max_cells: int, shard: tuple[int, int] = (0, 1)):
+    """The lists of _catalog_walk(max_cells, shard) one parent at a time:
+    depth first over the empty list and the walk's lists of fewer than
+    max_cells cells, yields (intervals, cells, children), children being
+    the walk's (intervals, cells, mine) triples of the lists one row
+    longer, in walk order.  A shard owns the lists it owns there: the
+    keys count the lists of at most two rows in walk order, each one-row
+    list right before its two-row children."""
+    index, count = shard
+
+    def children(intervals, used):
+        return _add_children([], intervals, used, max_cells - used)[::-1]
+
+    stack = [((), 0, 0)]  # a one-row list carries its key
+    while stack:
+        intervals, used, key = stack.pop()
+        kids = []
+        for c, cells in children(intervals, used):
+            if len(c) == 1:
+                kids.append((c, cells, key % count == index, key))
+                key += 1 + len(children(c, cells))
+                continue
+            if len(c) == 2:
+                key += 1
+                if key % count != index:
+                    continue
+            kids.append((c, cells, True, None))
+        yield intervals, used, [kid[:3] for kid in kids]
+        stack += [(c, cells, k) for c, cells, _, k in reversed(kids) if cells < max_cells]
+
+
 @lru_cache(maxsize=None)
 def _subtree_size(last, room: int) -> int:
     """Lists in the catalog walk below a list whose top row is `last`,

@@ -43,11 +43,17 @@ walks the connected, dent-free row prefixes and, for the same reason,
 counts transversals only on the shapes that admit one; its refined part
 runs on the shapes of at most refine_cells cells of the same walk.
 
-genskew first maps stage 1 forward and checks that the sorted image is
-stage N and that each code keeps its row key; then it maps the image
-back.  The repeat test and the direct refined counts follow from the
-first two checks, so they run only when one of those fails (the argument
-is at _run_genskew).  A shape still reports every clause it fails.
+genskew checks the catalog one sibling group at a time: the children of
+one walk node whose top rows have one width (_engine.SiblingGroup).  For
+the whole group it maps stage 1 forward and checks that the sorted image
+is stage N and that each code keeps its row key; then it maps the image
+back.  A group passes these checks exactly when each of its shapes
+does.  A group that fails one, or on which a step raises, is checked
+again shape by shape, so a shape still reports every clause it fails,
+and any ValueError, as it would alone.  The repeat test and the direct
+refined counts follow from the first two checks, so they run only when
+one of those fails (the argument is at _genskew_clauses).  Only a shape
+with children, and each shape of a failing group, gets a ShapeContext.
 
 lem_ferrers walks the partitions: the row prefixes whose rows all start
 at column 1, which are exactly the NW Ferrers shapes
@@ -95,6 +101,7 @@ import numpy as np
 
 from ._engine import (
     ShapeContext,
+    SiblingGroup,
     line_sums,
     multiset_equal,
     sum_capped_mask,
@@ -103,8 +110,8 @@ from ._engine import (
     value_matrix,
 )
 from .enumeration import EnumSpec, _admits_transversal, _catalog_intervals, _catalog_walk, \
-    _diagonal_prefix, _ferrers_prefix, _filter_prefix, _joined, _line, _value_rows, catalog_line, \
-    catalog_size, enum_moon_polyominoes, parse_catalog_line
+    _diagonal_prefix, _ferrers_prefix, _filter_prefix, _joined, _line, _sibling_walk, _value_rows, \
+    catalog_line, catalog_size, enum_moon_polyominoes, parse_catalog_line
 from .fillings import NE, SE
 from .shapes import Rect, Shape, _interval_shape, _kept_skew, dent_shape, maximal_rectangles
 from .structure import DecompositionError, ferrers_decompose, is_ds_free, sum_permutations
@@ -365,41 +372,103 @@ def _run_cor_sskew(params, shard):
             "details": {"shapes": shapes_checked, "refined_shapes": refined_checked}}
 
 
+def _top_width(kid) -> int:
+    (a, b) = kid[0][-1]
+    return b - a + 1
+
+
+def _sibling_groups(max_cells, shard):
+    """A shard's catalog lists as SiblingGroups, depth first over their
+    parents: each group with its members' (intervals, cells, mine)
+    triples.  A list the shard does not own is a one-row list, alone in
+    its group, since the one-row lists differ in width.  Only a list with
+    children gets a ShapeContext, on views of its group's tables."""
+    contexts = {(): ShapeContext(Shape(frozenset()))}
+    for intervals, _, children in _sibling_walk(max_cells, shard):
+        parent = contexts.pop(intervals)
+        children.sort(key=_top_width)  # stable, so each group keeps walk order
+        for w, members in itertools.groupby(children, _top_width):
+            members = list(members)
+            group = SiblingGroup(parent, w, [kid[0][-1][0] for kid in members])
+            yield group, members
+            for g, (kid, used, _) in enumerate(members):
+                if used < max_cells:
+                    contexts[kid] = group.context(g, _interval_shape(kid))
+
+
+def _genskew_clauses(ctx):
+    """The clauses one shape fails, from two facts about the forward
+    image of g1: onto (sorted, it is gn) and kept (each code keeps its
+    row key).  gn ascends strictly, so onto rules out a repeated image,
+    and the repeat test only picks the clause when onto fails.  Onto and
+    kept give multiset(rk[g1]) = multiset(rk[image]) = multiset(rk[gn]),
+    so the direct counts are compared only when one of them fails.
+    Returns the clauses, g1 and gn."""
+    g1 = ctx.stage_members(1)
+    gn = ctx.stage_members(ctx.n)
+    rk = ctx.row_keys()
+    image = ctx.apply_all(g1)
+    ordered = np.sort(image)
+    onto = np.array_equal(ordered, gn)
+    kept = bool((rk[image] == rk[g1]).all())  # image and g1 have the same length
+    clauses = []
+    if not (onto and kept) and not multiset_equal(rk[g1], rk[gn]):
+        clauses.append("direct refined counts")
+    if not onto:
+        if np.any(ordered[1:] == ordered[:-1]):
+            clauses.append("forward not injective")
+        else:
+            clauses.append("image is not the final stage")
+    if not kept:
+        clauses.append("row sums not preserved")
+    if not (ctx.apply_all(image, forward=False) == g1).all():
+        clauses.append("backward not inverse")
+    return clauses, g1, gn
+
+
+def _group_passes(group) -> bool:
+    """Whether onto, kept and the backward check hold for every member
+    of a SiblingGroup.  Steps keep a group key's child, so each holds
+    for the group exactly when it holds for every member."""
+    g1, gn = group.stage_keys(1), group.stage_keys(group.n)
+    if g1.size != gn.size:
+        return False
+    try:
+        image = group.apply_all(g1)
+        back = group.apply_all(image, forward=False)
+    except ValueError:
+        return False
+    return bool((np.sort(image) == gn).all()
+                and (group.row_keys_of(image) == group.row_keys_of(g1)).all()
+                and (back == g1).all())
+
+
 def _run_genskew(params, shard):
-    """Each shape's clauses, from two facts about the forward image of g1:
-    onto (sorted, it is gn) and kept (each code keeps its row key).  gn
-    ascends strictly, so onto rules out a repeated image, and the repeat
-    test only picks the clause when onto fails.  Onto and kept give
-    multiset(rk[g1]) = multiset(rk[image]) = multiset(rk[gn]), so the
-    direct counts are compared only when one of them fails."""
-    instances, failures = 0, []
+    """The clauses of _genskew_clauses, one SiblingGroup at a time: a group
+    that fails a check, or on which a step raises, is checked again one
+    shape at a time, so it reports what each shape reports alone.
+    Failures come in walk order, the lexicographic order of the rows."""
+    instances, failures, found = 0, [], []
     details = {"shapes": 0}
-    for ctx in _contexts(params, shard):
-        g1 = ctx.stage_members(1)
-        gn = ctx.stage_members(ctx.n)
-        rk = ctx.row_keys()
-        image = ctx.apply_all(g1)
-        ordered = np.sort(image)
-        onto = np.array_equal(ordered, gn)
-        kept = bool((rk[image] == rk[g1]).all())  # image and g1 have the same length
-        clauses = []
-        if not (onto and kept) and not multiset_equal(rk[g1], rk[gn]):
-            clauses.append("direct refined counts")
-        if not onto:
-            if np.any(ordered[1:] == ordered[:-1]):
-                clauses.append("forward not injective")
-            else:
-                clauses.append("image is not the final stage")
-        if not kept:
-            clauses.append("row sums not preserved")
-        if not (ctx.apply_all(image, forward=False) == g1).all():
-            clauses.append("backward not inverse")
-        failures += [{"shape": catalog_line(ctx.shape), "clause": c} for c in clauses]
-        instances += 1 << ctx.n
-        details["shapes"] += 1
-        if params.get("shape") is not None:
-            details["g1_count"] = int(g1.size)
-            details["gN_count"] = int(gn.size)
+    if params.get("shape") is not None:
+        for ctx in _contexts(params, shard):  # the one shape, on shard 0
+            clauses, g1, gn = _genskew_clauses(ctx)
+            failures = [{"shape": catalog_line(ctx.shape), "clause": c} for c in clauses]
+            instances = 1 << ctx.n
+            details.update(shapes=1, g1_count=int(g1.size), gN_count=int(gn.size))
+        return {"instances": instances, "failures": failures, "details": details}
+    for group, members in _sibling_groups(params["max_cells"], shard):
+        if not members[0][2]:
+            continue
+        instances += len(members) << group.n
+        details["shapes"] += len(members)
+        if _group_passes(group):
+            continue
+        for intervals, _, _ in members:
+            clauses = _genskew_clauses(ShapeContext(_interval_shape(intervals), group.parent))[0]
+            found += [(intervals, c) for c in clauses]
+    found.sort(key=lambda f: f[0])  # stable: a shape's clauses keep their order
+    failures = [{"shape": _line(intervals), "clause": c} for intervals, c in found]
     return {"instances": instances, "failures": failures, "details": details}
 
 
@@ -629,7 +698,8 @@ def verify(prop: str, **params) -> VerificationReport:
     and lem_ferrers' kmax and lmax); above its cap it raises BudgetError
     unless SKEWFILL_BUDGET_OVERRIDE=1.  A single shape is
     budgeted by its cells against the max_cells cap.  jobs runs from 1 to
-    64, and no override lifts that cap.
+    64, and no override lifts that cap.  A shape that is neither a Shape
+    nor a string raises ValueError.
     """
     if prop not in _PROPERTIES:
         raise ValueError(f"unknown property {prop!r}, expected one of {PROPERTIES}")
@@ -642,7 +712,10 @@ def verify(prop: str, **params) -> VerificationReport:
             raise ValueError(f"property {prop} does not take parameter {key!r}")
         floor, _, cap = budgets[key]
         if key == "shape":
-            val = catalog_line(val) if isinstance(val, Shape) else val
+            if isinstance(val, Shape):
+                val = catalog_line(val)
+            elif not isinstance(val, (str, type(None))):
+                raise ValueError(f"{prop}: shape={val!r} is neither a Shape nor a catalog line")
             if val is not None:  # counted from the grammar, before any cell is built
                 cells = sum(b - a + 1 for a, b in _catalog_intervals(val))
                 check_budget(f"{prop}: shape cells", cells, floor, cap)

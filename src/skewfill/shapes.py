@@ -476,8 +476,9 @@ def _top_row_dents(rows, top):
     """
     j3, (a3, _) = top
     for (j1, (_, b1)), (j2, (a2, b2)) in itertools.combinations(rows, 2):
-        for cols in itertools.product(range(a2, a3), range(a3, b1 + 1), range(b1 + 1, b2 + 1)):
-            yield cols, (j1, j2, j3)
+        if a2 < a3 <= b1 < b2:  # else one of the ranges is empty
+            for cols in itertools.product(range(a2, a3), range(a3, b1 + 1), range(b1 + 1, b2 + 1)):
+                yield cols, (j1, j2, j3)
 
 
 def _contains_dent(s: Shape) -> bool:

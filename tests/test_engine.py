@@ -13,8 +13,8 @@ from skewfill._engine import ShapeContext, _packed_keys, _step_table, multiset_e
 from skewfill.bijection import in_G, label_index, step_backward, step_forward
 from skewfill.enumeration import enum_skew_shapes
 from skewfill.fillings import Filling, as_pattern, find_filling_occurrences
-from skewfill.harness import _contexts
-from skewfill.shapes import _row_spans, is_skew, normalize, parse_shape
+from skewfill.harness import _contexts, _sibling_groups
+from skewfill.shapes import _interval_shape, _row_spans, is_skew, normalize, parse_shape
 
 TOKENS = ("delta2", "iota2", "fd")
 
@@ -149,6 +149,33 @@ def test_walk_tables_match_whole_shape_construction():
         assert_tables_match(ctx)
         seen += 1
     assert seen == 3909
+
+
+def test_sibling_groups_match_whole_shape_construction():
+    # every member of every sibling group on the walk to 8 cells, on views
+    # of its group's tables; the group's own keys, steps and row keys
+    # against the members' contexts
+    seen, largest = 0, 0
+    for group, members in _sibling_groups(8, (0, 1)):
+        contexts = [group.context(g, _interval_shape(iv)) for g, (iv, _, _) in enumerate(members)]
+        for ctx in contexts:
+            assert_tables_match(ctx)
+        stages = []
+        for i in (1, group.n):
+            keys = group.stage_keys(i)
+            assert np.array_equal(keys, np.concatenate(
+                [(g << group.n) + ctx.stage_members(i) for g, ctx in enumerate(contexts)]))
+            stages.append(keys)
+        for keys, forward in zip(stages, (True, False)):
+            codes = keys & ((1 << group.n) - 1)
+            assert np.array_equal(group.apply_all(keys, forward) >> group.n, keys >> group.n)
+            assert np.array_equal(group.apply_all(keys, forward) & ((1 << group.n) - 1),
+                                  np.concatenate([ctx.apply_all(codes[keys >> group.n == g], forward)
+                                                  for g, ctx in enumerate(contexts)]))
+            assert np.array_equal(group.row_keys_of(keys), contexts[0].row_keys()[codes])
+        seen += len(members)
+        largest = max(largest, len(members))
+    assert seen == 3909 and largest >= 3
 
 
 def test_stage_members_of_given_codes_match_intersection():

@@ -14,6 +14,7 @@ from skewfill.enumeration import (
     _diagonal_prefix,
     _ferrers_prefix,
     _filter_prefix,
+    _sibling_walk,
     catalog_size,
     catalog_line,
     count_avoiders,
@@ -417,3 +418,20 @@ def test_shards_of_a_pruned_walk_split_its_lists(keep):
         rank = {iv: k for k, iv in enumerate(everything)}
         assert all([rank[iv] for iv in part] == sorted(rank[iv] for iv in part)
                    for part in parts)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 5])
+def test_sibling_walk_groups_the_catalog_walk_by_parent(count):
+    # each shard's children are its lists of the catalog walk, with the
+    # same ownership; its parents are the empty list and the walk's lists
+    # with room left, depth first
+    for n in range(0, 9):
+        for index in range(count):
+            lists = list(_catalog_walk(n, (index, count)))
+            parents, children = [], []
+            for iv, used, kids in _sibling_walk(n, (index, count)):
+                parents.append((iv, used))
+                children += kids
+                assert [kid[0][:-1] for kid in kids] == [iv] * len(kids)
+            assert sorted(children) == lists
+            assert parents == [((), 0)] + [(iv, used) for iv, used, _ in lists if used < n]

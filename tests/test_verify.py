@@ -21,6 +21,7 @@ from skewfill.harness import (
     verify,
 )
 from skewfill.shapes import Rect, dent_shape, is_nw_ferrers, normalize
+from test_genskew_runner import LINE, forward_is_identity
 
 
 def shape_from_intervals(intervals):
@@ -215,7 +216,9 @@ def test_budgets_and_jobs_must_be_ints(monkeypatch):
     monkeypatch.setattr(harness, "_run", no_work)
     for prop, kw in (("thm_bp", dict(max_cells=2.7)), ("thm_bp", dict(kmax=True)),
                      ("genskew", dict(jobs=True)), ("genskew", dict(jobs=1.0)),
-                     ("genskew", dict(shape="[(True,True)]"))):
+                     ("genskew", dict(shape="[(True,True)]"))) + tuple(
+                        (prop, dict(shape=shape)) for prop in ("genskew", "lemma_gi")
+                        for shape in (5, ["x"])):
         with pytest.raises(ValueError):
             verify(prop, **kw)
     with pytest.raises(ValueError, match="is not an integer"):
@@ -251,16 +254,11 @@ def test_lemma_gi_failure_names_its_shape(monkeypatch):
 
 
 def test_genskew_failure_names_its_shape(monkeypatch):
-    line = "[(1,2),(1,3)]"
-    broken = parse_catalog_line(line)
-    apply_all = ShapeContext.apply_all
-
-    def identity_for_one_shape(self, F, forward=True):
-        return F if self.shape == broken else apply_all(self, F, forward)
-
-    monkeypatch.setattr(ShapeContext, "apply_all", identity_for_one_shape)
+    # the forward map is the identity on one shape, in its sibling group
+    # and in its own ShapeContext
+    forward_is_identity(monkeypatch)
     r = verify("genskew", max_cells=5)
-    assert r.failures == [{"shape": line, "clause": "image is not the final stage"}]
+    assert r.failures == [{"shape": LINE, "clause": "image is not the final stage"}]
 
 
 def test_parallel_run_matches_serial():
@@ -281,6 +279,11 @@ def test_three_jobs_match_one_on_pruned_walks(prop):
     # these runners deal out pruned walks, whose subtrees differ from the
     # full catalog's; conjecture's shard 0 also reports the catalog size
     assert verify(prop, max_cells=8, jobs=3) == verify(prop, max_cells=8)
+
+
+def test_three_jobs_match_one_on_the_sibling_group_walk():
+    # genskew deals out the catalog walk one parent's children at a time
+    assert verify("genskew", max_cells=8, jobs=3) == verify("genskew", max_cells=8)
 
 
 def test_three_jobs_with_empty_and_lopsided_shards():
