@@ -52,22 +52,6 @@ plus what the new row adds:
     order backward) and raises at the first step that is undefined on
     one of them.
 
-Siblings differ only in their top rows.  The children of one node whose
-top rows have one width w form a sibling group, and _sibling_bounds
-extends the parent's dmax, umin and column tables by all G of their top
-rows at once, as (G, 2^w, 2^p) arrays; a lone context is a group of
-one.  A group key g * 2^n + code names one code of sibling g, so a
-stage set of the whole group is one ascending array, block g holding
-sibling g's stage set.  No step touches a bit above n, so the steps
-keep each key in its block: the parent's steps run once over all the
-keys, and each sibling's top-row steps over its own block.  The
-siblings share the row keys, which depend only on the row lengths, so
-one array read at the low n bits of a key serves them all.  Hence the
-sorted forward image of the group's stage 1 is its stage N exactly when
-this holds block by block, and the row keys and the backward round trip
-compare key by key: a group passes onto, kept and backward exactly when
-every sibling does.
-
 Row-sum vectors are packed into one int64 key per code.  Row y is one
 digit of a mixed radix whose base is its length plus one, so the key of
 code f is the sum of the weights of the rows of its set bits, and two
@@ -150,23 +134,50 @@ class ShapeContext:
     def _bounds(self):
         """dmax and umin per code; the largest column of a set bit is kept
         beside them for the children."""
-        if self._dmax is None:
-            if not self.n:
-                self._dmax, self._colmax = np.zeros((2, 1), dtype=np.int16)
-                self._umin = np.full(1, _NO_TOP, dtype=np.int16)
-            else:
-                parent, _, lo, w = self._top_row()
-                tables = _sibling_bounds(parent, self.rows[-1][0], w, (lo,))
-                self._dmax, self._umin, self._colmax = (a[0] for a in tables)
+        if self._dmax is not None:
+            return self._dmax, self._umin
+        if not self.n:
+            self._dmax, self._colmax = np.zeros((2, 1), dtype=np.int16)
+            self._umin = np.full(1, _NO_TOP, dtype=np.int16)
+            return self._dmax, self._umin
+        parent, p, lo, w = self._top_row()
+        dmax, umin = parent._bounds()
+        col = parent._colmax
+        low, high, _ = _row_bits(w)
+        # delta2: a set top-row column left of the largest set column below
+        self._dmax = np.where(col > low[:, None] + lo, col + (p + 1 - lo), dmax).ravel()
+        self._colmax = np.maximum(col, high[:, None] + lo).ravel()
+        lower = self.rows[:-1]
+        # iota2: top-row bit k is a top when some set bit below lies in
+        # columns lo .. lo + k - 1 of a row that reaches column lo + k
+        masks = [sum(1 << (f + x1 - a) for _, a, b, f in lower if b >= lo + k
+                     for x1 in range(max(a, lo), lo + k))
+                 for k in range(1, w)]
+        if any(masks):
+            held = ((_codes(p)[:, None] & masks) != 0) @ (2 << np.arange(w - 1))
+            first = low + (p + 1)
+            first[0] = _NO_TOP  # m = 0 holds no top
+            umin = np.minimum(umin, first[_codes(w)[:, None] & held])
+        else:
+            umin = umin[None].repeat(1 << w, axis=0)
+        if len(lower) >= 2 and w >= 2:  # fd: the placements with the new top row
+            bit = {y: f - a for y, a, _, f in lower}
+            for (i1, i2, i3), (j1, j2, _) in _top_row_dents(
+                    [(y, (a, b)) for y, a, b, _ in lower], (self.rows[-1][0], (lo, lo + w - 1))):
+                mask = 1 << (bit[j1] + i1) | 1 << (bit[j2] + i3)
+                rows = (_codes(w) >> (i2 - lo) & 1).astype(bool)
+                tops = np.where(_codes(p) & mask == mask, p + 1 + i3 - lo, _NO_TOP)
+                umin[rows] = np.minimum(umin[rows], tops)
+        self._umin = umin.ravel()
         return self._dmax, self._umin
 
     def _in_stage(self, i: int, codes: np.ndarray | None = None) -> np.ndarray:
         """Per code (of all, or of the given ones): whether it lies in
-        stage set i."""
+        stage set i, that is dmax <= i < umin."""
         dmax, umin = self._bounds()
         if codes is not None:
             dmax, umin = dmax[codes], umin[codes]
-        return _stage_rule(dmax, umin, i)
+        return (dmax <= i) & (umin > i)
 
     def stage_members(self, i: int, codes: np.ndarray | None = None) -> np.ndarray:
         """Codes of the fillings in stage set i, ascending; given codes,
@@ -194,7 +205,12 @@ class ShapeContext:
         return F
 
     def apply_all(self, F: np.ndarray, forward: bool = True) -> np.ndarray:
-        return _apply_steps(F, self._compiled_steps(), forward)
+        """Images of codes under every step, in order (in reverse order
+        backward); ValueError at the first step undefined on one of them."""
+        steps = self._compiled_steps()
+        for step in steps if forward else reversed(steps):
+            F = _apply_one(F, step, forward)
+        return F
 
     # --- statistics ----------------------------------------------------------
 
@@ -207,60 +223,13 @@ class ShapeContext:
             if not self.n:
                 self._row_keys = np.zeros(1, dtype=np.int64)
             else:
-                self._row_keys = _child_row_keys(self.parent, self._top_row()[3])
+                parent, _, _, w = self._top_row()
+                digit = _row_bits(w)[2] * parent._radix
+                self._row_keys = (parent.row_keys() + digit[:, None]).ravel()
         return self._row_keys
 
     def colsums(self, F: np.ndarray) -> np.ndarray:
         return line_sums((F[:, None] >> np.arange(self.n)) & 1, self.shape, by_row=False)
-
-
-def _stage_rule(dmax: np.ndarray, umin: np.ndarray, i: int) -> np.ndarray:
-    """The stage rule: a code lies in stage set i when dmax <= i < umin."""
-    return (dmax <= i) & (umin > i)
-
-
-def _sibling_bounds(parent: ShapeContext, y: int, w: int, los):
-    """dmax, umin and the largest column of a set bit per code of the
-    shapes that extend parent by a top row y of width w, one for each
-    first column in los: (G, 2^n) int16 arrays, G = len(los); see the
-    module docstring."""
-    p, lower = parent.n, parent.rows
-    dmax, umin = parent._bounds()
-    col = parent._colmax
-    low, high, _ = _row_bits(w)
-    lo = np.array(los, dtype=np.int16)[:, None, None]
-    # delta2: a set top-row column left of the largest set column below
-    shifted = col - lo
-    new_dmax = np.where(shifted > low[:, None], shifted + (p + 1), dmax)
-    new_col = np.maximum(col, high[:, None] + lo)
-    # iota2: top-row bit k is a top when some set bit below lies in
-    # columns lo .. lo + k - 1 of a row that reaches column lo + k
-    masks = [[sum(1 << (f + x1 - a) for _, a, b, f in lower if b >= lo + k
-                  for x1 in range(max(a, lo), lo + k))
-              for k in range(1, w)] for lo in los]
-    if any(map(any, masks)):
-        held = ((_codes(p)[:, None] & np.array(masks)[:, None]) != 0) @ (2 << np.arange(w - 1))
-        first = low + (p + 1)
-        first[0] = _NO_TOP  # m = 0 holds no top
-        new_umin = np.minimum(umin, first[_codes(w)[:, None] & held[:, None]])
-    else:
-        new_umin = umin[None].repeat(len(los) << w, axis=0).reshape(len(los), 1 << w, 1 << p)
-    if len(lower) >= 2 and w >= 2:  # fd: the placements with the new top row
-        bit = {y: f - a for y, a, _, f in lower}
-        spans = [(y, (a, b)) for y, a, b, _ in lower]
-        for g, lo in enumerate(los):
-            for (i1, i2, i3), (j1, j2, _) in _top_row_dents(spans, (y, (lo, lo + w - 1))):
-                mask = 1 << (bit[j1] + i1) | 1 << (bit[j2] + i3)
-                rows = (_codes(w) >> (i2 - lo) & 1).astype(bool)
-                tops = np.where(_codes(p) & mask == mask, p + 1 + i3 - lo, _NO_TOP)
-                new_umin[g, rows] = np.minimum(new_umin[g, rows], tops)
-    shape = (len(los), 1 << (p + w))
-    return new_dmax.reshape(shape), new_umin.reshape(shape), new_col.reshape(shape)
-
-
-def _child_row_keys(parent: ShapeContext, w: int) -> np.ndarray:
-    """Row keys of a child with a top row of width w, the radix's top digit."""
-    return (parent.row_keys() + _row_bits(w)[2][:, None] * parent._radix).ravel()
 
 
 def _row_steps(rows) -> list:
@@ -295,59 +264,6 @@ def _apply_one(F: np.ndarray, step, forward: bool) -> np.ndarray:
     for r, base in enumerate(bases):
         out |= ((image >> (r * w)) & row) << base
     return out
-
-
-def _apply_steps(F: np.ndarray, steps, forward: bool) -> np.ndarray:
-    """The compiled steps applied in order, or in reverse order backward."""
-    for step in steps if forward else reversed(steps):
-        F = _apply_one(F, step, forward)
-    return F
-
-
-class SiblingGroup:
-    """The children of one walk node whose top rows share a width w,
-    stacked: row g of each table is the child whose top row starts at
-    column los[g].  A group key g * 2^n + code names one code of one
-    child; the children share the row keys and the parent's steps (see
-    the module docstring)."""
-
-    def __init__(self, parent: ShapeContext, w: int, los):
-        self.parent, self.w, self.los = parent, w, los
-        self.n = parent.n + w
-        y = parent.rows[-1][0] + 1 if parent.n else 1
-        self.dmax, self.umin, self._colmax = _sibling_bounds(parent, y, w, los)
-        self.row_keys = _child_row_keys(parent, w)
-        self.top_steps = [_row_steps(parent.rows + ((y, lo, lo + w - 1, parent.n),))
-                          for lo in los]
-
-    def stage_keys(self, i: int) -> np.ndarray:
-        """Group keys of every child's stage set i, ascending."""
-        return _stage_rule(self.dmax, self.umin, i).ravel().nonzero()[0]
-
-    def row_keys_of(self, F: np.ndarray) -> np.ndarray:
-        return self.row_keys[F & ((1 << self.n) - 1)]
-
-    def apply_all(self, F: np.ndarray, forward: bool = True) -> np.ndarray:
-        """Images of group keys, grouped by child in ascending order, under
-        each child's steps; ValueError when a step is undefined on one."""
-        parent_steps = self.parent._compiled_steps()
-        if forward:
-            F = _apply_steps(F, parent_steps, True)
-        if any(self.top_steps):
-            F = F.copy()
-            for g, steps in enumerate(self.top_steps):
-                if steps:
-                    a, b = np.searchsorted(F, (g << self.n, (g + 1) << self.n)).tolist()
-                    F[a:b] = _apply_steps(F[a:b], steps, forward)
-        return F if forward else _apply_steps(F, parent_steps, False)
-
-    def context(self, g: int, s: Shape) -> ShapeContext:
-        """The ShapeContext of child g, the shape s, on views of the group's tables."""
-        ctx = ShapeContext(s, self.parent)
-        ctx._dmax, ctx._umin, ctx._colmax = self.dmax[g], self.umin[g], self._colmax[g]
-        ctx._row_keys = self.row_keys
-        ctx._steps = self.parent._compiled_steps() + self.top_steps[g]
-        return ctx
 
 
 @lru_cache

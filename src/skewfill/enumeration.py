@@ -118,50 +118,29 @@ def _catalog_walk(max_cells: int, shard: tuple[int, int] = (0, 1), keep=None):
                       if keep(c[0], max_cells - c[1])]
 
 
-def _sibling_walk(max_cells: int, shard: tuple[int, int] = (0, 1)):
-    """The lists of _catalog_walk(max_cells, shard) one parent at a time:
-    depth first over the empty list and the walk's lists of fewer than
-    max_cells cells, yields (intervals, cells, children), children being
-    the walk's (intervals, cells, mine) triples of the lists one row
-    longer, in walk order.  A shard owns the lists it owns there: the
-    keys count the lists of at most two rows in walk order, each one-row
-    list right before its two-row children."""
-    index, count = shard
-
-    def children(intervals, used):
-        return _add_children([], intervals, used, max_cells - used)[::-1]
-
-    stack = [((), 0, 0)]  # a one-row list carries its key
-    while stack:
-        intervals, used, key = stack.pop()
-        kids = []
-        for c, cells in children(intervals, used):
-            if len(c) == 1:
-                kids.append((c, cells, key % count == index, key))
-                key += 1 + len(children(c, cells))
-                continue
-            if len(c) == 2:
-                key += 1
-                if key % count != index:
-                    continue
-            kids.append((c, cells, True, None))
-        yield intervals, used, [kid[:3] for kid in kids]
-        stack += [(c, cells, k) for c, cells, _, k in reversed(kids) if cells < max_cells]
-
-
 @lru_cache(maxsize=None)
-def _subtree_size(last, room: int) -> int:
-    """Lists in the catalog walk below a list whose top row is `last`,
-    with room cells left in the budget: the list itself included, unless
-    last is the virtual row (1, 0)."""
-    return (last != (1, 0)) + sum(_subtree_size(rows[-1], room - cells)
-                                  for rows, cells in _add_children([], (last,), 0, room))
+def _subtree_size(last, room: int) -> tuple[int, int, int]:
+    """Over the lists in the catalog walk below a list whose top row is
+    `last`, with room cells left in the budget, k being the cells a list
+    adds to that one: how many there are, the sum of 2^k and the sum of
+    k.  The list itself counts, with k = 0, unless last is the virtual
+    row (1, 0)."""
+    own = int(last != (1, 0))
+    lists, powers, cells = own, own, 0
+    for rows, k in _add_children([], (last,), 0, room):
+        below = _subtree_size(rows[-1], room - k)
+        lists += below[0]
+        powers += below[1] << k
+        cells += below[2] + k * below[0]
+    return lists, powers, cells
 
 
-def catalog_size(max_cells: int) -> int:
-    """How many shapes of at most max_cells cells the catalog holds,
-    counted without walking it."""
-    return _subtree_size((1, 0), max_cells)
+def catalog_sums(max_cells: int) -> tuple[int, int, int]:
+    """For the catalog's shapes of at most max_cells cells, n cells each:
+    how many there are, the sum of 2^n and the sum of n - 1.  Counted by
+    the walk's own child rule, without walking it."""
+    lists, powers, cells = _subtree_size((1, 0), max_cells)
+    return lists, powers, cells - lists
 
 
 def _admits_transversal(intervals) -> bool:

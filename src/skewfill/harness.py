@@ -17,9 +17,9 @@ Property tokens and their instance counts:
                  transversal; instances = shapes admitting a transversal.
   genskew        stage-1 vs stage-N equality refined by row sums, and the
                  full forward/backward bijection over every binary
-                 filling; instances = fillings scanned.
+                 filling; instances = fillings covered.
   lemma_gi       equal stage sizes and step maps carrying each stage onto
-                 the next; instances = (shape, step) pairs.
+                 the next; instances = (shape, step) pairs covered.
   lem_ferrers    SE-signature multiset equals NE-signature multiset over
                  all bounded fillings of each framed Ferrers shape;
                  instances = frames checked.
@@ -37,23 +37,43 @@ thm_bp extends a ShapeContext along it, the prefixes included, and tests
 the square shapes.  conjecture counts a shape without a transversal as
 (0, 0) for every k, never a failure, so it tests the square shapes and
 takes its instance count, kmax per catalog shape, from
-enumeration.catalog_size, which counts the catalog by the walk's own
+enumeration.catalog_sums, which counts the catalog by the walk's own
 child rule without walking it; shard 0 reports it.  cor_sskew
 walks the connected, dent-free row prefixes and, for the same reason,
 counts transversals only on the shapes that admit one; its refined part
 runs on the shapes of at most refine_cells cells of the same walk.
 
-genskew checks the catalog one sibling group at a time: the children of
-one walk node whose top rows have one width (_engine.SiblingGroup).  For
-the whole group it maps stage 1 forward and checks that the sorted image
-is stage N and that each code keeps its row key; then it maps the image
-back.  A group passes these checks exactly when each of its shapes
-does.  A group that fails one, or on which a step raises, is checked
-again shape by shape, so a shape still reports every clause it fails,
-and any ValueError, as it would alone.  The repeat test and the direct
-refined counts follow from the first two checks, so they run only when
-one of those fails (the argument is at _genskew_clauses).  Only a shape
-with children, and each shape of a failing group, gets a ShapeContext.
+genskew and lemma_gi scan the connected shapes of the catalog on the
+connected walk, one ShapeContext each, and cover the disconnected ones
+by the product lemma below.  Like conjecture, they take instances and
+shapes for the whole catalog from enumeration.catalog_sums, on shard 0,
+so instances counts the fillings, or the (shape, step) pairs, covered,
+not those scanned.  The differential tests check the lemma against a
+scan of every shape up to a small budget; above it, a disconnected
+shape is covered by the lemma and not by its own scan.  A single shape
+given as a parameter is scanned itself, connected or not.  genskew maps
+stage 1 forward, checks that the sorted image is stage N and that each
+code keeps its row key, and maps the image back; the repeat test and
+the direct refined counts follow from the first two checks, so they run
+only when one of those fails (the argument is at _genskew_clauses).
+
+The product lemma.  Order the components of a skew shape from lower
+left to upper right.  Their rows and their columns are disjoint, and
+they take consecutive blocks of labels, component C the labels after
+o_C.  A delta_2, iota_2 or fd occurrence lies inside one component,
+since its rows are linked by shared columns, and so does every row and
+every step's rectangle X.  A step whose c_{i+1} starts a component has
+a 1x1 X, so it is the identity.  Hence a code is in stage i exactly when
+its part on each component C is in
+  - the last stage of C, when C lies wholly at or below label i;
+  - stage i - o_C of C, when C holds c_i;
+  - stage 1 of C, when C lies wholly above label i.
+The forward map, the backward map and the row keys also act component
+by component, and every stage holds the empty filling, so no factor is
+empty.  So onto, kept, backward, equal stage sizes and step images hold
+on a shape exactly when they hold on each of its components, and with
+onto and kept the direct refined counts: a shape passes genskew, or
+lemma_gi, exactly when each of its components does.
 
 lem_ferrers walks the partitions: the row prefixes whose rows all start
 at column 1, which are exactly the NW Ferrers shapes
@@ -101,7 +121,6 @@ import numpy as np
 
 from ._engine import (
     ShapeContext,
-    SiblingGroup,
     line_sums,
     multiset_equal,
     sum_capped_mask,
@@ -110,8 +129,8 @@ from ._engine import (
     value_matrix,
 )
 from .enumeration import EnumSpec, _admits_transversal, _catalog_intervals, _catalog_walk, \
-    _diagonal_prefix, _ferrers_prefix, _filter_prefix, _joined, _line, _sibling_walk, _value_rows, \
-    catalog_line, catalog_size, enum_moon_polyominoes, parse_catalog_line
+    _diagonal_prefix, _ferrers_prefix, _filter_prefix, _joined, _line, _value_rows, \
+    catalog_line, catalog_sums, enum_moon_polyominoes, parse_catalog_line
 from .fillings import NE, SE
 from .shapes import Rect, Shape, _interval_shape, _kept_skew, dent_shape, maximal_rectangles
 from .structure import DecompositionError, ferrers_decompose, is_ds_free, sum_permutations
@@ -282,7 +301,7 @@ def _run_conjecture(params, shard):
     ds_strict = False
     dent = dent_shape()
     ks = range(1, params["kmax"] + 1)
-    instances = len(ks) * catalog_size(params["max_cells"]) if shard[0] == 0 else 0
+    instances = len(ks) * catalog_sums(params["max_cells"])[0] if shard[0] == 0 else 0
     for intervals, _, mine in _catalog_walk(params["max_cells"], shard, _diagonal_prefix):
         if not mine or intervals[-1][1] != len(intervals):
             continue
@@ -372,30 +391,6 @@ def _run_cor_sskew(params, shard):
             "details": {"shapes": shapes_checked, "refined_shapes": refined_checked}}
 
 
-def _top_width(kid) -> int:
-    (a, b) = kid[0][-1]
-    return b - a + 1
-
-
-def _sibling_groups(max_cells, shard):
-    """A shard's catalog lists as SiblingGroups, depth first over their
-    parents: each group with its members' (intervals, cells, mine)
-    triples.  A list the shard does not own is a one-row list, alone in
-    its group, since the one-row lists differ in width.  Only a list with
-    children gets a ShapeContext, on views of its group's tables."""
-    contexts = {(): ShapeContext(Shape(frozenset()))}
-    for intervals, _, children in _sibling_walk(max_cells, shard):
-        parent = contexts.pop(intervals)
-        children.sort(key=_top_width)  # stable, so each group keeps walk order
-        for w, members in itertools.groupby(children, _top_width):
-            members = list(members)
-            group = SiblingGroup(parent, w, [kid[0][-1][0] for kid in members])
-            yield group, members
-            for g, (kid, used, _) in enumerate(members):
-                if used < max_cells:
-                    contexts[kid] = group.context(g, _interval_shape(kid))
-
-
 def _genskew_clauses(ctx):
     """The clauses one shape fails, from two facts about the forward
     image of g1: onto (sorted, it is gn) and kept (each code keeps its
@@ -426,67 +421,45 @@ def _genskew_clauses(ctx):
     return clauses, g1, gn
 
 
-def _group_passes(group) -> bool:
-    """Whether onto, kept and the backward check hold for every member
-    of a SiblingGroup.  Steps keep a group key's child, so each holds
-    for the group exactly when it holds for every member."""
-    g1, gn = group.stage_keys(1), group.stage_keys(group.n)
-    if g1.size != gn.size:
-        return False
-    try:
-        image = group.apply_all(g1)
-        back = group.apply_all(image, forward=False)
-    except ValueError:
-        return False
-    return bool((np.sort(image) == gn).all()
-                and (group.row_keys_of(image) == group.row_keys_of(g1)).all()
-                and (back == g1).all())
+# the walk of genskew and lemma_gi (see the module docstring)
+_CONNECTED = partial(_filter_prefix, connected=True, ds_free=False)
 
 
 def _run_genskew(params, shard):
-    """The clauses of _genskew_clauses, one SiblingGroup at a time: a group
-    that fails a check, or on which a step raises, is checked again one
-    shape at a time, so it reports what each shape reports alone.
-    Failures come in walk order, the lexicographic order of the rows."""
-    instances, failures, found = 0, [], []
-    details = {"shapes": 0}
-    if params.get("shape") is not None:
-        for ctx in _contexts(params, shard):  # the one shape, on shard 0
-            clauses, g1, gn = _genskew_clauses(ctx)
-            failures = [{"shape": catalog_line(ctx.shape), "clause": c} for c in clauses]
+    """The clauses of _genskew_clauses on each connected catalog shape, or
+    on the single shape given."""
+    single = params.get("shape") is not None
+    instances, failures, details = 0, [], {"shapes": 0}
+    for ctx in _contexts(params, shard, _CONNECTED):
+        clauses, g1, gn = _genskew_clauses(ctx)
+        failures += [{"shape": catalog_line(ctx.shape), "clause": c} for c in clauses]
+        if single:
             instances = 1 << ctx.n
             details.update(shapes=1, g1_count=int(g1.size), gN_count=int(gn.size))
-        return {"instances": instances, "failures": failures, "details": details}
-    for group, members in _sibling_groups(params["max_cells"], shard):
-        if not members[0][2]:
-            continue
-        instances += len(members) << group.n
-        details["shapes"] += len(members)
-        if _group_passes(group):
-            continue
-        for intervals, _, _ in members:
-            clauses = _genskew_clauses(ShapeContext(_interval_shape(intervals), group.parent))[0]
-            found += [(intervals, c) for c in clauses]
-    found.sort(key=lambda f: f[0])  # stable: a shape's clauses keep their order
-    failures = [{"shape": _line(intervals), "clause": c} for intervals, c in found]
+    if not single and shard[0] == 0:
+        details["shapes"], instances, _ = catalog_sums(params["max_cells"])
     return {"instances": instances, "failures": failures, "details": details}
 
 
 def _run_lemma_gi(params, shard):
-    instances, failures = 0, []
-    shapes = 0
-    for ctx in _contexts(params, shard):
-        shapes += 1
+    """Equal stage sizes and step images on each connected catalog shape,
+    or on the single shape given."""
+    single = params.get("shape") is not None
+    instances, failures, shapes = 0, [], 0
+    for ctx in _contexts(params, shard, _CONNECTED):
+        if single:
+            instances, shapes = ctx.n - 1, 1
         clauses = []
         stages = [ctx.stage_members(i) for i in range(1, ctx.n + 1)]
         counts = [int(g.size) for g in stages]
         if len(set(counts)) > 1:
             clauses.append({"clause": "stage sizes differ", "counts": counts})
         for i in range(1, ctx.n):
-            instances += 1
             if not np.array_equal(np.sort(ctx.apply_step(stages[i - 1], i)), stages[i]):
                 clauses.append({"clause": "step image", "i": i})
         failures += [{"shape": catalog_line(ctx.shape), **c} for c in clauses]
+    if not single and shard[0] == 0:
+        shapes, _, instances = catalog_sums(params["max_cells"])
     return {"instances": instances, "failures": failures,
             "details": {"shapes": shapes}}
 
@@ -659,8 +632,8 @@ _PROPERTIES = {
                                    "refine_cells": (0, 7, 7), "max_entry": (1, 2, 2)}),
     "conjecture": (_run_conjecture, {"max_cells": (1, 9, 14), "kmax": (1, 3, 3)}),
     "thm_bp": (_run_thm_bp, {"max_cells": (1, 9, 14)}),
-    "genskew": (_run_genskew, {"max_cells": (1, 10, 12), "shape": (1, None, 12)}),
-    "lemma_gi": (_run_lemma_gi, {"max_cells": (1, 8, 10), "shape": (1, None, 10)}),
+    "genskew": (_run_genskew, {"max_cells": (1, 10, 14), "shape": (1, None, 14)}),
+    "lemma_gi": (_run_lemma_gi, {"max_cells": (1, 8, 12), "shape": (1, None, 12)}),
     "lem_ferrers": (_run_lem_ferrers, {"max_cells": (1, 8, 8), "kmax": (0, 2, 2),
                                        "lmax": (0, 2, 2), "max_entry": (1, 2, 2)}),
     "rubey": (_run_rubey, {"max_cells": (1, 8, 10), "max_entry": (1, 1, 2)}),
@@ -698,8 +671,8 @@ def verify(prop: str, **params) -> VerificationReport:
     and lem_ferrers' kmax and lmax); above its cap it raises BudgetError
     unless SKEWFILL_BUDGET_OVERRIDE=1.  A single shape is
     budgeted by its cells against the max_cells cap.  jobs runs from 1 to
-    64, and no override lifts that cap.  A shape that is neither a Shape
-    nor a string raises ValueError.
+    64, and no override lifts that cap.  A shape of None is no shape, and
+    one that is neither a Shape nor a string raises ValueError.
     """
     if prop not in _PROPERTIES:
         raise ValueError(f"unknown property {prop!r}, expected one of {PROPERTIES}")
@@ -710,15 +683,17 @@ def verify(prop: str, **params) -> VerificationReport:
     for key, val in params.items():
         if key not in budgets:
             raise ValueError(f"property {prop} does not take parameter {key!r}")
+        if key == "shape" and val is None:
+            continue  # as if no shape were given
         floor, _, cap = budgets[key]
         if key == "shape":
             if isinstance(val, Shape):
                 val = catalog_line(val)
-            elif not isinstance(val, (str, type(None))):
+            elif not isinstance(val, str):
                 raise ValueError(f"{prop}: shape={val!r} is neither a Shape nor a catalog line")
-            if val is not None:  # counted from the grammar, before any cell is built
-                cells = sum(b - a + 1 for a, b in _catalog_intervals(val))
-                check_budget(f"{prop}: shape cells", cells, floor, cap)
+            # counted from the grammar, before any cell is built
+            cells = sum(b - a + 1 for a, b in _catalog_intervals(val))
+            check_budget(f"{prop}: shape cells", cells, floor, cap)
         else:
             check_budget(f"{prop}: {key}", val, floor, cap)
         effective[key] = val

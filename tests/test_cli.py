@@ -303,7 +303,7 @@ def test_verify_output_independent_of_jobs(capsys):
 
 def test_verify_budget_violation_is_usage_error(capsys, monkeypatch):
     monkeypatch.delenv("SKEWFILL_BUDGET_OVERRIDE", raising=False)
-    code, _, err = run(capsys, "verify", "genskew", "--max-cells", "13")
+    code, _, err = run(capsys, "verify", "genskew", "--max-cells", "15")
     assert code == 2 and "exceeds cap" in err
 
 

@@ -11,10 +11,11 @@ from hypothesis.extra.numpy import arrays
 from conftest import skew_shapes
 from skewfill._engine import ShapeContext, _packed_keys, _step_table, multiset_equal
 from skewfill.bijection import in_G, label_index, step_backward, step_forward
-from skewfill.enumeration import enum_skew_shapes
+from skewfill.enumeration import catalog_line, enum_skew_shapes, parse_catalog_line
 from skewfill.fillings import Filling, as_pattern, find_filling_occurrences
-from skewfill.harness import _contexts, _sibling_groups
-from skewfill.shapes import _interval_shape, _row_spans, is_skew, normalize, parse_shape
+from skewfill.harness import _contexts
+from skewfill.shapes import _row_spans, is_skew, normalize, parse_shape
+from test_genskew_runner import components
 
 TOKENS = ("delta2", "iota2", "fd")
 
@@ -151,31 +152,39 @@ def test_walk_tables_match_whole_shape_construction():
     assert seen == 3909
 
 
-def test_sibling_groups_match_whole_shape_construction():
-    # every member of every sibling group on the walk to 8 cells, on views
-    # of its group's tables; the group's own keys, steps and row keys
-    # against the members' contexts
-    seen, largest = 0, 0
-    for group, members in _sibling_groups(8, (0, 1)):
-        contexts = [group.context(g, _interval_shape(iv)) for g, (iv, _, _) in enumerate(members)]
-        for ctx in contexts:
-            assert_tables_match(ctx)
-        stages = []
-        for i in (1, group.n):
-            keys = group.stage_keys(i)
-            assert np.array_equal(keys, np.concatenate(
-                [(g << group.n) + ctx.stage_members(i) for g, ctx in enumerate(contexts)]))
-            stages.append(keys)
-        for keys, forward in zip(stages, (True, False)):
-            codes = keys & ((1 << group.n) - 1)
-            assert np.array_equal(group.apply_all(keys, forward) >> group.n, keys >> group.n)
-            assert np.array_equal(group.apply_all(keys, forward) & ((1 << group.n) - 1),
-                                  np.concatenate([ctx.apply_all(codes[keys >> group.n == g], forward)
-                                                  for g, ctx in enumerate(contexts)]))
-            assert np.array_equal(group.row_keys_of(keys), contexts[0].row_keys()[codes])
-        seen += len(members)
-        largest = max(largest, len(members))
-    assert seen == 3909 and largest >= 3
+def test_disconnected_shapes_factor_into_their_components():
+    # the product lemma (see the harness docstring) on every disconnected
+    # shape of at most 8 cells, against its components' own contexts
+    parts, seen = {}, 0
+    for ctx in _contexts({"max_cells": 8}, (0, 1)):
+        lines = components(catalog_line(ctx.shape))
+        if len(lines) == 1:
+            continue
+        seen += 1
+        comps = [parts.setdefault(c, ShapeContext(parse_catalog_line(c))) for c in lines]
+        offsets = np.cumsum([0] + [c.n for c in comps[:-1]]).tolist()
+
+        def product(sets):
+            """The codes of ctx whose part on each component is in its set."""
+            out = np.zeros(1, dtype=np.int64)
+            for codes, off in zip(sets, offsets):
+                out = ((codes[:, None] << off) | out).ravel()
+            return np.sort(out)
+
+        for i in range(1, ctx.n + 1):
+            assert np.array_equal(ctx.stage_members(i), product(
+                [c.stage_members(min(max(i - off, 1), c.n)) for c, off in zip(comps, offsets)]))
+        every = np.arange(1 << ctx.n, dtype=np.int64)
+        radix = np.cumprod([1] + [c._radix for c in comps[:-1]]).tolist()
+        assert np.array_equal(ctx.row_keys(), sum(
+            c.row_keys()[every >> off & ((1 << c.n) - 1)] * r
+            for c, off, r in zip(comps, offsets, radix)))
+        for i, forward in ((1, True), (ctx.n, False)):
+            codes = ctx.stage_members(i)
+            assert np.array_equal(ctx.apply_all(codes, forward), sum(
+                c.apply_all(codes >> off & ((1 << c.n) - 1), forward) << off
+                for c, off in zip(comps, offsets)))
+    assert seen == 3480
 
 
 def test_stage_members_of_given_codes_match_intersection():

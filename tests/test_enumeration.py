@@ -14,8 +14,7 @@ from skewfill.enumeration import (
     _diagonal_prefix,
     _ferrers_prefix,
     _filter_prefix,
-    _sibling_walk,
-    catalog_size,
+    catalog_sums,
     catalog_line,
     count_avoiders,
     enum_fillings,
@@ -45,7 +44,8 @@ SQUARE = normalize([(x, y) for x in (1, 2) for y in (1, 2)])
 # counts computed by filtering all subsets of bounding boxes for the
 # skew property (see test_counts_match_subset_oracle below for n <= 5)
 SKEW_COUNTS = [1, 3, 9, 28, 87, 272, 850, 2659]
-CONNECTED_COUNTS = [1, 2, 4, 9, 20, 46, 105, 242]
+# the parallelogram polyominoes by area, OEIS A006958
+CONNECTED_COUNTS = [1, 2, 4, 9, 20, 46, 105, 242, 557, 1285, 2964, 6842]
 
 
 def test_skew_shape_counts():
@@ -56,6 +56,15 @@ def test_skew_shape_counts():
 def test_connected_skew_shape_counts():
     for n, want in enumerate(CONNECTED_COUNTS[:6], start=1):
         assert sum(1 for _ in enum_skew_shapes(n, connected=True)) == want
+
+
+def test_connected_walk_counts_the_parallelogram_polyominoes():
+    # the connected skew shapes are the parallelogram polyominoes
+    by_size = [0] * len(CONNECTED_COUNTS)
+    keep = partial(_filter_prefix, connected=True, ds_free=False)
+    for _, used, _ in _catalog_walk(len(CONNECTED_COUNTS), keep=keep):
+        by_size[used - 1] += 1
+    assert by_size == CONNECTED_COUNTS
 
 
 def test_enum_skew_shapes_partitions():
@@ -367,9 +376,13 @@ def test_catalog_walk_at_a_budget_is_the_lists_within_it(full_catalog):
 
 
 def test_catalog_size_counts_the_walk(full_catalog):
-    for n in range(1, WALK_CELLS + 1):
-        assert catalog_size(n) == sum(1 for _, used, *_ in full_catalog if used <= n)
-    assert catalog_size(WALK_CELLS) == len(full_catalog) == 38252
+    # shapes, the sum of 2^n and the sum of n - 1 over the shapes of at
+    # most max_cells cells, n cells each
+    for max_cells in range(1, WALK_CELLS + 1):
+        sizes = [used for _, used, *_ in full_catalog if used <= max_cells]
+        want = (len(sizes), sum(1 << n for n in sizes), sum(n - 1 for n in sizes))
+        assert catalog_sums(max_cells) == want
+    assert catalog_sums(WALK_CELLS)[0] == len(full_catalog) == 38252
 
 
 def test_diagonal_walk_yields_the_shapes_with_a_transversal(full_catalog):
@@ -418,20 +431,3 @@ def test_shards_of_a_pruned_walk_split_its_lists(keep):
         rank = {iv: k for k, iv in enumerate(everything)}
         assert all([rank[iv] for iv in part] == sorted(rank[iv] for iv in part)
                    for part in parts)
-
-
-@pytest.mark.parametrize("count", [1, 2, 3, 5])
-def test_sibling_walk_groups_the_catalog_walk_by_parent(count):
-    # each shard's children are its lists of the catalog walk, with the
-    # same ownership; its parents are the empty list and the walk's lists
-    # with room left, depth first
-    for n in range(0, 9):
-        for index in range(count):
-            lists = list(_catalog_walk(n, (index, count)))
-            parents, children = [], []
-            for iv, used, kids in _sibling_walk(n, (index, count)):
-                parents.append((iv, used))
-                children += kids
-                assert [kid[0][:-1] for kid in kids] == [iv] * len(kids)
-            assert sorted(children) == lists
-            assert parents == [((), 0)] + [(iv, used) for iv, used, _ in lists if used < n]

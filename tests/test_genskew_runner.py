@@ -1,41 +1,30 @@
-"""The genskew runner against its reference path, under broken engines.
+"""The genskew and lemma_gi runners against full-walk references, under
+broken engines.
 
-The reference is an earlier runner, kept here only: shape by shape, on a
-ShapeContext each, it compares the direct refined counts, tests the
-forward image for repeats and for being the final stage, and checks the
-row keys and the backward map, whatever the other checks found.  The
-runner in harness checks a sibling group at a time and reruns a failing
-group shape by shape, computing the direct counts and the repeat test
-only when a check they depend on failed.  Each test below breaks the
-engine in one way, in the group path and in the per-shape path alike,
-and expects the two runners to give the same report.
+The references are earlier runners, kept here only: they scan every
+catalog shape on a ShapeContext each.  genskew's compares the direct
+refined counts, tests the forward image for repeats and for being the
+final stage, and checks the row keys and the backward map, whatever the
+other checks found.  The runners in harness scan only the connected
+shapes, cover the disconnected ones by the product lemma (see the
+harness docstring), and compute the direct counts and the repeat test
+only when a check they depend on failed.  With a sound engine the
+reports are equal.  Each break below breaks the engine in one way; the
+runners then report the same connected shapes with the same clauses as
+the references, and every disconnected shape a reference reports has a
+component that the runner reports.
 """
 
 import numpy as np
 import pytest
 
 from skewfill import _engine, harness
-from skewfill._engine import ShapeContext, SiblingGroup, multiset_equal
-from skewfill.enumeration import _line, catalog_line, parse_catalog_line
+from skewfill._engine import ShapeContext, multiset_equal
+from skewfill.enumeration import _catalog_intervals, _joined, _line, catalog_line, \
+    parse_catalog_line
 
 LINE = "[(1,2),(1,3)]"  # five cells, one step on a 2x2 box
 BROKEN = parse_catalog_line(LINE)
-# LINE's sibling group: the three shapes over [(1,2)] with a top row of width 3
-SIBLINGS = [LINE, "[(1,2),(2,4)]", "[(1,2),(3,5)]"]
-
-
-def member_lines(parent, w, los):
-    """The catalog lines of the shapes extending parent by a top row of
-    width w starting at each column in los."""
-    below = [(a, b) for _, a, b, _ in parent.rows]
-    return [_line(below + [(lo, lo + w - 1)]) for lo in los]
-
-
-def member_of(group, line):
-    """The index of the given shape in the group, or None when it is not
-    one of the group's shapes."""
-    lines = member_lines(group.parent, group.w, group.los)
-    return None if line not in lines else lines.index(line)
 
 
 def reference_run_genskew(params, shard):
@@ -67,22 +56,54 @@ def reference_run_genskew(params, shard):
     return {"instances": instances, "failures": failures, "details": details}
 
 
+def reference_run_lemma_gi(params, shard):
+    instances, failures = 0, []
+    shapes = 0
+    for ctx in harness._contexts(params, shard):
+        shapes += 1
+        stages = [ctx.stage_members(i) for i in range(1, ctx.n + 1)]
+        counts = [int(g.size) for g in stages]
+        if len(set(counts)) > 1:
+            failures.append({"shape": catalog_line(ctx.shape), "clause": "stage sizes differ",
+                             "counts": counts})
+        for i in range(1, ctx.n):
+            instances += 1
+            if not np.array_equal(np.sort(ctx.apply_step(stages[i - 1], i)), stages[i]):
+                failures.append({"shape": catalog_line(ctx.shape), "clause": "step image", "i": i})
+    return {"instances": instances, "failures": failures, "details": {"shapes": shapes}}
+
+
+def components(line):
+    """The catalog lines of a shape's components, lower left first, each
+    moved to start at column 1."""
+    blocks = []
+    for a, b in _catalog_intervals(line):
+        if not blocks or not _joined([blocks[-1][-1], (a, b)]):
+            blocks.append([])
+        blocks[-1].append((a, b))
+    return [_line([(a - rows[0][0] + 1, b - rows[0][0] + 1) for a, b in rows])
+            for rows in blocks]
+
+
+def assert_covers(got, ref):
+    """got, a runner's result, against ref, the reference's: the same
+    counts, the same connected failures, and a reported component for
+    every disconnected shape that ref reports."""
+    assert (got["instances"], got["details"]) == (ref["instances"], ref["details"])
+    connected = [f for f in ref["failures"] if len(components(f["shape"])) == 1]
+    assert got["failures"] == connected
+    reported = {f["shape"] for f in got["failures"]}
+    for f in ref["failures"]:
+        assert reported & set(components(f["shape"])), f
+
+
 def forward_is_identity(monkeypatch):
     apply_all = ShapeContext.apply_all
-    group_apply_all = SiblingGroup.apply_all
 
     def broken(self, F, forward=True):
-        return F if self.shape == BROKEN else apply_all(self, F, forward)
-
-    def broken_group(self, F, forward=True):
-        image = group_apply_all(self, F, forward)
-        g = member_of(self, LINE)
-        if forward and g is not None:
-            image = np.where(F >> self.n == g, F, image)
-        return image
+        return F if forward and self.shape == BROKEN else apply_all(self, F, forward)
 
     monkeypatch.setattr(ShapeContext, "apply_all", broken)
-    monkeypatch.setattr(SiblingGroup, "apply_all", broken_group)
     return {"image is not the final stage"}
 
 
@@ -105,7 +126,6 @@ def perturbed_row_key(monkeypatch):
     ctx = ShapeContext(BROKEN)
     code = np.setdiff1d(ctx.stage_members(1), ctx.stage_members(ctx.n))[0]
     row_keys = ShapeContext.row_keys
-    row_keys_of = SiblingGroup.row_keys_of
 
     def broken(self):
         keys = row_keys(self)
@@ -114,56 +134,37 @@ def perturbed_row_key(monkeypatch):
             keys[code] += 1 << 40
         return keys
 
-    def broken_group(self, F):
-        keys = row_keys_of(self, F)
-        g = member_of(self, LINE)
-        if g is not None:
-            keys = np.where(F == (g << self.n) + code, keys + (1 << 40), keys)
-        return keys
-
     monkeypatch.setattr(ShapeContext, "row_keys", broken)
-    monkeypatch.setattr(SiblingGroup, "row_keys_of", broken_group)
     return {"row sums not preserved", "direct refined counts"}
 
 
 def backward_skips_last_step(monkeypatch):
     apply_all = ShapeContext.apply_all
-    group_apply_all = SiblingGroup.apply_all
 
     def broken(self, F, forward=True):
         if forward:
             return apply_all(self, F, forward)
-        return _engine._apply_steps(F, self._compiled_steps()[1:], False)
-
-    def broken_group(self, F, forward=True):
-        if forward:
-            return group_apply_all(self, F, forward)
-        out = F.copy()
-        for g, top in enumerate(self.top_steps):
-            mine = F >> self.n == g
-            steps = self.parent._compiled_steps() + top
-            out[mine] = _engine._apply_steps(F[mine], steps[1:], False)
-        return out
+        for step in reversed(self._compiled_steps()[1:]):
+            F = _engine._apply_one(F, step, False)
+        return F
 
     monkeypatch.setattr(ShapeContext, "apply_all", broken)
-    monkeypatch.setattr(SiblingGroup, "apply_all", broken_group)
     return {"backward not inverse"}
 
 
 def shifted_stage_bound(monkeypatch):
-    # a lone ShapeContext and a sibling group build their bounds alike
-    sibling_bounds = _engine._sibling_bounds
+    bounds = ShapeContext._bounds
 
-    def broken(parent, y, w, los):
-        dmax, umin, colmax = sibling_bounds(parent, y, w, los)
-        lines = member_lines(parent, w, los)
-        if LINE in lines:
-            # the empty filling leaves the last stage only: |g1| > |gN|
-            umin = umin.copy()
-            umin[lines.index(LINE), 0] = parent.n + w
-        return dmax, umin, colmax
+    def broken(self):
+        dmax, umin = bounds(self)
+        if self.shape == BROKEN and umin[0] != self.n:
+            # the empty filling leaves the last stage only: |g1| > |gN|;
+            # the children extend the broken table
+            self._umin = umin = umin.copy()
+            umin[0] = self.n
+        return dmax, umin
 
-    monkeypatch.setattr(_engine, "_sibling_bounds", broken)
+    monkeypatch.setattr(ShapeContext, "_bounds", broken)
     return {"direct refined counts", "image is not the final stage"}
 
 
@@ -177,8 +178,21 @@ def test_runner_matches_reference_under_a_broken_engine(monkeypatch, brk, max_ce
     clauses = brk(monkeypatch)
     params = {"max_cells": max_cells}
     got = harness._run_genskew(params, (0, 1))
-    assert got == reference_run_genskew(params, (0, 1))
+    ref = reference_run_genskew(params, (0, 1))
+    assert_covers(got, ref)
+    # at 6 cells every break but the one of LINE's forward map alone
+    # reaches disconnected shapes too
+    if max_cells == 6 and brk is not forward_is_identity:
+        assert any(len(components(f["shape"])) > 1 for f in ref["failures"])
     assert clauses <= {f["clause"] for f in got["failures"] if f["shape"] == LINE}
+
+
+@pytest.mark.parametrize("max_cells", (5, 6))
+@pytest.mark.parametrize("brk", BREAKS, ids=lambda b: b.__name__)
+def test_lemma_gi_runner_matches_reference_under_a_broken_engine(monkeypatch, brk, max_cells):
+    brk(monkeypatch)
+    params = {"max_cells": max_cells}
+    assert_covers(harness._run_lemma_gi(params, (0, 1)), reference_run_lemma_gi(params, (0, 1)))
 
 
 @pytest.mark.parametrize("brk", BREAKS, ids=lambda b: b.__name__)
@@ -190,10 +204,33 @@ def test_single_shape_matches_reference_under_a_broken_engine(monkeypatch, brk):
     assert got["failures"]
 
 
-@pytest.mark.parametrize("max_cells", (7, 8))
+def test_a_disconnected_single_shape_is_scanned_itself(monkeypatch):
+    # a break on one disconnected shape: the catalog runs cover it by its
+    # components and pass; given as the shape parameter it fails
+    line = "[(1,2),(1,3),(4,4)]"
+    shape = parse_catalog_line(line)
+    stage_members = ShapeContext.stage_members
+
+    def broken(self, i, codes=None):
+        got = stage_members(self, i, codes)
+        return got[1:] if self.shape == shape and i == self.n else got
+
+    monkeypatch.setattr(ShapeContext, "stage_members", broken)
+    for run in (harness._run_genskew, harness._run_lemma_gi):
+        assert run({"max_cells": 6}, (0, 1))["failures"] == []
+        assert {f["shape"] for f in run({"shape": line}, (0, 1))["failures"]} == {line}
+
+
+@pytest.mark.parametrize("max_cells", range(1, 9))
 def test_runner_matches_reference(max_cells):
     params = {"max_cells": max_cells}
     assert harness._run_genskew(params, (0, 1)) == reference_run_genskew(params, (0, 1))
+
+
+@pytest.mark.parametrize("max_cells", range(1, 9))
+def test_lemma_gi_runner_matches_reference(max_cells):
+    params = {"max_cells": max_cells}
+    assert harness._run_lemma_gi(params, (0, 1)) == reference_run_lemma_gi(params, (0, 1))
 
 
 def test_direct_counts_compared_only_after_a_failed_check(monkeypatch):
@@ -209,34 +246,3 @@ def test_direct_counts_compared_only_after_a_failed_check(monkeypatch):
     perturbed_row_key(monkeypatch)
     failures = harness._run_genskew({"max_cells": 6}, (0, 1))["failures"]
     assert len(calls) == len({f["shape"] for f in failures}) > 0
-
-
-def test_a_break_in_one_sibling_reruns_its_group_alone(monkeypatch):
-    # in the middle one of three siblings the empty filling leaves every
-    # stage but the last, so only it fails, and only its group is rerun
-    middle = SIBLINGS[1]
-    sibling_bounds = _engine._sibling_bounds
-
-    def broken(parent, y, w, los):
-        dmax, umin, colmax = sibling_bounds(parent, y, w, los)
-        lines = member_lines(parent, w, los)
-        if middle in lines:
-            dmax = dmax.copy()
-            dmax[lines.index(middle), 0] = parent.n + w
-        return dmax, umin, colmax
-
-    monkeypatch.setattr(_engine, "_sibling_bounds", broken)
-    rerun = []
-    clauses = harness._genskew_clauses
-
-    def recording(ctx):
-        rerun.append(catalog_line(ctx.shape))
-        return clauses(ctx)
-
-    monkeypatch.setattr(harness, "_genskew_clauses", recording)
-    params = {"max_cells": 5}
-    got = harness._run_genskew(params, (0, 1))
-    assert rerun == SIBLINGS
-    assert got["failures"] == [{"shape": middle, "clause": c} for c in
-                               ("direct refined counts", "image is not the final stage")]
-    assert got == reference_run_genskew(params, (0, 1))

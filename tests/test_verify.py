@@ -84,6 +84,11 @@ def test_genskew_single_shape():
     assert r.params["shape"] == "[(1,2),(1,3),(2,3)]"
 
 
+@pytest.mark.parametrize("prop", ["genskew", "lemma_gi"])
+def test_a_shape_of_none_is_no_shape(prop):
+    assert verify(prop, max_cells=3, shape=None) == verify(prop, max_cells=3)
+
+
 def test_lemma_gi_single_shape_accepts_catalog_line():
     r = verify("lemma_gi", shape="[(1,2),(1,3),(2,3)]")
     assert r.passed
@@ -124,7 +129,9 @@ def test_budget_caps_enforced():
             with pytest.raises(BudgetError):
                 verify(prop, max_cells=15)
         with pytest.raises(BudgetError):
-            verify("genskew", max_cells=13)
+            verify("genskew", max_cells=15)
+        with pytest.raises(BudgetError):
+            verify("lemma_gi", max_cells=13)
         with pytest.raises(BudgetError):
             verify("rubey", max_entry=3)
         with pytest.raises(BudgetError):
@@ -149,14 +156,14 @@ def test_budget_override_unlocks():
 
 def test_shape_parameter_respects_cell_cap(monkeypatch):
     monkeypatch.delenv("SKEWFILL_BUDGET_OVERRIDE", raising=False)
-    for prop, line in (("genskew", "[(1,13)]"), ("lemma_gi", "[(1,11)]")):
+    for prop, line in (("genskew", "[(1,15)]"), ("lemma_gi", "[(1,13)]")):
         with pytest.raises(BudgetError):
             verify(prop, shape=line)
-    assert verify("lemma_gi", shape="[(1,10)]").instances == 9  # at the cap
+    assert verify("lemma_gi", shape="[(1,12)]").instances == 11  # at the cap
     monkeypatch.setenv("SKEWFILL_BUDGET_OVERRIDE", "1")
-    r = verify("genskew", shape="[(1,11)]")
-    assert r.passed and r.instances == 2048
-    assert verify("lemma_gi", shape="[(1,11)]").instances == 10
+    r = verify("genskew", shape="[(1,15)]")
+    assert r.passed and r.instances == 1 << 15
+    assert verify("lemma_gi", shape="[(1,13)]").instances == 12
 
 
 def test_shape_budget_is_checked_before_the_shape_is_built(monkeypatch):
@@ -254,8 +261,7 @@ def test_lemma_gi_failure_names_its_shape(monkeypatch):
 
 
 def test_genskew_failure_names_its_shape(monkeypatch):
-    # the forward map is the identity on one shape, in its sibling group
-    # and in its own ShapeContext
+    # the forward map is the identity on one connected shape
     forward_is_identity(monkeypatch)
     r = verify("genskew", max_cells=5)
     assert r.failures == [{"shape": LINE, "clause": "image is not the final stage"}]
@@ -281,9 +287,11 @@ def test_three_jobs_match_one_on_pruned_walks(prop):
     assert verify(prop, max_cells=8, jobs=3) == verify(prop, max_cells=8)
 
 
-def test_three_jobs_match_one_on_the_sibling_group_walk():
-    # genskew deals out the catalog walk one parent's children at a time
-    assert verify("genskew", max_cells=8, jobs=3) == verify("genskew", max_cells=8)
+@pytest.mark.parametrize("prop", ["genskew", "lemma_gi"])
+def test_three_jobs_match_one_on_the_connected_walk(prop):
+    # these runners deal out the connected walk; shard 0 also reports the
+    # catalog's counts
+    assert verify(prop, max_cells=8, jobs=3) == verify(prop, max_cells=8)
 
 
 def test_three_jobs_with_empty_and_lopsided_shards():
