@@ -38,10 +38,11 @@ the square shapes.  conjecture counts a shape without a transversal as
 (0, 0) for every k, never a failure, so it tests the square shapes and
 takes its instance count, kmax per catalog shape, from
 enumeration.catalog_sums, which counts the catalog by the walk's own
-child rule without walking it; shard 0 reports it.  cor_sskew
-walks the connected, dent-free row prefixes and, for the same reason,
-counts transversals only on the shapes that admit one; its refined part
-runs on the shapes of at most refine_cells cells of the same walk.
+child rule without walking it; shard 0 reports it.  cor_sskew walks the
+connected, dent-free row prefixes and, for the same reason, counts
+transversals only on the shapes that admit one; its refined part runs on
+the shapes of at most refine_cells cells of the same walk and packs each
+shape's sum keys once for all k.
 
 genskew and lemma_gi scan the connected shapes of the catalog on the
 connected walk, one ShapeContext each, and cover the disconnected ones
@@ -121,6 +122,7 @@ import numpy as np
 
 from ._engine import (
     ShapeContext,
+    _packed_keys,
     line_sums,
     multiset_equal,
     sum_capped_mask,
@@ -348,20 +350,17 @@ def _capped_fillings(s: Shape, max_entry: int):
 
 
 def _refined_sum_check(s: Shape, kmax: int, max_entry: int):
-    """Failure clauses of the sum-class comparison on one shape."""
+    """Failure clauses of the sum-class comparison on one shape.  The sum
+    keys of all kept fillings are packed once; each k compares a subset."""
     perms = sum_permutations(s)
-    rho_idx = np.array(perms.rho, dtype=np.int64) - 1
-    sigma_idx = np.array(perms.sigma, dtype=np.int64) - 1
     rows, cols, sidx = _capped_fillings(s, max_entry)
     se = support_chain_table(s, SE)[sidx]
     ne = support_chain_table(s, NE)[sidx]
-    bad = []
-    for k in range(2, kmax + 1):
-        d_keys = np.hstack([rows[se < k], cols[se < k]])
-        i_keys = np.hstack([rows[ne < k][:, rho_idx], cols[ne < k][:, sigma_idx]])
-        if not multiset_equal(d_keys, i_keys):
-            bad.append(k)
-    return bad
+    d_keys = np.hstack([rows, cols])
+    i_keys = d_keys[:, [r - 1 for r in perms.rho] + [s.height + c - 1 for c in perms.sigma]]
+    d_keys, i_keys = _packed_keys(d_keys, i_keys) or (d_keys, i_keys)
+    return [k for k in range(2, kmax + 1)
+            if not multiset_equal(d_keys[se < k], i_keys[ne < k])]
 
 
 def _run_cor_sskew(params, shard):
@@ -637,7 +636,7 @@ _PROPERTIES = {
     "lem_ferrers": (_run_lem_ferrers, {"max_cells": (1, 8, 8), "kmax": (0, 2, 2),
                                        "lmax": (0, 2, 2), "max_entry": (1, 2, 2)}),
     "rubey": (_run_rubey, {"max_cells": (1, 8, 10), "max_entry": (1, 1, 2)}),
-    "ds_free_oracle": (_run_ds_free_oracle, {"max_cells": (1, 9, 9)}),
+    "ds_free_oracle": (_run_ds_free_oracle, {"max_cells": (1, 9, 12)}),
 }
 
 PROPERTIES = tuple(_PROPERTIES)

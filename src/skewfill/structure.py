@@ -16,6 +16,7 @@ from .shapes import (
     Cell,
     Shape,
     _contains_dent,
+    _row_spans,
     component_cell_sets,
     is_connected,
     is_nw_ferrers,
@@ -34,16 +35,6 @@ def _require_skew(s: Shape) -> None:
         raise ValueError("operation requires a skew shape")
 
 
-def _is_rectangle(cells) -> bool:
-    cells = list(cells)
-    if not cells:
-        return True
-    cols = [c[0] for c in cells]
-    rows = [c[1] for c in cells]
-    area = (max(cols) - min(cols) + 1) * (max(rows) - min(rows) + 1)
-    return len(cells) == area
-
-
 def is_ds_free(s: Shape, method: str = "pattern") -> bool:
     """Whether a skew shape avoids the dented pattern.
 
@@ -51,15 +42,25 @@ def is_ds_free(s: Shape, method: str = "pattern") -> bool:
     checks, for every cell, that the cells weakly NW of it or the cells
     weakly SE of it fill out a rectangle.  The two agree on all skew
     shapes.
+
+    The rectangle test reads the row spans [a, b], bottom row first.
+    Starts and ends grow upward and no column bridges empty rows, so the
+    rows from a cell (i, j) upward that start at or left of i follow row
+    j without a gap and all reach i: the cells weakly NW fill a rectangle
+    exactly when no row above starts in (a, i], and likewise the cells
+    weakly SE exactly when no row below ends in [i, b).  So row j fails
+    exactly when the nearest start above other than a is at most the
+    nearest end below other than b.
     """
     _require_skew(s)
     if method == "pattern":
         return not _contains_dent(s)
     if method == "rectangle":
-        for i, j in s.cells:
-            nw = [c for c in s.cells if c[0] <= i and c[1] >= j]
-            se = [c for c in s.cells if c[0] >= i and c[1] <= j]
-            if not _is_rectangle(nw) and not _is_rectangle(se):
+        spans = list(_row_spans(s).values())
+        for r, (a, b) in enumerate(spans):
+            above = next((a2 for a2, _ in spans[r + 1:] if a2 != a), b + 1)
+            below = next((b2 for _, b2 in reversed(spans[:r]) if b2 != b), a - 1)
+            if above <= below:
                 return False
         return True
     raise ValueError(f"unknown method {method!r}, expected pattern or rectangle")

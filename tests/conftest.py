@@ -163,6 +163,26 @@ def all_subshapes_of_box(width, height):
     return seen
 
 
+def _is_rectangle(cells) -> bool:
+    cells = list(cells)
+    if not cells:
+        return True
+    cols = [c[0] for c in cells]
+    rows = [c[1] for c in cells]
+    return len(cells) == (max(cols) - min(cols) + 1) * (max(rows) - min(rows) + 1)
+
+
+def rectangle_ds_free(s: Shape) -> bool:
+    """The rectangle criterion by its definition: for every cell, the
+    cells weakly NW of it or the cells weakly SE of it fill a rectangle."""
+    for i, j in s.cells:
+        nw = [c for c in s.cells if c[0] <= i and c[1] >= j]
+        se = [c for c in s.cells if c[0] >= i and c[1] <= j]
+        if not _is_rectangle(nw) and not _is_rectangle(se):
+            return False
+    return True
+
+
 def brute_transversal_count(s: Shape, predicate) -> int:
     """Count transversals satisfying predicate, via permutations."""
     rows = sorted({y for _, y in s.cells})

@@ -1,9 +1,9 @@
 import pytest
 from hypothesis import given, settings
 
-from conftest import skew_shapes
+from conftest import all_subshapes_of_box, rectangle_ds_free, skew_shapes
 from skewfill.enumeration import enum_skew_shapes
-from skewfill.shapes import dent_shape, is_connected, normalize
+from skewfill.shapes import dent_shape, is_connected, is_skew, normalize
 from skewfill.structure import (
     Decomposition,
     DecompositionError,
@@ -37,6 +37,21 @@ def test_is_ds_free_methods_agree_small():
     for n in range(1, 8):
         for s in enum_skew_shapes(n):
             assert is_ds_free(s, method="pattern") == is_ds_free(s, method="rectangle")
+
+
+def test_rectangle_criterion_matches_its_definition_on_the_catalog():
+    for n in range(1, 9):
+        for s in enum_skew_shapes(n):
+            assert is_ds_free(s, method="rectangle") == rectangle_ds_free(s), s
+
+
+def test_rectangle_criterion_matches_its_definition_on_box_subshapes():
+    """Every skew shape inside the 4x4 box, those with empty rows too."""
+    shapes = [s for s in all_subshapes_of_box(4, 4) if is_skew(s)]
+    gapped = [s for s in shapes if len({y for _, y in s.cells}) < s.height]
+    assert gapped
+    for s in shapes:
+        assert is_ds_free(s, method="rectangle") == rectangle_ds_free(s), s
 
 
 def test_is_ds_free_rejects_unknown_method():

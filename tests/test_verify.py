@@ -136,22 +136,20 @@ def test_budget_caps_enforced():
             verify("rubey", max_entry=3)
         with pytest.raises(BudgetError):
             verify("rubey", max_cells=11)
+        with pytest.raises(BudgetError):
+            verify("ds_free_oracle", max_cells=13)
     finally:
         if saved is not None:
             os.environ["SKEWFILL_BUDGET_OVERRIDE"] = saved
 
 
-def test_budget_override_unlocks():
-    saved = os.environ.get("SKEWFILL_BUDGET_OVERRIDE")
-    os.environ["SKEWFILL_BUDGET_OVERRIDE"] = "1"
-    try:
-        r = verify("lemma_gi", max_cells=9, shape="[(1,1)]")
-        assert r.passed
-    finally:
-        if saved is None:
-            del os.environ["SKEWFILL_BUDGET_OVERRIDE"]
-        else:
-            os.environ["SKEWFILL_BUDGET_OVERRIDE"] = saved
+def test_budget_override_unlocks(monkeypatch):
+    monkeypatch.delenv("SKEWFILL_BUDGET_OVERRIDE", raising=False)
+    with pytest.raises(BudgetError):
+        verify("lemma_gi", shape="[(1,13)]")  # 13 cells, over lemma_gi's cap of 12
+    monkeypatch.setenv("SKEWFILL_BUDGET_OVERRIDE", "1")
+    r = verify("lemma_gi", shape="[(1,13)]")
+    assert r.passed and r.instances == 12
 
 
 def test_shape_parameter_respects_cell_cap(monkeypatch):
