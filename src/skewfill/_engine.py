@@ -171,23 +171,13 @@ class ShapeContext:
         self._umin = umin.ravel()
         return self._dmax, self._umin
 
-    def _in_stage(self, i: int, codes: np.ndarray | None = None) -> np.ndarray:
-        """Per code (of all, or of the given ones): whether it lies in
-        stage set i, that is dmax <= i < umin."""
+    def stage_members(self, i: int) -> np.ndarray:
+        """Codes of the fillings in stage set i, dmax <= i < umin, ascending."""
         dmax, umin = self._bounds()
-        if codes is not None:
-            dmax, umin = dmax[codes], umin[codes]
-        return (dmax <= i) & (umin > i)
-
-    def stage_members(self, i: int, codes: np.ndarray | None = None) -> np.ndarray:
-        """Codes of the fillings in stage set i, ascending; given codes,
-        those of them in stage set i, in their order."""
-        if codes is not None:
-            return codes[self._in_stage(i, codes)]
-        return self._in_stage(i).nonzero()[0].astype(np.int64, copy=False)
+        return ((dmax <= i) & (umin > i)).nonzero()[0].astype(np.int64, copy=False)
 
     def stage_counts(self) -> list[int]:
-        return [int(np.count_nonzero(self._in_stage(i))) for i in range(1, self.n + 1)]
+        return [self.stage_members(i).size for i in range(1, self.n + 1)]
 
     # --- step application ---------------------------------------------------
 

@@ -103,6 +103,8 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("property", choices=PROPERTIES)
     v.add_argument("--max-cells", dest="max_cells", type=integer, default=None)
     v.add_argument("--k", dest="kmax", type=integer, default=None)
+    v.add_argument("--lmax", type=integer, default=None)
+    v.add_argument("--refine-cells", dest="refine_cells", type=integer, default=None)
     v.add_argument("--max-entry", dest="max_entry", type=integer, default=None)
     v.add_argument("--jobs", type=integer, default=1)
     v.add_argument("--format", dest="format", choices=("text", "csv", "json"),
@@ -167,7 +169,7 @@ def _cmd_bijection(args) -> int:
 
 def _cmd_verify(args) -> int:
     params = {}
-    for name in ("max_cells", "kmax", "max_entry"):
+    for name in ("max_cells", "kmax", "lmax", "refine_cells", "max_entry"):
         value = getattr(args, name)
         if value is not None:
             params[name] = value

@@ -36,6 +36,7 @@ from .fillings import Filling, SumVector, as_pattern, avoids, sum_vector
 from .shapes import (
     Shape,
     _contains_dent,
+    _contiguous,
     _interval_shape,
     _row_spans,
     _top_row_dents,
@@ -253,9 +254,7 @@ def catalog_line(s: Shape) -> str:
     spans = _row_spans(s)
     if len(spans) != s.height:
         raise ValueError("catalog notation requires no empty rows")
-    # each span covers at least its row's cells, and all of them only if
-    # the row is contiguous
-    if sum(b - a + 1 for a, b in spans.values()) != s.size:
+    if not _contiguous(s, True):
         raise ValueError("catalog notation requires contiguous rows")
     return _line(spans.values())
 
@@ -373,20 +372,17 @@ def _enum_values(s: Shape, spec: EnumSpec):
         raise ValueError("transversal mode requires height = width")
     if s.height > total_cap:
         return
-    by_row = [s.row_cols(y) for y in range(1, s.height + 1)]
+    for p in _transversals([s.row_cols(y) for y in range(1, s.height + 1)]):
+        yield tuple(int(p[y - 1] == x) for x, y in cells)
 
-    def rec_t(y, chosen, cols_used):
-        if y > s.height:
-            support = frozenset(zip(chosen, range(1, s.height + 1)))
-            yield tuple(1 if c in support else 0 for c in cells)
-            return
-        for x in by_row[y - 1]:
-            if x not in cols_used:
-                chosen.append(x)
-                yield from rec_t(y + 1, chosen, cols_used | {x})
-                chosen.pop()
 
-    yield from rec_t(1, [], frozenset())
+def _transversals(rows) -> list[tuple[int, ...]]:
+    """The transversals of a square shape whose row y has the ascending
+    columns rows[y - 1]: tuples p, p[y - 1] the column of row y, in order."""
+    out = [()]
+    for cols in rows:
+        out = [p + (x,) for p in out for x in cols if x not in p]
+    return out
 
 
 def enum_fillings(s: Shape, spec: EnumSpec):

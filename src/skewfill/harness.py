@@ -33,16 +33,18 @@ use; a pruned walk yields the lists of the full walk that pass its
 prefix test, in the same order (enumeration._catalog_walk).  thm_bp and
 conjecture take the diagonal walk, which keeps the row prefixes of the
 shapes admitting a transversal; its square shapes are those shapes.
-thm_bp extends a ShapeContext along it, the prefixes included, and tests
-the square shapes.  conjecture counts a shape without a transversal as
-(0, 0) for every k, never a failure, so it tests the square shapes and
-takes its instance count, kmax per catalog shape, from
-enumeration.catalog_sums, which counts the catalog by the walk's own
-child rule without walking it; shard 0 reports it.  cor_sskew walks the
-connected, dent-free row prefixes and, for the same reason, counts
-transversals only on the shapes that admit one; its refined part runs on
-the shapes of at most refine_cells cells of the same walk and packs each
-shape's sum keys once for all k.
+All three read the transversals off the rows as permutations, with no
+Shape, ShapeContext or 2^n table (the argument is at
+_transversal_chains).  A shape without a transversal counts (0, 0) for
+every k in conjecture, never a failure, so conjecture takes its
+instances, kmax per catalog shape, from enumeration.catalog_sums, which
+counts the catalog by the walk's own child rule; shard 0 reports it.
+cor_sskew walks the connected, dent-free row prefixes, and its refined
+part runs on those of at most refine_cells cells, packing each shape's
+sum keys once for all k.  The refined part also passes with identity
+permutations in place of (rho, sigma) on every connected dent-free shape
+of at most 9 cells, so it does not by itself test sum_permutations;
+tests/test_decomposition.py does.
 
 genskew and lemma_gi scan the connected shapes of the catalog on the
 connected walk, one ShapeContext each, and cover the disconnected ones
@@ -95,19 +97,16 @@ are verified at multiset/cardinality level only; their report details
 carry a "level" marker saying so.
 
 Integer-filling scans (the refined part of cor_sskew, lem_ferrers, and
-rubey) enumerate the fillings with entries <= max_entry whose row sums
-or column sums all stay within max_entry as well.  The underlying
-identities are statements about sum classes of unbounded integer
-fillings, and these are exactly the classes an entry cap enumerates
-completely: a class with a row-sum vector (or column-sum vector) inside
-the cap cannot contain an entry above it.  A bare entry cap without the
-sum restriction cuts classes in half and makes the identities false as
-stated; the 2x2 square with row and column sums (1, 3) already shows
-this for caps 1 and 2.
+rubey) take the fillings with entries <= max_entry whose row sums or
+column sums all stay within max_entry as well: the sum classes that an
+entry cap enumerates completely (_engine.sum_capped_mask).  A bare entry
+cap cuts classes in half and makes the identities false as stated; the
+2x2 square with row and column sums (1, 3) shows this for caps 1 and 2.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 import itertools
@@ -130,11 +129,12 @@ from ._engine import (
     support_index,
     value_matrix,
 )
-from .enumeration import EnumSpec, _admits_transversal, _catalog_intervals, _catalog_walk, \
-    _diagonal_prefix, _ferrers_prefix, _filter_prefix, _joined, _line, _value_rows, \
+from .enumeration import _admits_transversal, _catalog_intervals, _catalog_walk, \
+    _diagonal_prefix, _ferrers_prefix, _filter_prefix, _joined, _line, _transversals, \
     catalog_line, catalog_sums, enum_moon_polyominoes, parse_catalog_line
 from .fillings import NE, SE
-from .shapes import Rect, Shape, _interval_shape, _kept_skew, dent_shape, maximal_rectangles
+from .shapes import Rect, Shape, _interval_rectangles, _interval_shape, _kept_skew, _row_spans, \
+    _top_row_dents, dent_shape, maximal_rectangles
 from .structure import DecompositionError, ferrers_decompose, is_ds_free, sum_permutations
 
 class BudgetError(ValueError):
@@ -281,61 +281,91 @@ def _contexts(params, shard, keep=None):
             yield stack[-1]
 
 
-def _transversals(s: Shape) -> np.ndarray:
-    """Support masks of the transversals of s, in enumeration order."""
-    if s.height != s.width:
-        return np.zeros(0, dtype=np.int64)
-    return support_index(_value_rows(s, EnumSpec(mode="transversal")))
+def _lis(seq) -> int:
+    """Length of the longest increasing subsequence, by patience sorting."""
+    tails = []
+    for v in seq:
+        k = bisect.bisect_left(tails, v)
+        if k == len(tails):
+            tails.append(v)
+        else:
+            tails[k] = v
+    return len(tails)
 
 
-def _tr_counts(s: Shape, ts: np.ndarray, ks) -> list[tuple[int, int]]:
+def _transversal_chains(intervals):
+    """(p, ne, se) for each transversal of the square skew shape with these
+    rows, in enumeration._transversals order (row y holds its 1 in column
+    p[y - 1]), with ne and se its longest NE and SE chains as
+    support_chain_table counts them (see the _engine module docstring):
+    se is the longest decreasing subsequence of p, and ne the largest
+    longest increasing subsequence of the p[y - 1] in [lo, hi], y1 <= y <=
+    y2, over the maximal rectangles (lo, hi, y1, y2).  A rectangle one row
+    or column wide holds no NE pair, and every 1-cell lies in one.
+
+    thm_bp's counts: no delta_2, iota_2 or fd top has label 1, so stage 1
+    holds the delta_2-avoiders and stage N the {iota_2, fd}-avoiders.  On a
+    transversal a delta_2 occurrence (2x2 cells, 1s top-left and
+    bottom-right) is an SE pair, and by box closure every SE pair is one:
+    the delta_2-avoiders have se < 2.  An iota_2 occurrence (1s bottom-left
+    and top-right) spans a box of the shape, hence lies in a maximal
+    rectangle, and an NE pair in a rectangle is one: the iota_2-avoiders
+    have ne < 2.  An fd placement ((i1, i2, i3), (j1, j2, j3)) holds 1s at
+    (i1, j1), (i2, j3) and (i3, j2), so p hits it when p[j1 - 1] == i1,
+    p[j3 - 1] == i2 and p[j2 - 1] == i3.
+    """
+    rects = [r for r in _interval_rectangles(intervals) if r[0] < r[1] and r[2] < r[3]]
+    for p in _transversals([range(a, b + 1) for a, b in intervals]):
+        ne = max((_lis([x for x in p[y1 - 1:y2] if lo <= x <= hi]) for lo, hi, y1, y2 in rects),
+                 default=1)
+        yield p, ne, _lis([-x for x in p])
+
+
+def _tr_counts(intervals, ks) -> list[tuple[int, int]]:
     """(#iota_k-avoiding, #delta_k-avoiding) transversals for each k."""
-    if not ts.size:
-        return [(0, 0) for _ in ks]
-    ne = support_chain_table(s, NE)[ts]
-    se = support_chain_table(s, SE)[ts]
-    return [(int(np.count_nonzero(ne < k)), int(np.count_nonzero(se < k))) for k in ks]
+    chains = [(ne, se) for _, ne, se in _transversal_chains(intervals)]
+    return [(sum(ne < k for ne, _ in chains), sum(se < k for _, se in chains)) for k in ks]
+
+
+def _bp_counts(intervals) -> tuple[int, int]:
+    """(#delta_2-avoiding, #{iota_2, fd}-avoiding) transversals."""
+    rows = list(enumerate(intervals, start=1))
+    fd = [pl for t in range(2, len(rows)) for pl in _top_row_dents(rows[:t], rows[t])]
+    d_count = u_count = 0
+    for p, ne, se in _transversal_chains(intervals):
+        d_count += se < 2
+        u_count += ne < 2 and not any(p[j1 - 1] == i1 and p[j3 - 1] == i2 and p[j2 - 1] == i3
+                                      for (i1, i2, i3), (j1, j2, j3) in fd)
+    return d_count, u_count
 
 
 def _run_conjecture(params, shard):
-    failures = []
-    strict = 0
-    ds_strict = False
-    dent = dent_shape()
+    failures, strict, ds_strict = [], 0, False
+    dent = tuple(_row_spans(dent_shape()).values())
     ks = range(1, params["kmax"] + 1)
     instances = len(ks) * catalog_sums(params["max_cells"])[0] if shard[0] == 0 else 0
     for intervals, _, mine in _catalog_walk(params["max_cells"], shard, _diagonal_prefix):
         if not mine or intervals[-1][1] != len(intervals):
             continue
-        s = _interval_shape(intervals)
-        for k, (ti, td) in zip(ks, _tr_counts(s, _transversals(s), ks)):
+        for k, (ti, td) in zip(ks, _tr_counts(intervals, ks)):
             if ti < td:
-                failures.append({"shape": _line(intervals), "k": k,
-                                 "iota": ti, "delta": td})
+                failures.append({"shape": _line(intervals), "k": k, "iota": ti, "delta": td})
             elif ti > td:
                 strict += 1
-                if s == dent:
-                    ds_strict = True
+                ds_strict = ds_strict or intervals == dent
     return {"instances": instances, "failures": failures,
             "details": {"strict": strict, "ds_strict": ds_strict}}
 
 
 def _run_thm_bp(params, shard):
     instances, failures = 0, []
-    for ctx in _contexts(params, shard, _diagonal_prefix):
-        s = ctx.shape
-        if s.height != s.width:
+    for intervals, _, mine in _catalog_walk(params["max_cells"], shard, _diagonal_prefix):
+        if not mine or intervals[-1][1] != len(intervals):
             continue
-        ts = _transversals(s)
         instances += 1
-        d_count = ctx.stage_members(1, ts).size  # delta2-avoiders
-        u_count = ctx.stage_members(ctx.n, ts).size  # {iota2, fd}-avoiders
-        if d_count != 1:
-            failures.append({"shape": catalog_line(s), "clause": "delta2",
-                             "count": d_count})
-        if u_count != 1:
-            failures.append({"shape": catalog_line(s), "clause": "iota2+fd",
-                             "count": u_count})
+        for clause, count in zip(("delta2", "iota2+fd"), _bp_counts(intervals)):
+            if count != 1:
+                failures.append({"shape": _line(intervals), "clause": clause, "count": count})
     return {"instances": instances, "failures": failures,
             "details": {"shapes_with_transversal": instances}}
 
@@ -365,24 +395,22 @@ def _refined_sum_check(s: Shape, kmax: int, max_entry: int):
 
 def _run_cor_sskew(params, shard):
     instances, failures = 0, []
-    shapes_checked = 0
-    refined_checked = 0
+    shapes_checked = refined_checked = 0
     ks = range(2, params["kmax"] + 1)
     keep = partial(_filter_prefix, connected=True, ds_free=True)
     for intervals, used, mine in _catalog_walk(params["max_cells"], shard, keep):
         if not mine:
             continue
-        s = _interval_shape(intervals)
         shapes_checked += 1
         instances += len(ks)
         if _admits_transversal(intervals):
-            for k, (ti, td) in zip(ks, _tr_counts(s, _transversals(s), ks)):
+            for k, (ti, td) in zip(ks, _tr_counts(intervals, ks)):
                 if ti != td:
-                    failures.append({"shape": _line(intervals), "k": k,
-                                     "iota": ti, "delta": td})
+                    failures.append({"shape": _line(intervals), "k": k, "iota": ti, "delta": td})
         if used <= params["refine_cells"]:
             refined_checked += 1
-            for k in _refined_sum_check(s, params["kmax"], params["max_entry"]):
+            for k in _refined_sum_check(_interval_shape(intervals), params["kmax"],
+                                        params["max_entry"]):
                 failures.append({"shape": _line(intervals), "k": k,
                                  "clause": "refined sum classes"})
             instances += params["kmax"] - 1
@@ -627,10 +655,10 @@ def _run_ds_free_oracle(params, shard):
 # optional single shape of genskew and lemma_gi has no default; its budget
 # counts cells, up to the max_cells cap.
 _PROPERTIES = {
-    "cor_sskew": (_run_cor_sskew, {"max_cells": (1, 9, 14), "kmax": (1, 3, 3),
+    "cor_sskew": (_run_cor_sskew, {"max_cells": (1, 9, 16), "kmax": (1, 3, 3),
                                    "refine_cells": (0, 7, 7), "max_entry": (1, 2, 2)}),
-    "conjecture": (_run_conjecture, {"max_cells": (1, 9, 14), "kmax": (1, 3, 3)}),
-    "thm_bp": (_run_thm_bp, {"max_cells": (1, 9, 14)}),
+    "conjecture": (_run_conjecture, {"max_cells": (1, 9, 16), "kmax": (1, 3, 3)}),
+    "thm_bp": (_run_thm_bp, {"max_cells": (1, 9, 16)}),
     "genskew": (_run_genskew, {"max_cells": (1, 10, 14), "shape": (1, None, 14)}),
     "lemma_gi": (_run_lemma_gi, {"max_cells": (1, 8, 12), "shape": (1, None, 12)}),
     "lem_ferrers": (_run_lem_ferrers, {"max_cells": (1, 8, 8), "kmax": (0, 2, 2),
@@ -665,13 +693,10 @@ def verify(prop: str, **params) -> VerificationReport:
     Keyword params are property-specific ranges (max_cells, kmax, lmax,
     refine_cells, max_entry) plus jobs and, for genskew/lemma_gi, an
     optional single shape (catalog line or Shape).  Each given value goes
-    through check_budget: a value that is not an int, or is a bool, raises
-    ValueError, and so does one below its floor (1, or 0 for refine_cells
-    and lem_ferrers' kmax and lmax); above its cap it raises BudgetError
-    unless SKEWFILL_BUDGET_OVERRIDE=1.  A single shape is
-    budgeted by its cells against the max_cells cap.  jobs runs from 1 to
-    64, and no override lifts that cap.  A shape of None is no shape, and
-    one that is neither a Shape nor a string raises ValueError.
+    through check_budget against its floor and cap in _PROPERTIES, a
+    single shape by its cells against the max_cells cap.  jobs runs from 1
+    to 64, and no override lifts that cap.  A shape of None is no shape,
+    and one that is neither a Shape nor a string raises ValueError.
     """
     if prop not in _PROPERTIES:
         raise ValueError(f"unknown property {prop!r}, expected one of {PROPERTIES}")

@@ -99,19 +99,11 @@ class Shape:
 
     @property
     def width(self) -> int:
-        got = self.__dict__.get("_width")
-        if got is None:
-            got = max((x for x, _ in self.cells), default=0)
-            object.__setattr__(self, "_width", got)
-        return got
+        return next(reversed(self._lines(False)[0]), 0)
 
     @property
     def height(self) -> int:
-        got = self.__dict__.get("_height")
-        if got is None:
-            got = max((y for _, y in self.cells), default=0)
-            object.__setattr__(self, "_height", got)
-        return got
+        return next(reversed(self._lines(True)[0]), 0)
 
     @property
     def size(self) -> int:
@@ -134,18 +126,27 @@ class Shape:
             object.__setattr__(self, "_sorted", got)
         return got
 
+    def _lines(self, by_row: bool):
+        """(lines, spans): each occupied row's (by_row) or column's ascending
+        cells and (first, last) pair, in order; kept on the shape, read only."""
+        key = "_rows" if by_row else "_cols"
+        if key not in self.__dict__:
+            lines = {}
+            for x, y in self.sorted_cells() if by_row else sorted(self.cells):
+                lines.setdefault(y if by_row else x, []).append(x if by_row else y)
+            object.__setattr__(self, key, ({k: tuple(v) for k, v in lines.items()},
+                                           {k: (v[0], v[-1]) for k, v in lines.items()}))
+        return self.__dict__[key]
+
     def row_cols(self, row: int) -> tuple[int, ...]:
-        return tuple(sorted(x for x, y in self.cells if y == row))
+        return self._lines(True)[0].get(row, ())
 
     def col_rows(self, col: int) -> tuple[int, ...]:
-        return tuple(sorted(y for x, y in self.cells if x == col))
+        return self._lines(False)[0].get(col, ())
 
     def row_interval(self, row: int) -> tuple[int, int] | None:
         """(first, last) column of a row, or None for an empty row."""
-        cols = self.row_cols(row)
-        if not cols:
-            return None
-        return (cols[0], cols[-1])
+        return self._lines(True)[1].get(row)
 
 
 def normalize(cells) -> Shape:
@@ -210,11 +211,6 @@ def render_shape(s: Shape) -> str:
     return _write_grid(s, lambda c: "#", ".")
 
 
-def _contiguous(values) -> bool:
-    vs = sorted(values)
-    return not vs or vs[-1] - vs[0] + 1 == len(vs)
-
-
 def is_connected(s: Shape) -> bool:
     return len(component_cell_sets(s)) <= 1
 
@@ -240,47 +236,46 @@ def component_cell_sets(s: Shape) -> list[frozenset[Cell]]:
     return parts
 
 
+def _contiguous(s: Shape, by_row: bool) -> bool:
+    """Whether every occupied row (by_row) or column is contiguous."""
+    lines, spans = s._lines(by_row)
+    return all(b - a + 1 == len(lines[k]) for k, (a, b) in spans.items())
+
+
+def _justified(s: Shape, by_row: bool, end: int) -> bool:
+    """Whether all occupied rows (by_row) or columns start (end 0) or end (end 1) alike."""
+    return len({span[end] for span in s._lines(by_row)[1].values()}) <= 1
+
+
 def is_convex(s: Shape) -> bool:
     """Every row and every column is contiguous."""
-    return all(_contiguous(s.row_cols(y)) for y in range(1, s.height + 1)) and all(
-        _contiguous(s.col_rows(x)) for x in range(1, s.width + 1)
-    )
-
-
-def _comparable(a, b) -> bool:
-    sa, sb = set(a), set(b)
-    return sa <= sb or sb <= sa
+    return _contiguous(s, True) and _contiguous(s, False)
 
 
 def is_intersection_free(s: Shape) -> bool:
     """Any two columns have nested row sets."""
-    cols = [c for c in (s.col_rows(x) for x in range(1, s.width + 1)) if c]
-    return all(_comparable(a, b) for a, b in itertools.combinations(cols, 2))
+    cols = [set(c) for c in s._lines(False)[0].values()]
+    return all(a <= b or b <= a for a, b in itertools.combinations(cols, 2))
 
 
 def is_moon(s: Shape) -> bool:
     return is_convex(s) and is_intersection_free(s)
 
 
-def _all_equal(values) -> bool:
-    vals = [v for v in values if v is not None]
-    return len(set(vals)) <= 1
-
-
 def is_top_justified(s: Shape) -> bool:
-    return _all_equal(max(s.col_rows(x), default=None) for x in range(1, s.width + 1))
+    return _justified(s, False, 1)
 
 
 def is_bottom_justified(s: Shape) -> bool:
-    return _all_equal(min(s.col_rows(x), default=None) for x in range(1, s.width + 1))
+    return _justified(s, False, 0)
 
 
 def is_left_justified(s: Shape) -> bool:
-    return _all_equal(min(s.row_cols(y), default=None) for y in range(1, s.height + 1))
+    return _justified(s, True, 0)
 
 
 def is_right_justified(s: Shape) -> bool:
-    return _all_equal(max(s.row_cols(y), default=None) for y in range(1, s.height + 1))
+    return _justified(s, True, 1)
 
 
 def is_nw_ferrers(s: Shape) -> bool:
@@ -309,27 +304,10 @@ def is_skew(s: Shape) -> bool:
 
 
 def _skew_criterion(s: Shape) -> bool:
-    intervals = []
-    for y in range(1, s.height + 1):
-        cols = s.row_cols(y)
-        if cols and cols[-1] - cols[0] + 1 != len(cols):
-            return False
-        intervals.append((cols[0], cols[-1]) if cols else None)
-    prev = None  # last nonempty interval
-    gap = False  # empty rows seen since prev
-    for iv in intervals:
-        if iv is None:
-            gap = True
-            continue
-        if prev is not None:
-            a, b = iv
-            if a < prev[0] or b < prev[1]:
-                return False
-            if gap and a <= prev[1]:
-                return False
-        prev = iv
-        gap = False
-    return True
+    spans = list(s._lines(True)[1].items())
+    return _contiguous(s, True) and all(
+        a >= a0 and b >= b0 and (y == y0 + 1 or a > b0)
+        for (y0, (a0, b0)), (y, (a, b)) in zip(spans, spans[1:]))
 
 
 def classify_shape(s: Shape) -> ShapeProperties:
@@ -378,27 +356,38 @@ def find_shape_occurrences(host: Shape, pattern: Shape) -> list[Occurrence]:
     return hits
 
 
-def _rectangles(s: Shape) -> list[Rect]:
-    """Inclusion-maximal rectangles of a shape whose rows are intervals.
+def _interval_rectangles(intervals) -> list[tuple[int, int, int, int]]:
+    """Inclusion-maximal rectangles (first column, last column, first row,
+    last row) of the shape whose row y is intervals[y - 1], None if empty.
 
     The candidates are the intersections of the row intervals over runs of
     consecutive nonempty rows.  One is maximal unless the row just below or
-    just above its run still covers its columns.
+    just above its run still covers its columns.  A run's intersection only
+    shrinks as it grows, so once it is empty or covered from below, no
+    longer run from the same row is maximal.
     """
-    ivs = [None] + [s.row_interval(y) for y in range(1, s.height + 1)] + [None]
+    ivs = [None, *intervals, None]
     found = []
-    for y1 in range(1, s.height + 1):
-        lo, hi = 1, s.width
-        for y2 in range(y1, s.height + 1):
+    for y1 in range(1, len(ivs) - 1):
+        below = ivs[y1 - 1]
+        lo, hi = 1, float("inf")
+        for y2 in range(y1, len(ivs) - 1):
             if ivs[y2] is None:
                 break
             lo, hi = max(lo, ivs[y2][0]), min(hi, ivs[y2][1])
-            if lo > hi:
+            if lo > hi or below and below[0] <= lo and hi <= below[1]:
                 break
-            if not any(iv and iv[0] <= lo and hi <= iv[1] for iv in (ivs[y1 - 1], ivs[y2 + 1])):
-                found.append(Rect(lo, hi, y1, y2))
-    found.sort(key=lambda r: (r.width, r.col_lo, r.row_lo))
+            above = ivs[y2 + 1]
+            if not (above and above[0] <= lo and hi <= above[1]):
+                found.append((lo, hi, y1, y2))
     return found
+
+
+def _rectangles(s: Shape) -> list[Rect]:
+    """Inclusion-maximal rectangles of a shape whose rows are intervals,
+    by width, then first column, then first row."""
+    found = [Rect(*r) for r in _interval_rectangles(map(s.row_interval, range(1, s.height + 1)))]
+    return sorted(found, key=lambda r: (r.width, r.col_lo, r.row_lo))
 
 
 def maximal_rectangles(s: Shape) -> list[Rect]:
@@ -456,11 +445,9 @@ def _lower_rows(s: Shape) -> Shape:
 
 
 def _row_spans(s: Shape) -> dict[int, tuple[int, int]]:
-    """(first, last) column of every occupied row, bottom row first."""
-    spans = {}
-    for x, y in s.sorted_cells():
-        spans[y] = (spans.get(y, (x,))[0], x)
-    return spans
+    """(first, last) column of every occupied row, bottom row first.  The
+    dict is kept on the shape: read it, do not change it."""
+    return s._lines(True)[1]
 
 
 def _top_row_dents(rows, top):

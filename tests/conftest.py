@@ -9,10 +9,13 @@ these oracles.
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from skewfill.fillings import Filling
+from skewfill._engine import support_chain_table, support_index
+from skewfill.enumeration import EnumSpec, _value_rows
+from skewfill.fillings import NE, SE, Filling
 from skewfill.shapes import Rect, Shape, normalize
 
 
@@ -197,6 +200,25 @@ def brute_transversal_count(s: Shape, predicate) -> int:
             if predicate(f):
                 count += 1
     return count
+
+
+def transversal_codes(s: Shape) -> np.ndarray:
+    """Support masks of the transversals of s, in enumeration order, from
+    the value rows of enum_fillings' transversal mode."""
+    if s.height != s.width:
+        return np.zeros(0, dtype=np.int64)
+    return support_index(_value_rows(s, EnumSpec(mode="transversal")))
+
+
+def reference_tr_counts(s: Shape, ks) -> list[tuple[int, int]]:
+    """(#iota_k-avoiding, #delta_k-avoiding) transversals for each k, read
+    off the NE and SE chain tables over all 2^n support masks."""
+    ts = transversal_codes(s)
+    if not ts.size:
+        return [(0, 0) for _ in ks]
+    ne = support_chain_table(s, NE)[ts]
+    se = support_chain_table(s, SE)[ts]
+    return [(int(np.count_nonzero(ne < k)), int(np.count_nonzero(se < k))) for k in ks]
 
 
 @pytest.fixture

@@ -4,7 +4,7 @@ from skewfill import cli
 from skewfill.cli import main
 from skewfill.enumeration import EnumSpec, catalog_line, count_avoiders, enum_skew_shapes
 from skewfill.fillings import pattern_library
-from skewfill.harness import parse_report_csv, parse_report_json
+from skewfill.harness import format_report, parse_report_csv, parse_report_json, verify
 from skewfill.shapes import classify_shape, parse_shape
 from skewfill.structure import ferrers_decompose
 
@@ -318,11 +318,40 @@ def test_verify_jobs_cap_is_usage_error(capsys, fake_pool):
     assert fake_pool == [64]
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("cor_sskew", "--refine-cells", "8"), "refine_cells=8 exceeds cap 7"),
+    (("lem_ferrers", "--lmax", "3"), "lmax=3 exceeds cap 2"),
+    (("thm_bp", "--lmax", "1"), "does not take parameter 'lmax'"),
+    (("lem_ferrers", "--refine-cells", "1"), "does not take parameter 'refine_cells'"),
+])
+def test_verify_refine_cells_and_lmax_refusals(capsys, monkeypatch, fake_pool, argv, message):
+    monkeypatch.delenv("SKEWFILL_BUDGET_OVERRIDE", raising=False)
+    code, out, err = run(capsys, "verify", *argv, "--jobs", "2")
+    assert (code, out) == (2, "") and err.startswith("error:") and message in err
+    assert fake_pool == []
+
+
+@pytest.mark.parametrize("argv,params", [
+    (("cor_sskew", "--max-cells", "6", "--refine-cells", "5"), dict(max_cells=6, refine_cells=5)),
+    (("cor_sskew", "--refine-cells", "0"), dict(refine_cells=0)),
+    (("lem_ferrers", "--max-cells", "5", "--lmax", "1"), dict(max_cells=5, lmax=1)),
+    (("lem_ferrers", "--max-cells", "4", "--lmax", "0", "--k", "1"),
+     dict(max_cells=4, lmax=0, kmax=1)),
+])
+def test_verify_refine_cells_and_lmax_reach_verify(capsys, argv, params):
+    code, out, _ = run(capsys, "verify", *argv, "--format", "json")
+    report = verify(argv[0], **params)
+    report.elapsed_ms = 0.0
+    assert (code, out) == (0, format_report(report, "json") + "\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "thm_bp", "--max-cells", "\u0663"),  # an Arabic-Indic three
     ("verify", "thm_bp", "--max-cells", "3", "--jobs", "\u0661"),  # an Arabic-Indic one
     ("verify", "conjecture", "--max-cells", "3", "--k", "\u0661"),
     ("verify", "rubey", "--max-cells", "3", "--max-entry", "\u0661"),
+    ("verify", "cor_sskew", "--max-cells", "3", "--refine-cells", "\u0661"),
+    ("verify", "lem_ferrers", "--max-cells", "3", "--lmax", "\u0661"),
     ("enum-shapes", "--max-cells", "\u0663"),
 ])
 def test_integer_options_take_ascii_digits_only(capsys, fake_pool, argv):
@@ -357,6 +386,8 @@ def test_integer_options_take_plain_ascii_digits(capsys):
     ("cor_sskew", "--max-entry", "0"),
     ("genskew", "--max-cells", "0"),
     ("thm_bp", "--max-cells", "-1"),
+    ("cor_sskew", "--refine-cells", "-1"),
+    ("lem_ferrers", "--lmax", "-1"),
 ])
 def test_verify_rejects_low_values_before_any_pool(capsys, monkeypatch, fake_pool,
                                                     argv, override):

@@ -6,7 +6,7 @@ from functools import partial
 
 import pytest
 
-from conftest import brute_transversal_count, ferrers_difference_shapes
+from conftest import brute_transversal_count, ferrers_difference_shapes, transversal_codes
 from skewfill.enumeration import (
     EnumSpec,
     _admits_transversal,
@@ -14,6 +14,7 @@ from skewfill.enumeration import (
     _diagonal_prefix,
     _ferrers_prefix,
     _filter_prefix,
+    _transversals,
     catalog_sums,
     catalog_line,
     count_avoiders,
@@ -23,7 +24,6 @@ from skewfill.enumeration import (
     parse_catalog_line,
 )
 from skewfill.fillings import NE, SE, SumVector, longest_chain, sum_vector
-from skewfill.harness import _transversals
 from skewfill.shapes import (
     Shape,
     _contains_dent,
@@ -233,6 +233,21 @@ def test_transversal_counts_match_permutation_oracle():
         assert got == brute_transversal_count(s, lambda f: True)
 
 
+def test_transversals_are_the_permutations_in_lexicographic_order():
+    # every catalog shape of at most 8 cells that admits a transversal;
+    # enum_fillings' transversal mode lists its fillings in the same order
+    for intervals, _, _ in _catalog_walk(8, keep=_diagonal_prefix):
+        if not _admits_transversal(intervals):
+            continue
+        s = _interval_shape(intervals)
+        want = [p for p in itertools.permutations(range(1, len(intervals) + 1))
+                if all((x, y) in s for y, x in enumerate(p, start=1))]
+        assert _transversals([range(a, b + 1) for a, b in intervals]) == want
+        listed = [tuple(x for x, _ in sorted(f.support(), key=lambda c: c[1]))
+                  for f in enum_fillings(s, EnumSpec(mode="transversal"))]
+        assert listed == want
+
+
 def test_enum_fillings_sum_filter():
     spec = EnumSpec(
         mode="integer",
@@ -365,7 +380,7 @@ def full_catalog():
     out = []
     for iv, used, _ in _catalog_walk(WALK_CELLS):
         s = _interval_shape(iv)
-        out.append(Listed(iv, used, _transversals(s).size > 0, is_connected(s),
+        out.append(Listed(iv, used, transversal_codes(s).size > 0, is_connected(s),
                           not _contains_dent(s), is_nw_ferrers(s)))
     return out
 

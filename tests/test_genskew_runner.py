@@ -211,8 +211,8 @@ def test_a_disconnected_single_shape_is_scanned_itself(monkeypatch):
     shape = parse_catalog_line(line)
     stage_members = ShapeContext.stage_members
 
-    def broken(self, i, codes=None):
-        got = stage_members(self, i, codes)
+    def broken(self, i):
+        got = stage_members(self, i)
         return got[1:] if self.shape == shape and i == self.n else got
 
     monkeypatch.setattr(ShapeContext, "stage_members", broken)

@@ -16,6 +16,7 @@ from skewfill.shapes import (
     Occurrence,
     ParseError,
     Rect,
+    Shape,
     classify_shape,
     component_cell_sets,
     dent_shape,
@@ -82,6 +83,21 @@ def test_is_skew_matches_ferrers_difference_oracle():
     expected = ferrers_difference_shapes(3, 3)
     got = {s for s in box if is_skew(s)}
     assert got == expected
+
+
+def test_row_and_column_index_matches_a_cell_scan():
+    # every shape drawn in a 3 x 4 box, read back through one fresh copy
+    # per accessor so that no answer comes from an index another built
+    for s in all_subshapes_of_box(3, 4):
+        for y in range(0, 6):
+            want = tuple(sorted(x for x, v in s.cells if v == y))
+            assert Shape(s.cells).row_cols(y) == want
+            assert Shape(s.cells).row_interval(y) == ((want[0], want[-1]) if want else None)
+        for x in range(0, 5):
+            assert Shape(s.cells).col_rows(x) == tuple(sorted(y for u, y in s.cells if u == x))
+        assert Shape(s.cells).width == max(x for x, _ in s.cells)
+        assert Shape(s.cells).height == max(y for _, y in s.cells)
+    assert (Shape(frozenset()).width, Shape(frozenset()).height) == (0, 0)
 
 
 def test_is_skew_small_cases():

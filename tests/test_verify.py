@@ -127,7 +127,7 @@ def test_budget_caps_enforced():
     try:
         for prop in ("cor_sskew", "conjecture", "thm_bp"):
             with pytest.raises(BudgetError):
-                verify(prop, max_cells=15)
+                verify(prop, max_cells=17)
         with pytest.raises(BudgetError):
             verify("genskew", max_cells=15)
         with pytest.raises(BudgetError):
