@@ -243,30 +243,28 @@ def _backward_support(an: StepAnatomy, support: frozenset[Cell]) -> frozenset[Ce
 # --- public step and full maps ---------------------------------------------
 
 
-def step_forward(f: Filling, i: int, validate: bool = True) -> Filling:
-    """Map stage set i into stage set i+1 (identity on row breaks)."""
-    if validate and not in_G(f.shape, f, i):
-        raise ValueError(f"filling is not in stage set {i}")
+def _step(f: Filling, i: int, forward: bool, validate: bool) -> tuple[StepAnatomy, Filling]:
+    """Step i forward from stage set i, or backward from stage set i+1:
+    the step's anatomy and the image of f."""
+    stage = i if forward else i + 1
+    if validate and not in_G(f.shape, f, stage):
+        raise ValueError(f"filling is not in stage set {stage}")
     an = step_anatomy(f.shape, i)
     if an.kind == ROW_BREAK:
-        return f
-    out = _forward_support(an, f.support())
-    if out == f.support():
-        return f
-    return Filling.from_support(f.shape, out)
+        return an, f
+    sup = f.support()
+    out = (_forward_support if forward else _backward_support)(an, sup)
+    return an, (f if out == sup else Filling.from_support(f.shape, out))
+
+
+def step_forward(f: Filling, i: int, validate: bool = True) -> Filling:
+    """Map stage set i into stage set i+1 (identity on row breaks)."""
+    return _step(f, i, True, validate)[1]
 
 
 def step_backward(f: Filling, i: int, validate: bool = True) -> Filling:
     """Inverse of step_forward, mapping stage set i+1 into stage set i."""
-    if validate and not in_G(f.shape, f, i + 1):
-        raise ValueError(f"filling is not in stage set {i + 1}")
-    an = step_anatomy(f.shape, i)
-    if an.kind == ROW_BREAK:
-        return f
-    out = _backward_support(an, f.support())
-    if out == f.support():
-        return f
-    return Filling.from_support(f.shape, out)
+    return _step(f, i, False, validate)[1]
 
 
 @dataclass(frozen=True)
@@ -299,25 +297,15 @@ def render_trace(trace: BijectionTrace) -> str:
 
 
 def _full(f: Filling, forward: bool, keep_trace: bool):
-    s = f.shape
-    n = s.size
+    n = f.shape.size
     order = range(1, n) if forward else range(n - 1, 0, -1)
     cur = f
     steps = []
     for i in order:
-        an = step_anatomy(s, i)
-        if an.kind == ROW_BREAK:
-            nxt, cls = cur, None
-        else:
-            sup = cur.support()
-            if forward:
-                cls = classify_lower(an, sup)
-                out = _forward_support(an, sup)
-            else:
-                cls = classify_upper(an, sup)
-                out = _backward_support(an, sup)
-            nxt = cur if out == sup else Filling.from_support(s, out)
+        an, nxt = _step(cur, i, forward, validate=False)
         if keep_trace:
+            cls = (None if an.kind == ROW_BREAK else
+                   (classify_lower if forward else classify_upper)(an, cur.support()))
             steps.append(TraceStep(i, an.kind, cls, cur, nxt))
         cur = nxt
     return cur, BijectionTrace(tuple(steps))

@@ -200,32 +200,16 @@ def format_report(r: VerificationReport, fmt: str = "text") -> str:
         lines.append(f"details: {_kv(r.details)}")
         lines.append(f"status: {'PASS' if r.passed else 'FAIL'}")
         return "\n".join(lines)
+    fields = dict(zip(_FIELD_TYPES, (r.property, r.params, r.instances, r.failures,
+                                     r.details, r.elapsed_ms)))
     if fmt == "json":
-        return json.dumps(
-            {
-                "property": r.property,
-                "params": r.params,
-                "instances": r.instances,
-                "failures": r.failures,
-                "details": r.details,
-                "millis": r.elapsed_ms,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(fields, sort_keys=True)
     if fmt == "csv":
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
-        w.writerow(_FIELD_TYPES)
-        w.writerow(
-            [
-                r.property,
-                json.dumps(r.params, sort_keys=True),
-                r.instances,
-                json.dumps(r.failures, sort_keys=True),
-                json.dumps(r.details, sort_keys=True),
-                r.elapsed_ms,
-            ]
-        )
+        w.writerow(fields)
+        w.writerow(json.dumps(v, sort_keys=True) if isinstance(v, (dict, list)) else v
+                   for v in fields.values())
         return buf.getvalue()
     raise ValueError(f"unknown format {fmt!r}")
 

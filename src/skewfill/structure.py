@@ -6,10 +6,28 @@ the G blocks SE Ferrers shapes, and consecutive blocks concatenate along
 vertical and horizontal cut lines.  The decomposition drives the sum
 permutations rho and sigma: reversing each run of rows shared by an
 F_i/G_i pair, and each run of columns shared by a G_i/F_{i+1} pair.
+
+The block procedure reads the row spans [a, b], bottom row first.  From
+a bottom row k, F takes the rows k..t that start where row k does, cut
+left of the column i where row t + 1 starts.  What these rows hold from
+column i on must fill a rectangle, or the shape has a dent.  G takes the
+rectangle and the rows above t that end where row t does, and the walk
+goes on from the next row.  When row t + 1 starts right of the end of row
+t, or there is none, the component ends with F and an empty G; on a skew
+shape every row after empty rows starts right of the end of the row below.
+
+The cell-set form of the procedure had four more refusals, none of which
+fires on a connected skew shape: every F begins at a whole row left of
+column i, so it is not empty and the row above it exists; row t + 1 starts
+at or left of the end of row t, so row t holds column i; and the rows of F
+hold nothing right of the rectangle, so the column after G begins above
+row t.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .shapes import (
@@ -17,8 +35,6 @@ from .shapes import (
     Shape,
     _contains_dent,
     _row_spans,
-    component_cell_sets,
-    is_connected,
     is_nw_ferrers,
     is_se_ferrers,
     is_skew,
@@ -27,7 +43,7 @@ from .shapes import (
 
 
 class DecompositionError(ValueError):
-    """Raised when the block-splitting procedure hits a dented corner."""
+    """Raised when the block procedure finds a dented corner."""
 
 
 def _require_skew(s: Shape) -> None:
@@ -50,19 +66,20 @@ def is_ds_free(s: Shape, method: str = "pattern") -> bool:
     exactly when no row above starts in (a, i], and likewise the cells
     weakly SE exactly when no row below ends in [i, b).  So row j fails
     exactly when the nearest start above other than a is at most the
-    nearest end below other than b.
+    nearest end below other than b.  As the starts and the ends ascend,
+    these are the least start greater than a and the greatest end less
+    than b, which bisect finds in the lists of starts and of ends; a row
+    with no such start or no such end passes.
     """
     _require_skew(s)
     if method == "pattern":
         return not _contains_dent(s)
     if method == "rectangle":
         spans = list(_row_spans(s).values())
-        for r, (a, b) in enumerate(spans):
-            above = next((a2 for a2, _ in spans[r + 1:] if a2 != a), b + 1)
-            below = next((b2 for _, b2 in reversed(spans[:r]) if b2 != b), a - 1)
-            if above <= below:
-                return False
-        return True
+        starts = [a for a, _ in spans] + [math.inf]
+        ends = [-math.inf] + [b for _, b in spans]
+        return all(starts[bisect_right(starts, a)] > ends[bisect_left(ends, b) - 1]
+                   for a, b in spans)
     raise ValueError(f"unknown method {method!r}, expected pattern or rectangle")
 
 
@@ -84,63 +101,42 @@ class Decomposition:
         return len(self.blocks) // 2
 
 
-def _split_blocks(cells: frozenset[Cell]) -> list[frozenset[Cell]]:
-    """Run the block-splitting procedure on one connected component."""
-    blocks: list[frozenset[Cell]] = []
-    cur = set(cells)
-    while True:
-        cmin = min(x for x, _ in cur)
-        j = max(y for x, y in cur if x == cmin)
-        if j == max(y for _, y in cur):
-            blocks.append(frozenset(cur))
-            blocks.append(frozenset())
-            return blocks
-        row_above = [x for x, y in cur if y == j + 1]
-        if not row_above:
-            raise DecompositionError(f"no cells in row {j + 1} above the first column")
-        i = min(row_above)
-        f_block = frozenset(c for c in cur if c[0] < i)
-        if not f_block:
-            raise DecompositionError(f"empty block left of column {i}")
-        blocks.append(f_block)
-        cur -= f_block
-        q = [c for c in cur if c[1] <= j]
-        if (i, j) not in cur:
-            raise DecompositionError(f"cell ({i}, {j}) missing below the step")
-        qi = max(x for x, _ in q)
-        qj = min(y for _, y in q)
-        if len(q) != (qi - i + 1) * (j - qj + 1):
-            raise DecompositionError(
-                f"cells right of column {i - 1} and below row {j + 1} "
-                "do not fill a rectangle"
-            )
-        if qi == max(x for x, _ in cur):
-            blocks.append(frozenset(cur))
-            return blocks
-        j2 = min(y for x, y in cur if x == qi + 1)
-        if j2 <= j:
-            raise DecompositionError(f"column {qi + 1} reaches below row {j + 1}")
-        g_block = frozenset(c for c in cur if c[0] <= qi and c[1] < j2)
-        blocks.append(g_block)
-        cur -= g_block
-
-
-def _cuts(blocks: list[frozenset[Cell]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    fs = blocks[0::2]
-    gs = blocks[1::2]
-    vertical = tuple(max(x for x, _ in f) for f in fs)
-    horizontal = tuple(max(y for _, y in g) for g in gs[:-1])
-    return vertical, horizontal
+def _split_blocks(rows: list) -> list[list]:
+    """The blocks of a skew shape, each as its (row, (first, last)) spans:
+    F, G, ..., F, G per component, bottom component first, the last G of
+    each possibly empty."""
+    blocks, k = [], 0
+    while k < len(rows):
+        a, t = rows[k][1][0], k
+        while t + 1 < len(rows) and rows[t + 1][1][0] == a:
+            t += 1
+        end = rows[t][1][1]
+        # column i starts row t + 1, or lies right of F where the component ends
+        i = rows[t + 1][1][0] if t + 1 < len(rows) else end + 1
+        g = next((r for r in range(k, t + 1) if rows[r][1][1] >= i), t + 1)
+        if any(b != end for _, (_, b) in rows[g:t]):
+            raise DecompositionError(f"cells right of column {i - 1} and below row "
+                                     f"{rows[t][0] + 1} do not fill a rectangle")
+        blocks.append([(y, (a, min(b, i - 1))) for y, (_, b) in rows[k:t + 1]])
+        k = t + 1
+        while k < len(rows) and rows[k][1][1] == end:
+            k += 1
+        blocks.append([(y, (i, end)) for y, _ in rows[g:t + 1]] + rows[t + 1:k])
+    return blocks
 
 
 def ferrers_decompose(s: Shape) -> Decomposition:
-    """Split a connected dent-free skew shape into alternating blocks."""
+    """Split a nonempty connected dent-free skew shape into alternating blocks."""
     _require_skew(s)
-    if not is_connected(s):
-        raise ValueError("decomposition requires a connected shape")
-    blocks = _split_blocks(s.cells)
-    vertical, horizontal = _cuts(blocks)
-    d = Decomposition(tuple(blocks), vertical, horizontal)
+    rows = list(_row_spans(s).items())
+    if not rows or any(a > b for (_, (_, b)), (_, (a, _)) in zip(rows, rows[1:])):
+        raise ValueError("decomposition requires a nonempty connected shape")
+    spans = _split_blocks(rows)
+    d = Decomposition(
+        tuple(frozenset((x, y) for y, (a, b) in blk for x in range(a, b + 1)) for blk in spans),
+        tuple(f[-1][1][1] for f in spans[0::2]),
+        tuple(g[-1][0] for g in spans[1:-1:2]),
+    )
     if not validate_decomposition(s, d):
         raise DecompositionError("block procedure produced an invalid decomposition")
     return d
@@ -243,21 +239,22 @@ def sum_permutations(s: Shape) -> SumPermutations:
 
     Built by reversing each special block: each run of rows shared by F_i
     and G_i, and each run of columns shared by G_i and F_{i+1}, taken per
-    connected component.
+    connected component.  A row run goes from G_i's first row to F_i's
+    last, a column run from F_{i+1}'s first column to the last column both
+    blocks reach.  Components share no row and no column, so the blocks
+    that meet across two components share no run.
     """
     _require_skew(s)
     rho, sigma = list(range(1, s.height + 1)), list(range(1, s.width + 1))
-    for comp in component_cell_sets(s):
-        blocks = _split_blocks(comp)
-        fs, gs = blocks[0::2], blocks[1::2]
-        runs = [(rho, {y for _, y in f} & {y for _, y in g}) for f, g in zip(fs, gs)]
-        runs += [(sigma, {x for x, _ in g} & {x for x, _ in f}) for g, f in zip(gs, fs[1:])]
-        for perm, run in runs:
-            if not run:
-                continue
-            lo, hi = min(run), max(run)
-            if hi - lo + 1 != len(run):
-                raise AssertionError(f"special block {sorted(run)} is not contiguous")
+    blocks = _split_blocks(list(_row_spans(s).items()))
+    for k, (lower, upper) in enumerate(zip(blocks, blocks[1:])):
+        if not (lower and upper):
+            continue
+        if k % 2 == 0:
+            perm, lo, hi = rho, upper[0][0], lower[-1][0]
+        else:
+            perm, lo, hi = sigma, upper[0][1][0], min(lower[0][1][1], upper[-1][1][1])
+        if lo < hi:
             perm[lo - 1:hi] = range(hi, lo - 1, -1)
     return SumPermutations(tuple(rho), tuple(sigma))
 

@@ -2,9 +2,10 @@
 
 The reference helpers deliberately avoid the package's own fast paths:
 chains are checked against a subset scan, skew shapes against the
-defining difference-of-Ferrers construction, and avoider counts against
-direct filtering.  Pinned constants in the test modules were produced by
-these oracles.
+defining difference-of-Ferrers construction, avoider counts against
+direct filtering, and the span block splitter against the block
+procedure on cell sets.  Pinned constants in the test modules were
+produced by these oracles.
 """
 
 import itertools
@@ -16,7 +17,13 @@ from hypothesis import strategies as st
 from skewfill._engine import support_chain_table, support_index
 from skewfill.enumeration import EnumSpec, _value_rows
 from skewfill.fillings import NE, SE, Filling
-from skewfill.shapes import Rect, Shape, normalize
+from skewfill.shapes import Rect, Shape, component_cell_sets, is_connected, normalize
+from skewfill.structure import (
+    Decomposition,
+    DecompositionError,
+    SumPermutations,
+    validate_decomposition,
+)
 
 
 def row_intervals_to_cells(intervals):
@@ -184,6 +191,82 @@ def rectangle_ds_free(s: Shape) -> bool:
         if not _is_rectangle(nw) and not _is_rectangle(se):
             return False
     return True
+
+
+def reference_split_blocks(cells: frozenset) -> list[frozenset]:
+    """The block procedure on the cell set of one connected component, as
+    structure ran it before it read row spans; raises DecompositionError
+    at a dented corner."""
+    blocks = []
+    cur = set(cells)
+    while True:
+        cmin = min(x for x, _ in cur)
+        j = max(y for x, y in cur if x == cmin)
+        if j == max(y for _, y in cur):
+            blocks.append(frozenset(cur))
+            blocks.append(frozenset())
+            return blocks
+        row_above = [x for x, y in cur if y == j + 1]
+        if not row_above:
+            raise DecompositionError(f"no cells in row {j + 1} above the first column")
+        i = min(row_above)
+        f_block = frozenset(c for c in cur if c[0] < i)
+        if not f_block:
+            raise DecompositionError(f"empty block left of column {i}")
+        blocks.append(f_block)
+        cur -= f_block
+        q = [c for c in cur if c[1] <= j]
+        if (i, j) not in cur:
+            raise DecompositionError(f"cell ({i}, {j}) missing below the step")
+        qi = max(x for x, _ in q)
+        qj = min(y for _, y in q)
+        if len(q) != (qi - i + 1) * (j - qj + 1):
+            raise DecompositionError(
+                f"cells right of column {i - 1} and below row {j + 1} "
+                "do not fill a rectangle"
+            )
+        if qi == max(x for x, _ in cur):
+            blocks.append(frozenset(cur))
+            return blocks
+        j2 = min(y for x, y in cur if x == qi + 1)
+        if j2 <= j:
+            raise DecompositionError(f"column {qi + 1} reaches below row {j + 1}")
+        g_block = frozenset(c for c in cur if c[0] <= qi and c[1] < j2)
+        blocks.append(g_block)
+        cur -= g_block
+
+
+def reference_decompose(s: Shape) -> Decomposition:
+    """ferrers_decompose by the cell-set procedure."""
+    if not is_connected(s):
+        raise ValueError("decomposition requires a connected shape")
+    blocks = reference_split_blocks(s.cells)
+    fs, gs = blocks[0::2], blocks[1::2]
+    d = Decomposition(tuple(blocks), tuple(max(x for x, _ in f) for f in fs),
+                      tuple(max(y for _, y in g) for g in gs[:-1]))
+    if not validate_decomposition(s, d):
+        raise DecompositionError("block procedure produced an invalid decomposition")
+    return d
+
+
+def reference_sum_permutations(s: Shape) -> SumPermutations:
+    """sum_permutations by the cell-set procedure, one component at a time:
+    reverse the rows shared by each F_i/G_i pair and the columns shared
+    by each G_i/F_{i+1} pair."""
+    rho, sigma = list(range(1, s.height + 1)), list(range(1, s.width + 1))
+    for comp in component_cell_sets(s):
+        blocks = reference_split_blocks(comp)
+        fs, gs = blocks[0::2], blocks[1::2]
+        runs = [(rho, {y for _, y in f} & {y for _, y in g}) for f, g in zip(fs, gs)]
+        runs += [(sigma, {x for x, _ in g} & {x for x, _ in f}) for g, f in zip(gs, fs[1:])]
+        for perm, run in runs:
+            if not run:
+                continue
+            lo, hi = min(run), max(run)
+            if hi - lo + 1 != len(run):
+                raise AssertionError(f"special block {sorted(run)} is not contiguous")
+            perm[lo - 1:hi] = range(hi, lo - 1, -1)
+    return SumPermutations(tuple(rho), tuple(sigma))
 
 
 def brute_transversal_count(s: Shape, predicate) -> int:

@@ -1,9 +1,15 @@
 import pytest
 from hypothesis import given, settings
 
-from conftest import all_subshapes_of_box, rectangle_ds_free, skew_shapes
+from conftest import (
+    all_subshapes_of_box,
+    rectangle_ds_free,
+    reference_decompose,
+    reference_sum_permutations,
+    skew_shapes,
+)
 from skewfill.enumeration import enum_skew_shapes
-from skewfill.shapes import dent_shape, is_connected, is_skew, normalize
+from skewfill.shapes import Shape, dent_shape, is_connected, is_skew, normalize
 from skewfill.structure import (
     Decomposition,
     DecompositionError,
@@ -45,13 +51,17 @@ def test_rectangle_criterion_matches_its_definition_on_the_catalog():
             assert is_ds_free(s, method="rectangle") == rectangle_ds_free(s), s
 
 
-def test_rectangle_criterion_matches_its_definition_on_box_subshapes():
+@pytest.fixture(scope="module")
+def box_skew_shapes():
     """Every skew shape inside the 4x4 box, those with empty rows too."""
     shapes = [s for s in all_subshapes_of_box(4, 4) if is_skew(s)]
-    gapped = [s for s in shapes if len({y for _, y in s.cells}) < s.height]
-    assert gapped
-    for s in shapes:
-        assert is_ds_free(s, method="rectangle") == rectangle_ds_free(s), s
+    assert any(len({y for _, y in s.cells}) < s.height for s in shapes)
+    return shapes
+
+
+def test_rectangle_criterion_matches_its_definition_on_box_subshapes(box_skew_shapes):
+    for s in box_skew_shapes:
+        assert is_ds_free(s, "pattern") == is_ds_free(s, "rectangle") == rectangle_ds_free(s), s
 
 
 def test_is_ds_free_rejects_unknown_method():
@@ -113,8 +123,9 @@ def test_decompose_rejects_dent():
 
 
 def test_decompose_rejects_disconnected():
-    with pytest.raises(ValueError):
-        ferrers_decompose(normalize([(1, 1), (3, 3)]))
+    for s in normalize([(1, 1), (3, 3)]), Shape(frozenset()):
+        with pytest.raises(ValueError, match="a nonempty connected shape"):
+            ferrers_decompose(s)
 
 
 def test_decompose_rejects_non_skew():
@@ -207,3 +218,26 @@ def test_decompose_round_trip_random(s):
     d = ferrers_decompose(s)
     assert validate_decomposition(s, d)
     assert set().union(*d.blocks) == set(s.cells)
+
+
+def outcome(fn, s):
+    """What fn returns on s, or the class of the ValueError it raises."""
+    try:
+        return fn(s)
+    except ValueError as exc:
+        return type(exc)
+
+
+def test_span_splitter_matches_the_cell_set_procedure_on_the_catalog():
+    """The refined part of cor_sskew also passes with identity
+    permutations, so no verify run would catch a wrong rho or sigma."""
+    for n in range(1, 9):
+        for s in enum_skew_shapes(n):
+            assert outcome(sum_permutations, s) == outcome(reference_sum_permutations, s), s
+            assert outcome(ferrers_decompose, s) == outcome(reference_decompose, s), s
+
+
+def test_span_splitter_matches_the_cell_set_procedure_on_box_subshapes(box_skew_shapes):
+    for s in box_skew_shapes:
+        assert outcome(sum_permutations, s) == outcome(reference_sum_permutations, s), s
+        assert outcome(ferrers_decompose, s) == outcome(reference_decompose, s), s
