@@ -230,10 +230,21 @@ def catalog_lines(max_cells: int, connected: bool, ds_free: bool) -> list[str]:
     """The catalog lines of the shapes of at most max_cells cells, only
     the connected or dent-free ones if asked: by cell count, and each
     size in lexicographic order, as enum_skew_shapes lists it.  One walk,
-    and no shape is built."""
+    and no shape is built.
+
+    Each line is its parent's line plus one row.  The unsharded walk is a
+    preorder, pruned or not: between a list and any of its extensions it
+    yields only further extensions of that list, all longer than it, so
+    the latest list of d - 1 rows before a list of d rows is its parent.
+    heads[d] keeps the latest line of d rows, with a trailing comma in
+    place of its closing bracket."""
     by_size = [[] for _ in range(max_cells + 1)]
+    heads = ["["] * (max_cells + 1)
     for intervals, used, _ in _catalog_walk(max_cells, keep=_flag_prefix(connected, ds_free)):
-        by_size[used].append(_line(intervals))
+        d = len(intervals)
+        a, b = intervals[-1]
+        heads[d] = head = f"{heads[d - 1]}({a},{b}),"
+        by_size[used].append(head[:-1] + "]")
     return [line for lines in by_size for line in lines]
 
 

@@ -2,7 +2,8 @@ import pytest
 
 from skewfill import cli
 from skewfill.cli import main
-from skewfill.enumeration import EnumSpec, catalog_line, count_avoiders, enum_skew_shapes
+from skewfill.enumeration import EnumSpec, catalog_line, catalog_lines, count_avoiders, \
+    enum_skew_shapes
 from skewfill.fillings import pattern_library
 from skewfill.harness import format_report, parse_report_csv, parse_report_json, verify
 from skewfill.shapes import classify_shape, parse_shape
@@ -187,7 +188,7 @@ def test_enum_shapes_rejects_nonpositive(capsys):
     assert code == 2 and err.startswith("error:")
 
 
-def test_enum_shapes_capped_at_twelve_cells(capsys, monkeypatch):
+def test_enum_shapes_capped_at_thirteen_cells(capsys, monkeypatch):
     monkeypatch.delenv("SKEWFILL_BUDGET_OVERRIDE", raising=False)
     walked = []
 
@@ -196,14 +197,22 @@ def test_enum_shapes_capped_at_twelve_cells(capsys, monkeypatch):
         return []
 
     monkeypatch.setattr("skewfill.cli.catalog_lines", no_lines)
-    code, out, err = run(capsys, "enum-shapes", "--max-cells", "13")
-    assert (code, out) == (2, "") and "exceeds cap 12" in err
+    code, out, err = run(capsys, "enum-shapes", "--max-cells", "14")
+    assert (code, out) == (2, "") and "exceeds cap 13" in err
     assert walked == []
-    assert run(capsys, "enum-shapes", "--max-cells", "12")[0] == 0
-    assert walked == [12]
-    monkeypatch.setenv("SKEWFILL_BUDGET_OVERRIDE", "1")
     assert run(capsys, "enum-shapes", "--max-cells", "13")[0] == 0
-    assert walked == [12, 13]
+    assert walked == [13]
+    monkeypatch.setenv("SKEWFILL_BUDGET_OVERRIDE", "1")
+    assert run(capsys, "enum-shapes", "--max-cells", "14")[0] == 0
+    assert walked == [13, 14]
+
+
+def test_enum_shapes_writes_batches_as_one_listing(capsys, monkeypatch):
+    lines = catalog_lines(6, False, False)
+    monkeypatch.setattr("skewfill.cli._ENUM_BATCH", 100)
+    assert len(lines) > 3 * 100
+    code, out, _ = run(capsys, "enum-shapes", "--max-cells", "6")
+    assert (code, out) == (0, "\n".join(lines) + "\n")
 
 
 def test_bijection_forward_with_trace(capsys, tmp_path):
@@ -405,6 +414,31 @@ def test_verify_rubey_at_its_cell_cap(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "rubey", "--max-cells", "10", "--format", "json")
     report = parse_report_json(out)
     assert code == 0 and report.passed and report.instances == 5676
+
+
+def test_verify_shape_checks_one_catalog_line(capsys):
+    line = "[(1,2),(1,3),(2,3)]"
+    code, out, _ = run(capsys, "verify", "genskew", "--shape", line, "--format", "json")
+    assert code == 0
+    assert parse_report_json(out) == verify("genskew", shape=line)
+    assert parse_report_json(out).params["shape"] == line
+
+
+def test_verify_shape_rejects_a_malformed_line(capsys):
+    code, out, err = run(capsys, "verify", "lemma_gi", "--shape", "[(1,2),(1,3")
+    assert (code, out) == (2, "") and "bad catalog line" in err
+
+
+def test_verify_shape_over_the_cap_names_it(capsys, monkeypatch):
+    monkeypatch.delenv("SKEWFILL_BUDGET_OVERRIDE", raising=False)
+    code, out, err = run(capsys, "verify", "genskew", "--shape", "[(1,15)]")
+    assert (code, out) == (2, "") and "shape cells=15 exceeds cap 14" in err
+
+
+def test_verify_shape_refused_by_a_property_without_one(capsys):
+    code, out, err = run(capsys, "verify", "thm_bp", "--shape", "[(1,1)]")
+    assert (code, out) == (2, "")
+    assert "property thm_bp does not take parameter 'shape'" in err
 
 
 def test_verify_rejects_unknown_property(capsys):

@@ -14,9 +14,12 @@ from skewfill.enumeration import (
     _diagonal_prefix,
     _ferrers_prefix,
     _filter_prefix,
+    _flag_prefix,
+    _line,
     _transversals,
     catalog_sums,
     catalog_line,
+    catalog_lines,
     count_avoiders,
     enum_fillings,
     enum_moon_polyominoes,
@@ -446,3 +449,14 @@ def test_shards_of_a_pruned_walk_split_its_lists(keep):
         rank = {iv: k for k, iv in enumerate(everything)}
         assert all([rank[iv] for iv in part] == sorted(rank[iv] for iv in part)
                    for part in parts)
+
+
+@pytest.mark.parametrize("connected", [False, True])
+@pytest.mark.parametrize("ds_free", [False, True])
+def test_catalog_lines_build_each_line_from_its_parents(connected, ds_free):
+    # reference: _line on every list the walk yields, grouped by size
+    for n in range(1, WALK_CELLS + 1):
+        by_size = [[] for _ in range(n + 1)]
+        for iv, used, _ in _catalog_walk(n, keep=_flag_prefix(connected, ds_free)):
+            by_size[used].append(_line(iv))
+        assert catalog_lines(n, connected, ds_free) == [x for lines in by_size for x in lines]
