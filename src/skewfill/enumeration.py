@@ -278,10 +278,12 @@ def parse_catalog_line(text: str) -> Shape:
 def _catalog_intervals(text: str) -> tuple:
     """The rows of a catalog line, without building its cells: integer
     pairs (a_y, b_y) with a_1 = 1, a_{y-1} <= a_y <= b_{y-1} + 1 and
-    b_y >= max(a_y, b_{y-1})."""
+    b_y >= max(a_y, b_{y-1}).  Text that literal_eval refuses, nests too
+    deep for its parser, or holds an unhashable set member or dict key is
+    a bad catalog line."""
     try:
         intervals = ast.literal_eval(text.strip())
-    except (SyntaxError, ValueError):
+    except (SyntaxError, ValueError, TypeError, RecursionError, MemoryError):
         raise ValueError(f"bad catalog line: {text!r}") from None
     if isinstance(intervals, tuple) and intervals and isinstance(intervals[0], int):
         intervals = (intervals,)

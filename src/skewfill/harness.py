@@ -40,11 +40,7 @@ every k in conjecture, never a failure, so conjecture takes its
 instances, kmax per catalog shape, from enumeration.catalog_sums, which
 counts the catalog by the walk's own child rule; shard 0 reports it.
 cor_sskew walks the connected, dent-free row prefixes, and its refined
-part runs on those of at most refine_cells cells, packing each shape's
-sum keys once for all k.  The refined part also passes with identity
-permutations in place of (rho, sigma) on every connected dent-free shape
-of at most 9 cells, so it does not by itself test sum_permutations;
-tests/test_decomposition.py does.
+part runs on those of at most refine_cells cells.
 
 genskew and lemma_gi scan the connected shapes of the catalog on the
 connected walk, one ShapeContext each, and cover the disconnected ones
@@ -82,26 +78,36 @@ lem_ferrers walks the partitions: the row prefixes whose rows all start
 at column 1, which are exactly the NW Ferrers shapes
 (enumeration._ferrers_prefix).  A frame is a pair (k, l) of special
 column and row counts, bounded by the partition's rows: the full-height
-columns and the rows as long as the top row.  It builds each shape's
-fillings once, and each of its (direction, region) chain tables once,
-for all of the shape's frames.
+columns and the rows as long as the top row.  rubey compares a moon
+with each moon that a swap of two adjacent columns turns it into.  A
+swap keeps the multiset of column intervals, so rubey takes the moons
+one column class (one size, one such multiset) at a time.
 
-rubey compares a moon with each moon it turns into by swapping two
-adjacent columns.  A swap keeps the multiset of column intervals, so the
-pairs stay inside a column class: the moons of one size with one such
-multiset.  The runner takes the moons one class at a time and builds each
-moon's rectangles and filling keys once for all its pairs.
-
-The two structural checks routed through statistics (lem_ferrers, rubey)
-are verified at multiset/cardinality level only; their report details
-carry a "level" marker saying so.
-
-Integer-filling scans (the refined part of cor_sskew, lem_ferrers, and
-rubey) take the fillings with entries <= max_entry whose row sums or
-column sums all stay within max_entry as well: the sum classes that an
-entry cap enumerates completely (_engine.sum_capped_mask).  A bare entry
-cap cuts classes in half and makes the identities false as stated; the
-2x2 square with row and column sums (1, 3) shows this for caps 1 and 2.
+Sum classes.  The refined part of cor_sskew, lem_ferrers and rubey
+compares two multisets with a key per filling (_class_keys): on the left
+some chain statistics, the row sums and the column sums, on the right
+the same with row y's sum taken from row rho(y) and column x's from
+sigma(x).  The fillings have entries <= max_entry and all row sums or all
+column sums <= max_entry: the sum classes an entry cap enumerates
+completely (_engine.sum_capped_mask).  A bare entry cap cuts classes in
+half and makes the identities false as stated; the 2x2 square with row
+and column sums (1, 3) shows this for caps 1 and 2.  A shape builds its
+fillings and each chain table once (_filling_table).
+  cor_sskew    left SE chain < k, right NE chain < k, keys packed once
+               for all k; (rho, sigma) from sum_permutations.  The
+               identity passes too on every connected dent-free shape of
+               at most 9 cells; tests/test_decomposition.py tests
+               sum_permutations.
+  lem_ferrers  SE chains of the shape, C_1..C_k, R_1..R_l left, NE chains
+               of the shape, C'_1..C'_k, R'_1..R'_l right (_frame_rects).
+               R_j pairs with R'_j, so the j-th special row from the top,
+               h+1-j, pairs with the j-th from the bottom, h-l+j; C_i with
+               C'_i, so column i with k+1-i.  rho reverses the top l rows
+               and sigma the first k columns.
+  rubey        NE chains of each maximal rectangle, of the moon left and
+               the swapped moon right; rho is the identity and sigma
+               swaps columns t and t+1.
+lem_ferrers and rubey check multisets only ("level" in their details).
 """
 
 from __future__ import annotations
@@ -119,16 +125,8 @@ from functools import partial
 
 import numpy as np
 
-from ._engine import (
-    ShapeContext,
-    _packed_keys,
-    line_sums,
-    multiset_equal,
-    sum_capped_mask,
-    support_chain_table,
-    support_index,
-    value_matrix,
-)
+from ._engine import ShapeContext, _packed_keys, line_sums, multiset_equal, sum_capped_mask, \
+    support_chain_table, support_index, value_matrix
 from .enumeration import _admits_transversal, _catalog_intervals, _catalog_walk, \
     _diagonal_prefix, _ferrers_prefix, _filter_prefix, _joined, _line, _transversals, \
     catalog_line, catalog_sums, enum_moon_polyominoes, parse_catalog_line
@@ -224,7 +222,10 @@ def _typed_report(fields: dict) -> VerificationReport:
 
 
 def parse_report_json(text: str) -> VerificationReport:
-    d = json.loads(text)
+    try:
+        d = json.loads(text)
+    except RecursionError:
+        raise ValueError("report JSON nests too deep") from None
     if not isinstance(d, dict):
         raise ValueError("not a report JSON object")
     try:
@@ -234,13 +235,20 @@ def parse_report_json(text: str) -> VerificationReport:
 
 
 def parse_report_csv(text: str) -> VerificationReport:
-    rows = list(csv.reader(io.StringIO(text)))
-    if len(rows) != 2 or rows[0] != list(_FIELD_TYPES) or len(rows[1]) != len(_FIELD_TYPES):
-        raise ValueError("not a report CSV")
-    prop, params, instances, failures, details, millis = rows[1]
-    return _typed_report({"property": prop, "params": json.loads(params),
-                          "instances": int(instances), "failures": json.loads(failures),
-                          "details": json.loads(details), "millis": float(millis)})
+    # the process-wide field limit is lifted for this call: no field is longer than the text
+    limit = csv.field_size_limit(len(text) + 1)
+    try:
+        rows = list(csv.reader(io.StringIO(text)))
+        if len(rows) != 2 or rows[0] != list(_FIELD_TYPES) or len(rows[1]) != len(_FIELD_TYPES):
+            raise ValueError("not a report CSV")
+        prop, params, instances, failures, details, millis = rows[1]
+        return _typed_report({"property": prop, "params": json.loads(params),
+                              "instances": int(instances), "failures": json.loads(failures),
+                              "details": json.loads(details), "millis": float(millis)})
+    except (csv.Error, RecursionError) as exc:
+        raise ValueError(f"not a report CSV: {exc}") from None
+    finally:
+        csv.field_size_limit(limit)
 
 
 # --- runners ---------------------------------------------------------------
@@ -354,27 +362,44 @@ def _run_thm_bp(params, shard):
             "details": {"shapes_with_transversal": instances}}
 
 
-def _capped_fillings(s: Shape, max_entry: int):
-    """Row sums, column sums and support masks of the sum-capped fillings."""
+def _filling_table(s: Shape, max_entry: int):
+    """Row sums, column sums and chain tables of the sum-capped fillings of
+    s: chains(direction, region=None) gives each filling's longest chain,
+    building each (direction, region) table once."""
     values = value_matrix(s.size, max_entry)
     rows = line_sums(values, s, by_row=True)
     cols = line_sums(values, s, by_row=False)
     keep = sum_capped_mask(rows, cols, max_entry)
-    return rows[keep], cols[keep], support_index(values)[keep]
+    sidx, tables = support_index(values)[keep], {}
+
+    def chains(direction: str, region: Rect | None = None) -> np.ndarray:
+        if (direction, region) not in tables:
+            tables[direction, region] = support_chain_table(s, direction, region)[sidx]
+        return tables[direction, region]
+
+    return rows[keep], cols[keep], chains
+
+
+def _class_keys(left, right, rho, sigma):
+    """The keys of a sum-class comparison (see the module docstring), in
+    one radix when they fit.  A side is (statistic columns or blocks of
+    them, row sums, column sums); rho and sigma are 1-based, rho[y - 1]
+    the right row whose sum goes where the left has row y's."""
+    stats, rows, cols = left
+    a = np.column_stack([*stats, rows, cols])
+    stats, rows, cols = right
+    b = np.column_stack([*stats, rows[:, np.subtract(rho, 1)], cols[:, np.subtract(sigma, 1)]])
+    return _packed_keys(a, b) or (a, b)
 
 
 def _refined_sum_check(s: Shape, kmax: int, max_entry: int):
     """Failure clauses of the sum-class comparison on one shape.  The sum
     keys of all kept fillings are packed once; each k compares a subset."""
     perms = sum_permutations(s)
-    rows, cols, sidx = _capped_fillings(s, max_entry)
-    se = support_chain_table(s, SE)[sidx]
-    ne = support_chain_table(s, NE)[sidx]
-    d_keys = np.hstack([rows, cols])
-    i_keys = d_keys[:, [r - 1 for r in perms.rho] + [s.height + c - 1 for c in perms.sigma]]
-    d_keys, i_keys = _packed_keys(d_keys, i_keys) or (d_keys, i_keys)
+    rows, cols, chains = _filling_table(s, max_entry)
+    d_keys, i_keys = _class_keys(((), rows, cols), ((), rows, cols), perms.rho, perms.sigma)
     return [k for k in range(2, kmax + 1)
-            if not multiset_equal(d_keys[se < k], i_keys[ne < k])]
+            if not multiset_equal(d_keys[chains(SE) < k], i_keys[chains(NE) < k])]
 
 
 def _run_cor_sskew(params, shard):
@@ -475,44 +500,16 @@ def _run_lemma_gi(params, shard):
             "details": {"shapes": shapes}}
 
 
-def _frame_side(h: int, t: int, k: int, l: int,
-                se: bool) -> tuple[list[Rect], list[int], list[int]]:
-    """One side's rectangles and sum lines of a frame on a NW Ferrers shape
-    of height h whose top row has length t.
-
-    The frame's special columns are the leftmost k (all spanning the full
-    height), its special rows the topmost l (all of length t).  The SE
-    side gives C_1..C_k, R_1..R_l (C_i the leftmost i special columns,
-    R_j the topmost j special rows) and their sum lines, columns 1..k and
-    rows h..h-l+1; the NE side gives C'_i (the rightmost i), R'_j (the
-    bottommost j) and columns k..1, rows h-l+1..h.
-    """
+def _frame_rects(h: int, t: int, k: int, l: int, se: bool) -> list[Rect]:
+    """One side's rectangles of the frame (k, l) on a NW Ferrers shape of
+    height h whose top row has length t: SE gives C_1..C_k, R_1..R_l (C_i
+    the leftmost i of the k special columns, R_j the topmost j of the l
+    special rows), NE C'_i (the rightmost i) and R'_j (the bottommost j)."""
     if se:
-        rects = [Rect(1, i, 1, h) for i in range(1, k + 1)]
-        rects += [Rect(1, t, h - j + 1, h) for j in range(1, l + 1)]
-        return rects, list(range(1, k + 1)), [h + 1 - j for j in range(1, l + 1)]
-    rects = [Rect(k - i + 1, k, 1, h) for i in range(1, k + 1)]
-    rects += [Rect(1, t, h - l + 1, h - l + j) for j in range(1, l + 1)]
-    return rects, [k + 1 - i for i in range(1, k + 1)], [h - l + j for j in range(1, l + 1)]
-
-
-def _frame_signature(s: Shape, k: int, l: int, se_side: bool, tables: dict, sidx, rows, cols):
-    """One side's statistic columns of the frame (k, l) on the partition s,
-    over the fillings with supports sidx; tables keeps the shape's chain
-    tables by (direction, region).  A partition's top row is its widest,
-    so its length is s.width."""
-    direction = SE if se_side else NE
-    rects, col_lines, row_lines = _frame_side(s.height, s.width, k, l, se_side)
-    columns = []
-    for r in [None, *rects]:  # the whole shape, then the side's rectangles
-        if (direction, r) not in tables:
-            tables[direction, r] = support_chain_table(s, direction, r)[sidx]
-        columns.append(tables[direction, r])
-    columns += [cols[:, x - 1] for x in col_lines]
-    columns += [rows[:, y - 1] for y in row_lines]
-    columns += [cols[:, x - 1] for x in range(k + 1, s.width + 1)]
-    columns += [rows[:, y - 1] for y in range(1, s.height - l + 1)]
-    return np.column_stack(columns)
+        return [Rect(1, i, 1, h) for i in range(1, k + 1)] + \
+            [Rect(1, t, h - j + 1, h) for j in range(1, l + 1)]
+    return [Rect(k - i + 1, k, 1, h) for i in range(1, k + 1)] + \
+        [Rect(1, t, h - l + 1, h - l + j) for j in range(1, l + 1)]
 
 
 def _run_lem_ferrers(params, shard):
@@ -520,31 +517,24 @@ def _run_lem_ferrers(params, shard):
     for intervals, _, mine in _catalog_walk(params["max_cells"], shard, _ferrers_prefix):
         if not mine:
             continue
-        s = _interval_shape(intervals)
-        rows, cols, sidx = _capped_fillings(s, params["max_entry"])
-        tables = {}
+        rows, cols, chains = _filling_table(_interval_shape(intervals), params["max_entry"])
         # The rows all start at column 1 and their ends grow upward, so
-        # the columns spanning the full height are 1..b_1, and the rows as
-        # long as the top row are the topmost ones ending where it ends.
+        # the top row is the widest, the full-height columns are 1..b_1,
+        # and the rows as long as the top row are the topmost, ending at w.
+        h, w = len(intervals), intervals[-1][1]
         k_adm = intervals[0][1]
-        l_adm = sum(b == intervals[-1][1] for _, b in intervals)
+        l_adm = sum(b == w for _, b in intervals)
         for k in range(0, min(k_adm, params["kmax"]) + 1):
             for l in range(0, min(l_adm, params["lmax"]) + 1):
-                se_sig = _frame_signature(s, k, l, True, tables, sidx, rows, cols)
-                ne_sig = _frame_signature(s, k, l, False, tables, sidx, rows, cols)
+                se, ne = ([chains(d), *(chains(d, r) for r in _frame_rects(h, w, k, l, d == SE))]
+                          for d in (SE, NE))
+                rho = [*range(1, h - l + 1), *range(h, h - l, -1)]
+                sigma = [*range(k, 0, -1), *range(k + 1, w + 1)]
                 instances += 1
-                if not multiset_equal(se_sig, ne_sig):
+                if not multiset_equal(*_class_keys((se, rows, cols), (ne, rows, cols), rho, sigma)):
                     failures.append({"shape": _line(intervals), "k": k, "l": l})
     return {"instances": instances, "failures": failures,
             "details": {"level": "statistic multisets"}}
-
-
-def _moon_keys(m: Shape, rects: list[Rect], max_entry: int):
-    """NE chain per maximal rectangle (in the given order), row and column
-    sums of the sum-capped fillings of a moon."""
-    rows, cols, sidx = _capped_fillings(m, max_entry)
-    columns = [support_chain_table(m, NE, r)[sidx] for r in rects]
-    return np.column_stack(columns), rows, cols
 
 
 def _rubey_pairs(max_cells: int):
@@ -571,7 +561,7 @@ def _rubey_pairs(max_cells: int):
 
 def _run_rubey(params, shard):
     instances, failures = 0, []
-    group, tables = None, {}  # a class and its moons' rectangles and keys
+    group, tables = None, {}  # a class and its moons' rectangle widths and sides
     pairs = itertools.islice(_rubey_pairs(params["max_cells"]), shard[0], None, shard[1])
     for moons, cols, t, swapped in pairs:
         if moons is not group:
@@ -579,20 +569,18 @@ def _run_rubey(params, shard):
         for c in (cols, swapped):
             if c not in tables:
                 rects = maximal_rectangles(moons[c])
-                tables[c] = (rects, *_moon_keys(moons[c], rects, params["max_entry"]))
+                rows, col_sums, chains = _filling_table(moons[c], params["max_entry"])
+                tables[c] = ([r.width for r in rects],
+                             ([np.column_stack([chains(NE, r) for r in rects])], rows, col_sums))
         instances += 1
-        rects_m, lam_m, rows_m, cols_m = tables[cols]
-        rects_s, lam_s, rows_s, cols_s = tables[swapped]
-        widths_m = [r.width for r in rects_m]
-        if len(set(widths_m)) != len(widths_m) or widths_m != [r.width for r in rects_s]:
+        (widths_m, side_m), (widths_s, side_s) = tables[cols], tables[swapped]
+        if len(set(widths_m)) != len(widths_m) or widths_m != widths_s:
             failures.append({"shape": catalog_line(moons[cols]), "swap": t,
                              "clause": "rectangle widths do not match"})
             continue
-        sigma = list(range(cols_s.shape[1]))
-        sigma[t - 1], sigma[t] = sigma[t], sigma[t - 1]
-        key_m = np.hstack([lam_m, rows_m, cols_m])
-        key_s = np.hstack([lam_s, rows_s, cols_s[:, sigma]])
-        if not multiset_equal(key_m, key_s):
+        sigma = [*range(1, t), t + 1, t, *range(t + 2, len(cols) + 1)]
+        rho = [*range(1, side_m[1].shape[1] + 1)]  # a column swap keeps every row
+        if not multiset_equal(*_class_keys(side_m, side_s, rho, sigma)):
             failures.append({"shape": catalog_line(moons[cols]), "swap": t,
                              "clause": "class sizes"})
     return {"instances": instances, "failures": failures,

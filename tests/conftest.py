@@ -9,15 +9,31 @@ produced by these oracles.
 """
 
 import itertools
+import json
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from skewfill._engine import support_chain_table, support_index
-from skewfill.enumeration import EnumSpec, _value_rows
+from skewfill import harness
+from skewfill._engine import (
+    line_sums,
+    multiset_equal,
+    sum_capped_mask,
+    support_chain_table,
+    support_index,
+    value_matrix,
+)
+from skewfill.enumeration import EnumSpec, _value_rows, catalog_line, enum_skew_shapes
 from skewfill.fillings import NE, SE, Filling
-from skewfill.shapes import Rect, Shape, component_cell_sets, is_connected, normalize
+from skewfill.shapes import (
+    Rect,
+    Shape,
+    component_cell_sets,
+    is_connected,
+    is_nw_ferrers,
+    normalize,
+)
 from skewfill.structure import (
     Decomposition,
     DecompositionError,
@@ -302,6 +318,75 @@ def reference_tr_counts(s: Shape, ks) -> list[tuple[int, int]]:
     ne = support_chain_table(s, NE)[ts]
     se = support_chain_table(s, SE)[ts]
     return [(int(np.count_nonzero(ne < k)), int(np.count_nonzero(se < k))) for k in ks]
+
+
+def frame_counts_by_cells(s: Shape) -> tuple[int, int]:
+    """The full-height columns counted from the left and the rows as long
+    as the top row counted from the top, by scanning the cells."""
+    h = s.height
+    k = 0
+    while k < s.width and len(s.col_rows(k + 1)) == h:
+        k += 1
+    t = len(s.row_cols(h))
+    l = 0
+    while l < h and len(s.row_cols(h - l)) == t:
+        l += 1
+    return k, l
+
+
+def reference_frame_side(h: int, t: int, k: int, l: int, se: bool):
+    """One side's rectangles and sum lines of the frame (k, l) on a NW
+    Ferrers shape of height h whose top row has length t.  The SE side
+    gives C_1..C_k, R_1..R_l (C_i the leftmost i special columns, R_j the
+    topmost j special rows) and their sum lines, columns 1..k and rows
+    h..h-l+1; the NE side gives C'_i (the rightmost i), R'_j (the
+    bottommost j) and columns k..1, rows h-l+1..h."""
+    if se:
+        rects = [Rect(1, i, 1, h) for i in range(1, k + 1)]
+        rects += [Rect(1, t, h - j + 1, h) for j in range(1, l + 1)]
+        return rects, list(range(1, k + 1)), [h + 1 - j for j in range(1, l + 1)]
+    rects = [Rect(k - i + 1, k, 1, h) for i in range(1, k + 1)]
+    rects += [Rect(1, t, h - l + 1, h - l + j) for j in range(1, l + 1)]
+    return rects, [k + 1 - i for i in range(1, k + 1)], [h - l + j for j in range(1, l + 1)]
+
+
+def reference_lem_ferrers(max_cells: int, kmax: int, lmax: int, max_entry: int):
+    """The lem_ferrers report from signature matrices built afresh for
+    each frame and side: the side's chain columns (the whole shape, then
+    its rectangles), its special sum lines position by position, then the
+    other columns and rows in order.  Shapes come from the filtered
+    catalog, frame bounds from the cells; chain tables go through
+    harness.support_chain_table, so a replacement there reaches both."""
+    instances, failures = 0, []
+    for n in range(1, max_cells + 1):
+        for s in filter(is_nw_ferrers, enum_skew_shapes(n)):
+            values = value_matrix(s.size, max_entry)
+            rows = line_sums(values, s, by_row=True)
+            cols = line_sums(values, s, by_row=False)
+            keep = sum_capped_mask(rows, cols, max_entry)
+            rows, cols, sidx = rows[keep], cols[keep], support_index(values)[keep]
+            k_adm, l_adm = frame_counts_by_cells(s)
+            for k, l in itertools.product(range(min(k_adm, kmax) + 1),
+                                          range(min(l_adm, lmax) + 1)):
+                sigs = []
+                for se in (True, False):
+                    rects, col_lines, row_lines = reference_frame_side(
+                        s.height, s.width, k, l, se)
+                    columns = [harness.support_chain_table(s, SE if se else NE, r)[sidx]
+                               for r in [None, *rects]]
+                    columns += [cols[:, x - 1] for x in col_lines]
+                    columns += [rows[:, y - 1] for y in row_lines]
+                    columns += [cols[:, x - 1] for x in range(k + 1, s.width + 1)]
+                    columns += [rows[:, y - 1] for y in range(1, s.height - l + 1)]
+                    sigs.append(np.column_stack(columns))
+                instances += 1
+                if not multiset_equal(*sigs):
+                    failures.append({"shape": catalog_line(s), "k": k, "l": l})
+    failures.sort(key=lambda f: json.dumps(f, sort_keys=True))
+    return harness.VerificationReport(
+        property="lem_ferrers",
+        params={"max_cells": max_cells, "kmax": kmax, "lmax": lmax, "max_entry": max_entry},
+        instances=instances, failures=failures, details={"level": "statistic multisets"})
 
 
 @pytest.fixture

@@ -429,6 +429,17 @@ def test_verify_shape_rejects_a_malformed_line(capsys):
     assert (code, out) == (2, "") and "bad catalog line" in err
 
 
+@pytest.mark.parametrize("line", ["[(1," + "-" * 5000 + "1)]", "[(1," + "-" * 100_000 + "1)]",
+                                  "{[1]}", "{[1]: 2}"],
+                         ids=["recursion", "parser_stack", "unhashable_member", "unhashable_key"])
+def test_verify_shape_rejects_a_line_literal_eval_cannot_build(capsys, line):
+    # literal_eval raises RecursionError, MemoryError and TypeError here
+    code, out, err = run(capsys, "verify", "genskew", "--shape", line)
+    assert (code, out) == (2, "") and "bad catalog line" in err
+    with pytest.raises(ValueError, match="bad catalog line"):
+        verify("genskew", shape=line)
+
+
 def test_verify_shape_over_the_cap_names_it(capsys, monkeypatch):
     monkeypatch.delenv("SKEWFILL_BUDGET_OVERRIDE", raising=False)
     code, out, err = run(capsys, "verify", "genskew", "--shape", "[(1,15)]")

@@ -3,8 +3,8 @@
 The references are the earlier implementations, kept here only: moons
 from growing every fixed polyomino cell by cell and filtering with
 is_moon, and a rubey pair loop that swaps the columns of every moon,
-normalizes and re-tests the result, and builds both moons' keys for
-every pair.
+normalizes and re-tests the result, and builds and permutes both moons'
+keys for every pair.
 """
 
 import json
@@ -15,6 +15,7 @@ import pytest
 
 from skewfill import harness
 from skewfill.enumeration import catalog_line, enum_moon_polyominoes
+from skewfill.fillings import NE
 from skewfill.harness import VerificationReport, verify
 from skewfill.shapes import Shape, is_moon, maximal_rectangles, normalize
 
@@ -72,6 +73,13 @@ def _column_swap(s, t):
     return normalize(swapped)
 
 
+def moon_keys(m, rects, max_entry):
+    """NE chain per maximal rectangle (in the given order), row and column
+    sums of the sum-capped fillings of a moon."""
+    rows, cols, chains = harness._filling_table(m, max_entry)
+    return np.column_stack([chains(NE, r) for r in rects]), rows, cols
+
+
 def reference_rubey(max_cells, max_entry):
     """The rubey report from the per-pair loop, keys built for every pair."""
     instances, failures = 0, []
@@ -89,8 +97,8 @@ def reference_rubey(max_cells, max_entry):
                     failures.append({"shape": catalog_line(m), "swap": t,
                                      "clause": "rectangle widths do not match"})
                     continue
-                lam_m, rows_m, cols_m = harness._moon_keys(m, rects_m, max_entry)
-                lam_s, rows_s, cols_s = harness._moon_keys(sm, rects_s, max_entry)
+                lam_m, rows_m, cols_m = moon_keys(m, rects_m, max_entry)
+                lam_s, rows_s, cols_s = moon_keys(sm, rects_s, max_entry)
                 sigma = list(range(cols_s.shape[1]))
                 sigma[t - 1], sigma[t] = sigma[t], sigma[t - 1]
                 key_m = np.hstack([lam_m, rows_m, cols_m])
@@ -121,16 +129,21 @@ PARTNER = ((2, 2), (1, 2), (1, 3))
 def perturbed_target(monkeypatch):
     """Raise every chain length of the empty filling of the TARGET moon."""
     target = shape_of_columns(TARGET)
-    keys = harness._moon_keys
+    table = harness._filling_table
 
-    def perturbed(m, rects, max_entry):
-        lam, rows, cols = keys(m, rects, max_entry)
-        if m == target:
-            lam = lam.copy()
+    def perturbed(m, max_entry):
+        rows, cols, chains = table(m, max_entry)
+        if m != target:
+            return rows, cols, chains
+
+        def raised(direction, region=None):
+            lam = chains(direction, region).copy()
             lam[0] += 1
-        return lam, rows, cols
+            return lam
 
-    monkeypatch.setattr(harness, "_moon_keys", perturbed)
+        return rows, cols, raised
+
+    monkeypatch.setattr(harness, "_filling_table", perturbed)
 
 
 def test_rubey_failure_names_the_moon_of_its_pair(perturbed_target):

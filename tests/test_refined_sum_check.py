@@ -1,9 +1,9 @@
 """cor_sskew's refined part against the per-k construction of its keys.
 
 harness._refined_sum_check packs the row and column sum keys of all
-kept fillings once per shape and compares subsets of them for each k.
-The reference below builds and compares the key matrices of each k
-afresh.
+kept fillings once per shape (harness._class_keys) and compares subsets
+of them for each k.  The reference below builds, permutes and compares
+the key matrices of each k afresh.
 """
 
 import numpy as np
@@ -20,9 +20,8 @@ def reference_refined_sum_check(s, kmax, max_entry):
     perms = harness.sum_permutations(s)
     rho_idx = np.array(perms.rho, dtype=np.int64) - 1
     sigma_idx = np.array(perms.sigma, dtype=np.int64) - 1
-    rows, cols, sidx = harness._capped_fillings(s, max_entry)
-    se = harness.support_chain_table(s, SE)[sidx]
-    ne = harness.support_chain_table(s, NE)[sidx]
+    rows, cols, chains = harness._filling_table(s, max_entry)
+    se, ne = chains(SE), chains(NE)
     bad = []
     for k in range(2, kmax + 1):
         d_keys = np.hstack([rows[se < k], cols[se < k]])
@@ -43,8 +42,8 @@ def columns_reversed(s):
     return SumPermutations(tuple(range(1, s.height + 1)), tuple(range(s.width, 0, -1)))
 
 
-def ne_chains_one_longer(s, direction):
-    table = support_chain_table(s, direction)
+def ne_chains_one_longer(s, direction, region=None):
+    table = support_chain_table(s, direction, region)
     return table + 1 if direction == NE else table
 
 

@@ -1,3 +1,4 @@
+import csv
 import itertools
 import json
 import os
@@ -13,14 +14,15 @@ from skewfill.harness import (
     PROPERTIES,
     BudgetError,
     VerificationReport,
-    _frame_side,
     check_budget,
     format_report,
     parse_report_csv,
     parse_report_json,
     verify,
 )
+from skewfill.fillings import NE
 from skewfill.shapes import Rect, dent_shape, is_nw_ferrers, normalize
+from conftest import frame_counts_by_cells, reference_lem_ferrers
 from test_genskew_runner import LINE, forward_is_identity
 
 
@@ -353,41 +355,79 @@ def test_report_csv_round_trip():
             parse_report_csv(text)
 
 
+def test_reports_past_the_csv_field_limit_round_trip():
+    limit = csv.field_size_limit()
+    failures = [{"shape": "[(1,2),(1,3),(2,3)]", "swap": i, "clause": "class sizes"}
+                for i in range(3000)]
+    r = VerificationReport("rubey", {"max_cells": 10, "max_entry": 1}, 5676, failures,
+                           {"level": "cardinalities"}, 12.5)
+    text = format_report(r, fmt="csv")
+    assert len(json.dumps(failures, sort_keys=True)) > limit  # one field passes it
+    assert parse_report_csv(text) == r
+    assert parse_report_json(format_report(r, fmt="json")) == r
+    assert csv.field_size_limit() == limit
+
+
+def test_report_parsers_refuse_deep_nesting():
+    limit = csv.field_size_limit()
+    deep = "[" * 100_000 + "]" * 100_000
+    header = "property,params,instances,failures,details,millis\n"
+    for text in (deep, '{"property": ' + deep + "}"):
+        with pytest.raises(ValueError):
+            parse_report_json(text)
+    for row in (f'x,{{}},1,"{deep}",{{}},0.0', f'x,"{{""a"": {deep}}}",1,[],{{}},0.0'):
+        with pytest.raises(ValueError):
+            parse_report_csv(header + row + "\n")
+    assert csv.field_size_limit() == limit
+
+
 def test_format_report_unknown_format():
     r = verify("thm_bp", max_cells=4)
     with pytest.raises(ValueError):
         format_report(r, fmt="yaml")
 
 
-def test_gamma_frame_geometry():
+def recorded_frames(monkeypatch, max_cells):
+    """{catalog line: {(k, l): (rho, sigma)}} of the lem_ferrers runner on
+    the partitions of <= max_cells cells, with kmax and lmax past every
+    bound.  Stub fillings stand in, so no table is built."""
+    frames, at = {}, {}
+    frame_rects = harness._frame_rects
+
+    def table(s, max_entry):
+        at["line"] = catalog_line(s)
+        rows, cols = np.zeros((1, s.height), dtype=np.int64), np.zeros((1, s.width), dtype=np.int64)
+        return rows, cols, lambda direction, region=None: np.zeros(1, dtype=np.int8)
+
+    def rects(h, t, k, l, se):
+        at["frame"] = (k, l)
+        return frame_rects(h, t, k, l, se)
+
+    def keys(left, right, rho, sigma):
+        frames.setdefault(at["line"], {})[at["frame"]] = (list(rho), list(sigma))
+        return np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+
+    monkeypatch.setattr(harness, "_filling_table", table)
+    monkeypatch.setattr(harness, "_frame_rects", rects)
+    monkeypatch.setattr(harness, "_class_keys", keys)
+    params = {"max_cells": max_cells, "kmax": max_cells, "lmax": max_cells, "max_entry": 1}
+    harness._run_lem_ferrers(params, (0, 1))
+    return frames
+
+
+def test_gamma_frame_geometry(monkeypatch):
     # the frame (2, 2) on the partition with rows (1, 2), (1, 4), (1, 4):
     # height 3, top row of length 4
     # C_1, C_2, R_1, R_2 over columns 1..2 and the top row's 4 columns
-    assert _frame_side(3, 4, 2, 2, True) == (
-        [Rect(1, 1, 1, 3), Rect(1, 2, 1, 3), Rect(1, 4, 3, 3), Rect(1, 4, 2, 3)],
-        [1, 2],
-        [3, 2],
-    )
+    assert harness._frame_rects(3, 4, 2, 2, True) == [
+        Rect(1, 1, 1, 3), Rect(1, 2, 1, 3), Rect(1, 4, 3, 3), Rect(1, 4, 2, 3)]
     # C'_1, C'_2, R'_1, R'_2
-    assert _frame_side(3, 4, 2, 2, False) == (
-        [Rect(2, 2, 1, 3), Rect(1, 2, 1, 3), Rect(1, 4, 2, 2), Rect(1, 4, 2, 3)],
-        [2, 1],
-        [2, 3],
-    )
-
-
-def frame_counts_by_cells(s):
-    """The full-height columns counted from the left and the rows as long
-    as the top row counted from the top, by scanning the cells."""
-    h = s.height
-    k = 0
-    while k < s.width and len(s.col_rows(k + 1)) == h:
-        k += 1
-    t = len(s.row_cols(h))
-    l = 0
-    while l < h and len(s.row_cols(h - l)) == t:
-        l += 1
-    return k, l
+    assert harness._frame_rects(3, 4, 2, 2, False) == [
+        Rect(2, 2, 1, 3), Rect(1, 2, 1, 3), Rect(1, 4, 2, 2), Rect(1, 4, 2, 3)]
+    # the sum lines: SE's columns 1, 2 and rows 3, 2 meet NE's columns
+    # 2, 1 and rows 2, 3, the other lines themselves
+    line = catalog_line(shape_from_intervals([(1, 2), (1, 4), (1, 4)]))
+    assert recorded_frames(monkeypatch, 10)[line][2, 2] == ([1, 3, 2], [2, 1, 3, 4])
 
 
 def test_admissible_frame_counts(monkeypatch):
@@ -399,14 +439,7 @@ def test_admissible_frame_counts(monkeypatch):
     assert frame_counts_by_cells(stacked) == (2, 2)
     # the runner's row rule, with kmax and lmax past every bound, takes
     # each frame the cell scan allows on every partition of <= 8 cells
-    frames = {}
-
-    def record(s, k, l, se_side, *rest):
-        frames.setdefault(catalog_line(s), set()).add((k, l))
-        return np.zeros((1, 1), dtype=np.int64)
-
-    monkeypatch.setattr(harness, "_frame_signature", record)
-    harness._run_lem_ferrers({"max_cells": 8, "kmax": 8, "lmax": 8, "max_entry": 1}, (0, 1))
+    frames = {line: set(f) for line, f in recorded_frames(monkeypatch, 8).items()}
     expected = {}
     for n in range(1, 9):
         for s in filter(is_nw_ferrers, enum_skew_shapes(n)):
@@ -414,6 +447,38 @@ def test_admissible_frame_counts(monkeypatch):
             expected[catalog_line(s)] = set(itertools.product(range(k_adm + 1), range(l_adm + 1)))
     assert len(expected) == 66  # partitions of 1..8
     assert frames == expected
+
+
+@pytest.mark.parametrize("broken", [False, True], ids=["as_built", "ne_rects_one_longer"])
+@pytest.mark.parametrize("max_entry", [1, 2])
+def test_lem_ferrers_matches_the_per_frame_reference(monkeypatch, max_entry, broken):
+    """The runner's reports against signature matrices built for each
+    frame and side with the sum lines in the lemma's order, as built and
+    with NE chains one longer inside rectangles: then every frame with a
+    special line fails and the frames (0, 0) pass."""
+    if broken:
+        chains = harness.support_chain_table
+
+        def one_longer(s, direction, region=None):
+            table = chains(s, direction, region)
+            return table + 1 if direction == NE and region is not None else table
+
+        monkeypatch.setattr(harness, "support_chain_table", one_longer)
+    r = verify("lem_ferrers", max_cells=7, max_entry=max_entry)
+    assert r == reference_lem_ferrers(7, 2, 2, max_entry)
+    assert r.instances == 235
+    assert len(r.failures) == (235 - 44 if broken else 0)  # 44 partitions of 1..7
+
+
+@pytest.mark.parametrize("prop, max_cells, failing", [("lem_ferrers", 6, 43), ("rubey", 7, 304)])
+def test_identity_permutations_fail_lem_ferrers_and_rubey(monkeypatch, prop, max_cells, failing):
+    """The frames' and the swaps' (rho, sigma) are seen: with identity
+    permutations in their place the checks fail.  cor_sskew's refined
+    part passes with the identity too (see the harness docstring)."""
+    keys = harness._class_keys
+    monkeypatch.setattr(harness, "_class_keys",
+                        lambda left, right, rho, sigma: keys(left, right, sorted(rho), sorted(sigma)))
+    assert len(verify(prop, max_cells=max_cells).failures) == failing
 
 
 def test_sum_capped_family_is_closed_but_plain_cap_is_not():
@@ -455,17 +520,17 @@ def test_report_is_deterministic_data():
 
 def test_lem_ferrers_builds_each_table_once_per_shape(monkeypatch):
     built = []
-    capped, chains = harness._capped_fillings, harness.support_chain_table
+    table, chains = harness._filling_table, harness.support_chain_table
 
     def count_fillings(s, max_entry):
         built.append(("fillings", s))
-        return capped(s, max_entry)
+        return table(s, max_entry)
 
     def count_chains(s, direction, region=None):
         built.append((direction, region, s))
         return chains(s, direction, region)
 
-    monkeypatch.setattr(harness, "_capped_fillings", count_fillings)
+    monkeypatch.setattr(harness, "_filling_table", count_fillings)
     monkeypatch.setattr(harness, "support_chain_table", count_chains)
     r = verify("lem_ferrers", max_cells=6)
     assert r.passed and r.instances == 159
