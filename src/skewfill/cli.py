@@ -17,7 +17,7 @@ from .bijection import full_backward, full_forward, render_trace
 from .enumeration import EnumSpec, catalog_lines, count_avoiders
 from .fillings import TOKEN_RE, parse_filling, pattern_library, render_filling
 from .harness import PROPERTIES, check_budget, format_report, verify
-from .shapes import ParseError, classify_shape, parse_shape
+from .shapes import _quoted, classify_shape, parse_shape
 from .structure import ferrers_decompose, render_decomposition
 
 # Most fillings one count call may scan: (max_entry + 1) ** cells, with a
@@ -65,10 +65,11 @@ def _pattern_arg(text: str):
 
 def integer(text: str) -> int:
     """An integer option: ASCII digits 0-9 after an optional minus sign.
-    int() alone takes any Unicode decimal digit.  argparse reports the
-    error and exits 2."""
+    int() alone takes any Unicode decimal digit.  argparse prints the
+    message of an ArgumentTypeError as it is, where for a ValueError it
+    would quote the whole value, and exits 2."""
     if re.fullmatch(r"-?[0-9]+", text) is None:
-        raise ParseError(f"not an integer: {text!r}")
+        raise argparse.ArgumentTypeError(f"invalid integer value: {_quoted(text)}")
     return int(text)
 
 

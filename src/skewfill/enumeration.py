@@ -38,6 +38,7 @@ from .shapes import (
     _contains_dent,
     _contiguous,
     _interval_shape,
+    _quoted,
     _row_spans,
     _top_row_dents,
     find_shape_occurrences,
@@ -284,17 +285,17 @@ def _catalog_intervals(text: str) -> tuple:
     try:
         intervals = ast.literal_eval(text.strip())
     except (SyntaxError, ValueError, TypeError, RecursionError, MemoryError):
-        raise ValueError(f"bad catalog line: {text!r}") from None
+        raise ValueError(f"bad catalog line: {_quoted(text)}") from None
     if isinstance(intervals, tuple) and intervals and isinstance(intervals[0], int):
         intervals = (intervals,)
     if not isinstance(intervals, (list, tuple)) or not intervals:
-        raise ValueError(f"bad catalog line: {text!r}")
+        raise ValueError(f"bad catalog line: {_quoted(text)}")
     a, b = 1, 0
     for pair in intervals:
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2
                 and all(isinstance(v, int) and not isinstance(v, bool) for v in pair)
                 and a <= pair[0] <= b + 1 and pair[1] >= max(pair[0], b)):
-            raise ValueError(f"interval {pair!r} breaks the catalog grammar")
+            raise ValueError(f"interval {_quoted(pair)} breaks the catalog grammar")
         a, b = pair
     return tuple(intervals)
 

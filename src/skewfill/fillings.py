@@ -23,6 +23,7 @@ from .shapes import (
     ParseError,
     Rect,
     Shape,
+    _quoted,
     _read_grid,
     _write_grid,
     dent_shape,
@@ -167,7 +168,7 @@ def pattern_library(name: str) -> Filling:
     """Canonical patterns: iota<k>, delta<k>, fd, and the all-zero ds."""
     m = TOKEN_RE.fullmatch(name.strip())
     if m is None:
-        raise ParseError(f"unknown pattern token {name!r}")
+        raise ParseError(f"unknown pattern token {_quoted(name)}")
     if m.group(1) is not None:
         k = int(m.group(2))
         if k < 1:

@@ -93,6 +93,20 @@ completely (_engine.sum_capped_mask).  A bare entry cap cuts classes in
 half and makes the identities false as stated; the 2x2 square with row
 and column sums (1, 3) shows this for caps 1 and 2.  A shape builds its
 fillings and each chain table once (_filling_table).
+
+Each key is packed into one int64 (_Sums).  Row y's sum is at most
+max_entry times its length and column x's at most max_entry times its
+height, so these bounds fix one mixed radix per shape before any filling
+is seen; the chain statistics take one digit each above the sums, in
+base the longest chain the shape can hold plus one.  The right side's
+sums pack in the same radix with permuted place values, one
+matrix-vector product per side, when no line lands on the digit of a
+shorter one: lem_ferrers' rho and sigma move lines only among lines of
+one length, and so do cor_sskew's on every connected dent-free shape of
+at most 10 cells; rubey's classes give every column the tallest
+column's bound.  A shape packs its sums once per (rho, sigma).  Past 62
+bits, or when a line would land on a shorter one's digit, the key
+matrices are compared instead.
   cor_sskew    left SE chain < k, right NE chain < k, keys packed once
                for all k; (rho, sigma) from sum_permutations.  The
                identity passes too on every connected dent-free shape of
@@ -106,7 +120,14 @@ fillings and each chain table once (_filling_table).
                and sigma the first k columns.
   rubey        NE chains of each maximal rectangle, of the moon left and
                the swapped moon right; rho is the identity and sigma
-               swaps columns t and t+1.
+               swaps columns t and t+1.  The moons of a column class
+               share their rows' lengths and one radix, in which every
+               column takes the tallest column's bound.  sigma is an
+               involution, and applied to both sides it keeps a multiset,
+               so comparing m with its swap s is the same check as s with
+               m: each unordered pair is compared once and counts two
+               instances, and on failure two failures, one per moon; a
+               self-swap, of two equal columns, counts one.
 lem_ferrers and rubey check multisets only ("level" in their details).
 """
 
@@ -118,6 +139,7 @@ import io
 import itertools
 import json
 import multiprocessing
+import operator
 import os
 import time
 from dataclasses import dataclass, field
@@ -131,8 +153,8 @@ from .enumeration import _admits_transversal, _catalog_intervals, _catalog_walk,
     _diagonal_prefix, _ferrers_prefix, _filter_prefix, _joined, _line, _transversals, \
     catalog_line, catalog_sums, enum_moon_polyominoes, parse_catalog_line
 from .fillings import NE, SE
-from .shapes import Rect, Shape, _interval_rectangles, _interval_shape, _kept_skew, _row_spans, \
-    _top_row_dents, dent_shape, maximal_rectangles
+from .shapes import Rect, Shape, _interval_rectangles, _interval_shape, _kept_skew, _quoted, \
+    _row_spans, _top_row_dents, dent_shape, maximal_rectangles
 from .structure import DecompositionError, ferrers_decompose, is_ds_free, sum_permutations
 
 class BudgetError(ValueError):
@@ -148,12 +170,12 @@ def check_budget(what: str, value: int, floor: int, cap: int, unlock: bool = Tru
     SKEWFILL_BUDGET_OVERRIDE=1.
     """
     if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{what}={value!r} is not an integer")
+        raise ValueError(f"{what}={_quoted(value)} is not an integer")
     if value < floor:
-        raise ValueError(f"{what}={value} is below {floor}")
+        raise ValueError(f"{what}={_quoted(value)} is below {floor}")
     if value > cap and not (unlock and os.environ.get("SKEWFILL_BUDGET_OVERRIDE") == "1"):
         hint = " (set SKEWFILL_BUDGET_OVERRIDE=1 to unlock)" if unlock else ""
-        raise BudgetError(f"{what}={value} exceeds cap {cap}{hint}")
+        raise BudgetError(f"{what}={_quoted(value)} exceeds cap {cap}{hint}")
 
 
 # worker processes for one verify call, on every machine and with or
@@ -380,15 +402,81 @@ def _filling_table(s: Shape, max_entry: int):
     return rows[keep], cols[keep], chains
 
 
+# every packed key lies below this, as in _engine._packed_keys
+_KEY_BOUND = 1 << 62
+
+
+def _line_bounds(s: Shape, max_entry: int):
+    """The largest row and column sums of s's fillings with entries at
+    most max_entry: max_entry times each line's length."""
+    rows, cols = [0] * s.height, [0] * s.width
+    for x, y in s.cells:
+        rows[y - 1] += max_entry
+        cols[x - 1] += max_entry
+    return tuple(rows), tuple(cols)
+
+
+class _Sums:
+    """The row and column sums of one shape's fillings and the largest sum
+    of each line.  These bounds fix a mixed radix, a digit per line, before
+    any filling is seen; chain statistics take a digit each above them, in
+    base the longest chain the shape can hold (no more than its rows or its
+    columns) plus one.  key(stats, rho, sigma) packs each filling into one
+    int64 in it, with row y's digit from row rho(y) and column x's from
+    column sigma(x), 1-based.  The sums are packed once per (rho, sigma),
+    and the digits of the last stats are kept.  The key is None when the
+    radix passes 62 bits, a statistic its digit, or a line the bound of
+    the digit it lands on."""
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, bounds):
+        self.rows, self.cols, self.bounds = rows, cols, bounds
+        self._lines, self._bounds = np.hstack([rows, cols]), (*bounds[0], *bounds[1])
+        places = list(itertools.accumulate((b + 1 for b in self._bounds), operator.mul, initial=1))
+        self.size = places.pop()
+        self._places = np.array(places, dtype=np.int64) if self.size <= _KEY_BOUND else None
+        self._base = min(map(len, bounds)) + 1
+        self._sums, self._digits = {}, (None, None)
+
+    def key(self, stats: np.ndarray, rho=None, sigma=None):
+        """The keys under (rho, sigma); None is the identity."""
+        perms = tuple(tuple(range(1, len(b) + 1)) if p is None else tuple(p)
+                      for p, b in zip((rho, sigma), self.bounds))
+        if perms not in self._sums:
+            self._sums[perms] = self._pack(*perms)
+        if self._digits[0] is not stats:
+            self._digits = stats, self._chain_digits(stats)
+        sums, digits = self._sums[perms], self._digits[1]
+        return None if sums is None or digits is None else sums + digits
+
+    def _pack(self, rho, sigma):
+        lines = [p - 1 for p in rho] + [len(rho) + x - 1 for x in sigma]  # 0-based, rows first
+        if self._places is None or any(map(operator.gt, map(self._bounds.__getitem__, lines),
+                                           self._bounds)):
+            return None
+        return self._lines[:, lines] @ self._places
+
+    def _chain_digits(self, stats: np.ndarray):
+        digits = stats.shape[1]
+        if self.size * self._base ** digits > _KEY_BOUND or (digits and stats.max() >= self._base):
+            return None
+        return stats @ (self.size * self._base ** np.arange(digits, dtype=np.int64))
+
+
 def _class_keys(left, right, rho, sigma):
-    """The keys of a sum-class comparison (see the module docstring), in
-    one radix when they fit.  A side is (statistic columns or blocks of
-    them, row sums, column sums); rho and sigma are 1-based, rho[y - 1]
-    the right row whose sum goes where the left has row y's."""
-    stats, rows, cols = left
-    a = np.column_stack([*stats, rows, cols])
-    stats, rows, cols = right
-    b = np.column_stack([*stats, rows[:, np.subtract(rho, 1)], cols[:, np.subtract(sigma, 1)]])
+    """The keys of a sum-class comparison (see the module docstring).  A
+    side is (chain statistics, a column each, and _Sums); rho and sigma
+    are 1-based, rho[y - 1] the right row whose sum goes where the left
+    has row y's.  The keys are packed in the sides' shared radix; where
+    they do not pack, they are the key matrices, in one radix of their
+    observed ranges when they fit (_packed_keys)."""
+    (a_stats, a_sums), (b_stats, b_sums) = left, right
+    if a_sums.bounds == b_sums.bounds and a_stats.shape[1] == b_stats.shape[1]:
+        a, b = a_sums.key(a_stats), b_sums.key(b_stats, rho, sigma)
+        if a is not None and b is not None:
+            return a, b
+    a = np.column_stack([a_stats, a_sums.rows, a_sums.cols])
+    b = np.column_stack([b_stats, b_sums.rows[:, np.subtract(rho, 1)],
+                         b_sums.cols[:, np.subtract(sigma, 1)]])
     return _packed_keys(a, b) or (a, b)
 
 
@@ -397,7 +485,9 @@ def _refined_sum_check(s: Shape, kmax: int, max_entry: int):
     keys of all kept fillings are packed once; each k compares a subset."""
     perms = sum_permutations(s)
     rows, cols, chains = _filling_table(s, max_entry)
-    d_keys, i_keys = _class_keys(((), rows, cols), ((), rows, cols), perms.rho, perms.sigma)
+    sums = _Sums(rows, cols, _line_bounds(s, max_entry))
+    none = np.zeros((len(rows), 0), dtype=np.int8)  # no statistic
+    d_keys, i_keys = _class_keys((none, sums), (none, sums), perms.rho, perms.sigma)
     return [k for k in range(2, kmax + 1)
             if not multiset_equal(d_keys[chains(SE) < k], i_keys[chains(NE) < k])]
 
@@ -517,7 +607,9 @@ def _run_lem_ferrers(params, shard):
     for intervals, _, mine in _catalog_walk(params["max_cells"], shard, _ferrers_prefix):
         if not mine:
             continue
-        rows, cols, chains = _filling_table(_interval_shape(intervals), params["max_entry"])
+        s = _interval_shape(intervals)
+        rows, cols, chains = _filling_table(s, params["max_entry"])
+        sums = _Sums(rows, cols, _line_bounds(s, params["max_entry"]))
         # The rows all start at column 1 and their ends grow upward, so
         # the top row is the widest, the full-height columns are 1..b_1,
         # and the rows as long as the top row are the topmost, ending at w.
@@ -526,20 +618,23 @@ def _run_lem_ferrers(params, shard):
         l_adm = sum(b == w for _, b in intervals)
         for k in range(0, min(k_adm, params["kmax"]) + 1):
             for l in range(0, min(l_adm, params["lmax"]) + 1):
-                se, ne = ([chains(d), *(chains(d, r) for r in _frame_rects(h, w, k, l, d == SE))]
+                se, ne = (np.column_stack([chains(d), *(chains(d, r) for r in
+                                                        _frame_rects(h, w, k, l, d == SE))])
                           for d in (SE, NE))
                 rho = [*range(1, h - l + 1), *range(h, h - l, -1)]
                 sigma = [*range(k, 0, -1), *range(k + 1, w + 1)]
                 instances += 1
-                if not multiset_equal(*_class_keys((se, rows, cols), (ne, rows, cols), rho, sigma)):
+                if not multiset_equal(*_class_keys((se, sums), (ne, sums), rho, sigma)):
                     failures.append({"shape": _line(intervals), "k": k, "l": l})
     return {"instances": instances, "failures": failures,
             "details": {"level": "statistic multisets"}}
 
 
 def _rubey_pairs(max_cells: int):
-    """(class, columns, t, swapped columns) for every moon and every
-    adjacent column swap that leaves a moon, one column class at a time.
+    """(class, columns, t, swapped columns) for every adjacent column swap
+    that leaves a moon, one column class at a time.  Swapping t again
+    undoes it, so each unordered pair comes once, from the moon whose
+    columns sort first; a self-swap, of two equal columns, is its own pair.
 
     A moon is keyed by its column intervals, left to right; its class maps
     the keys of all moons of its size with the same multiset of column
@@ -555,34 +650,40 @@ def _rubey_pairs(max_cells: int):
             for cols in moons:
                 for t in range(1, len(cols)):
                     swapped = cols[:t - 1] + (cols[t], cols[t - 1]) + cols[t + 1:]
-                    if swapped in moons:
+                    if cols <= swapped and swapped in moons:
                         yield moons, cols, t, swapped
 
 
 def _run_rubey(params, shard):
-    instances, failures = 0, []
+    """One comparison per unordered pair, counted for each of its moons
+    (see Sum classes in the module docstring)."""
+    instances, failures, e = 0, [], params["max_entry"]
     group, tables = None, {}  # a class and its moons' rectangle widths and sides
     pairs = itertools.islice(_rubey_pairs(params["max_cells"]), shard[0], None, shard[1])
     for moons, cols, t, swapped in pairs:
         if moons is not group:
+            row_bounds, col_bounds = _line_bounds(moons[cols], e)
             group, tables = moons, {}
+            bounds = (row_bounds, (max(col_bounds),) * len(col_bounds))
         for c in (cols, swapped):
             if c not in tables:
                 rects = maximal_rectangles(moons[c])
-                rows, col_sums, chains = _filling_table(moons[c], params["max_entry"])
+                rows, col_sums, chains = _filling_table(moons[c], e)
                 tables[c] = ([r.width for r in rects],
-                             ([np.column_stack([chains(NE, r) for r in rects])], rows, col_sums))
-        instances += 1
+                             (np.column_stack([chains(NE, r) for r in rects]),
+                              _Sums(rows, col_sums, bounds)))
+        pair = [moons[cols]] if cols == swapped else [moons[cols], moons[swapped]]
+        instances += len(pair)
         (widths_m, side_m), (widths_s, side_s) = tables[cols], tables[swapped]
         if len(set(widths_m)) != len(widths_m) or widths_m != widths_s:
-            failures.append({"shape": catalog_line(moons[cols]), "swap": t,
-                             "clause": "rectangle widths do not match"})
-            continue
-        sigma = [*range(1, t), t + 1, t, *range(t + 2, len(cols) + 1)]
-        rho = [*range(1, side_m[1].shape[1] + 1)]  # a column swap keeps every row
-        if not multiset_equal(*_class_keys(side_m, side_s, rho, sigma)):
-            failures.append({"shape": catalog_line(moons[cols]), "swap": t,
-                             "clause": "class sizes"})
+            clause = "rectangle widths do not match"
+        else:
+            sigma = [*range(1, t), t + 1, t, *range(t + 2, len(cols) + 1)]
+            rho = [*range(1, len(row_bounds) + 1)]  # a column swap keeps every row
+            clause = None if multiset_equal(*_class_keys(side_m, side_s, rho, sigma)) \
+                else "class sizes"
+        if clause:
+            failures += [{"shape": catalog_line(m), "swap": t, "clause": clause} for m in pair]
     return {"instances": instances, "failures": failures,
             "details": {"level": "cardinalities"}}
 
@@ -633,7 +734,7 @@ _PROPERTIES = {
     "thm_bp": (_run_thm_bp, {"max_cells": (1, 9, 16)}),
     "genskew": (_run_genskew, {"max_cells": (1, 10, 14), "shape": (1, None, 14)}),
     "lemma_gi": (_run_lemma_gi, {"max_cells": (1, 8, 12), "shape": (1, None, 12)}),
-    "lem_ferrers": (_run_lem_ferrers, {"max_cells": (1, 8, 8), "kmax": (0, 2, 2),
+    "lem_ferrers": (_run_lem_ferrers, {"max_cells": (1, 8, 10), "kmax": (0, 2, 2),
                                        "lmax": (0, 2, 2), "max_entry": (1, 2, 2)}),
     "rubey": (_run_rubey, {"max_cells": (1, 8, 10), "max_entry": (1, 1, 2)}),
     "ds_free_oracle": (_run_ds_free_oracle, {"max_cells": (1, 9, 12)}),
@@ -671,7 +772,7 @@ def verify(prop: str, **params) -> VerificationReport:
     and one that is neither a Shape nor a string raises ValueError.
     """
     if prop not in _PROPERTIES:
-        raise ValueError(f"unknown property {prop!r}, expected one of {PROPERTIES}")
+        raise ValueError(f"unknown property {_quoted(prop)}, expected one of {PROPERTIES}")
     budgets = _PROPERTIES[prop][1]
     effective = {name: default for name, (_, default, _) in budgets.items()
                  if default is not None}
@@ -686,7 +787,8 @@ def verify(prop: str, **params) -> VerificationReport:
             if isinstance(val, Shape):
                 val = catalog_line(val)
             elif not isinstance(val, str):
-                raise ValueError(f"{prop}: shape={val!r} is neither a Shape nor a catalog line")
+                raise ValueError(f"{prop}: shape={_quoted(val)} is neither a Shape nor a "
+                                 "catalog line")
             # counted from the grammar, before any cell is built
             cells = sum(b - a + 1 for a, b in _catalog_intervals(val))
             check_budget(f"{prop}: shape cells", cells, floor, cap)

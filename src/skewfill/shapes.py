@@ -24,6 +24,22 @@ class ParseError(ValueError):
     """Malformed shape or filling text."""
 
 
+# most characters of an input that an error message quotes
+_QUOTE_LIMIT = 60
+
+
+def _quoted(value) -> str:
+    """The repr of an input for an error message, cut after _QUOTE_LIMIT
+    characters with a marker, so that a long input is not echoed whole."""
+    try:
+        text = repr(value)
+    except ValueError:  # an int past the interpreter's limit on printed digits
+        return f"<{type(value).__name__} too long to print>"
+    if len(text) <= _QUOTE_LIMIT:
+        return text
+    return f"{text[:_QUOTE_LIMIT]}... ({len(text) - _QUOTE_LIMIT} more characters cut)"
+
+
 @dataclass(frozen=True)
 class Rect:
     """Inclusive axis-aligned box of grid cells."""

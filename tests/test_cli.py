@@ -440,6 +440,27 @@ def test_verify_shape_rejects_a_line_literal_eval_cannot_build(capsys, line):
         verify("genskew", shape=line)
 
 
+CUT = "more characters cut"
+
+
+@pytest.mark.parametrize("argv, message, marker", [
+    (("verify", "genskew", "--shape", "[(1," + "-" * 100_000 + "1)]"), "bad catalog line", CUT),
+    (("verify", "genskew", "--shape", "[(1,1),(2,'" + "x" * 100_000 + "')]"),
+     "breaks the catalog grammar", CUT),
+    (("verify", "genskew", "--shape", "[(1,0x" + "f" * 3000 + ")]"), "exceeds cap 14", CUT),
+    # past the interpreter's limit of 4300 printed digits
+    (("verify", "genskew", "--shape", "[(1,0x" + "f" * 5000 + ")]"), "exceeds cap 14",
+     "int too long to print"),
+    (("verify", "genskew", "--max-cells", "x" * 100_000), "invalid integer value", CUT),
+    (("count", "--avoid", "x" * 100_000, "SHAPE"), "unknown pattern token", CUT),
+], ids=["catalog_line", "interval", "cells", "cells_past_digit_limit", "integer", "pattern"])
+def test_a_long_bad_input_is_quoted_cut(capsys, monkeypatch, dent_file, argv, message, marker):
+    monkeypatch.delenv("SKEWFILL_BUDGET_OVERRIDE", raising=False)
+    code, out, err = run(capsys, *(str(dent_file) if a == "SHAPE" else a for a in argv))
+    assert (code, out) == (2, "") and message in err and marker in err
+    assert len(err) < 600  # the usage lines and one quoted prefix
+
+
 def test_verify_shape_over_the_cap_names_it(capsys, monkeypatch):
     monkeypatch.delenv("SKEWFILL_BUDGET_OVERRIDE", raising=False)
     code, out, err = run(capsys, "verify", "genskew", "--shape", "[(1,15)]")

@@ -119,6 +119,26 @@ def test_rubey_matches_pair_loop(max_entry):
     assert r.instances == 579 and r.passed
 
 
+def test_rubey_compares_each_unordered_swap_once(monkeypatch):
+    """579 instances at 7 cells: 275 self-swaps, of two equal columns,
+    and 152 pairs of moons, each compared once for both of its moons."""
+    swaps = []
+    keys = harness._class_keys
+    monkeypatch.setattr(harness, "_class_keys",
+                        lambda left, right, rho, sigma: swaps.append(left is right)
+                        or keys(left, right, rho, sigma))
+    r = verify("rubey", max_cells=7)
+    assert r.instances == 579 and r.passed
+    assert (swaps.count(True), swaps.count(False)) == (275, 152)
+
+
+@pytest.mark.parametrize("max_entry", [1, 2])
+def test_rubey_shards_merge_to_the_serial_report(max_entry):
+    serial = verify("rubey", max_cells=8, max_entry=max_entry)
+    assert verify("rubey", max_cells=8, max_entry=max_entry, jobs=3) == serial
+    assert serial.passed
+
+
 # ((2,2),(1,3),(1,2)) swaps only at t=2, into ((2,2),(1,2),(1,3)), which
 # in turn swaps only back
 TARGET = ((2, 2), (1, 3), (1, 2))

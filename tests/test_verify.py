@@ -145,6 +145,13 @@ def test_budget_caps_enforced():
             os.environ["SKEWFILL_BUDGET_OVERRIDE"] = saved
 
 
+def test_lem_ferrers_caps_max_cells_at_10_and_defaults_to_8(monkeypatch):
+    monkeypatch.delenv("SKEWFILL_BUDGET_OVERRIDE", raising=False)
+    with pytest.raises(BudgetError, match="max_cells=11 exceeds cap 10"):
+        verify("lem_ferrers", max_cells=11)
+    assert verify("lem_ferrers", kmax=0, lmax=0, max_entry=1).params["max_cells"] == 8
+
+
 def test_budget_override_unlocks(monkeypatch):
     monkeypatch.delenv("SKEWFILL_BUDGET_OVERRIDE", raising=False)
     with pytest.raises(BudgetError):
