@@ -70,11 +70,25 @@ inside a rectangle of the shape.  On a whole skew shape it is also the
 SE statistic, because any SE pair of cells spans a rectangle of a skew
 shape; an NE chain, however, must fit one maximal rectangle, so the
 whole-shape NE table is the elementwise max of the per-rectangle ones.
+Inside a box of cells the chain statistic depends only on the box's size
+and the pattern of set bits in it, and each box row is a run of
+consecutive labels.  So each (w, h, direction) has one table over the
+2^(wh) patterns of the w x h box, built once by the recursion, and a
+region's table gathers each mask's bits in the region into a box pattern
+and looks it up.
+
+The sum-capped fillings (those sum_capped_mask keeps) are built directly
+rather than filtered out of all (max_entry + 1)^n value vectors.  Those
+with every row sum at most max_entry are the products of one capped word
+per row; those with every column sum at most max_entry the products of
+one per column, and the second family adds its members that are not in
+the first.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+import math
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -274,38 +288,104 @@ def _step_table(w: int, h: int, forward: bool) -> np.ndarray:
     return table
 
 
-def _chain_recursion(cells, direction: str, region: Rect | None) -> np.ndarray:
-    """Longest poset chain per support mask, counting only cells in region."""
+def _chain_recursion(cells, direction: str) -> np.ndarray:
+    """Longest poset chain per support mask of the given cells."""
     table = np.zeros(1 << len(cells), dtype=np.int8)
     low = np.arange(len(table) >> 1, dtype=np.int64)
     for b, (x, y) in enumerate(cells):
         head, tail = table[: 1 << b], table[1 << b: 2 << b]
-        if region is not None and (x, y) not in region:
-            tail[:] = head
-            continue
         before = sum(1 << k for k, (u, v) in enumerate(cells[:b])
-                     if v < y and (u < x if direction == NE else u > x)
-                     and (region is None or (u, v) in region))
+                     if v < y and (u < x if direction == NE else u > x))
         np.maximum(head, head[low[: 1 << b] & before] + 1, out=tail)
     return table
+
+
+@lru_cache
+def _box_chains(w: int, h: int, direction: str) -> np.ndarray:
+    """Longest chain per bit pattern of the w x h box, labels row by row."""
+    return _frozen(_chain_recursion([(x, y) for y in range(h) for x in range(w)], direction))
+
+
+def _region_chains(cells, direction: str, region: Rect) -> np.ndarray:
+    """Longest chain inside region per support mask of cells (sorted-cell
+    order), read from the region's box table."""
+    label = {c: k for k, c in enumerate(cells)}
+    if not all(c in label for c in region.cells()):
+        raise ValueError(f"region {region} is not a box of cells of the shape")
+    # box row r is the run of w labels from its first cell's, and goes to
+    # bits r * w.. of the pattern; the rows of one shift go at once
+    w, masks = region.width, {}
+    for r, y in enumerate(range(region.row_lo, region.row_hi + 1)):
+        shift = label[region.col_lo, y] - r * w
+        masks[shift] = masks.get(shift, 0) | ((1 << w) - 1) << (r * w)
+    codes = _codes(len(cells))
+    pattern = reduce(np.bitwise_or, ((codes >> shift) & mask for shift, mask in masks.items()))
+    return _box_chains(w, region.height, direction)[pattern]
 
 
 def support_chain_table(s: Shape, direction: str, region: Rect | None = None) -> np.ndarray:
     """Longest chain per support mask (bits in sorted-cell order).
 
-    Without a region the shape must be skew; see the module docstring.
+    A region must be a box of cells of s, else ValueError.  Without a
+    region the shape must be skew; see the module docstring.
     """
     cells = s.sorted_cells()
     if region is not None:
-        return _chain_recursion(cells, direction, region)
+        return _region_chains(cells, direction, region)
     if not is_skew(s):
         raise ValueError("whole-shape chain tables are defined for skew shapes only")
     if direction == SE:
-        return _chain_recursion(cells, SE, None)
+        return _chain_recursion(cells, SE)
     table = np.zeros(1 << len(cells), dtype=np.int8)
     for rect in skew_rectangles(s):
-        np.maximum(table, _chain_recursion(cells, NE, rect), out=table)
+        np.maximum(table, _region_chains(cells, NE, rect), out=table)
     return table
+
+
+@lru_cache
+def _capped_words(length: int, max_entry: int) -> np.ndarray:
+    """The words of `length` entries summing to at most max_entry, one per
+    row, the zero word first."""
+    words = np.zeros((1, 0), dtype=np.int16)
+    for _ in range(length):
+        room = max_entry - words.sum(axis=1)
+        words = np.vstack([np.column_stack([words[room >= v], np.full((room >= v).sum(), v)])
+                           for v in range(max_entry + 1)]).astype(np.int16)
+    return _frozen(words)
+
+
+def _word_product(lengths, max_entry: int) -> np.ndarray:
+    """The fillings of lines of these lengths, cells line after line,
+    whose lines each sum to at most max_entry, one per row: one capped word
+    per line, the first line varying fastest, so the zero filling comes
+    first."""
+    words = [_capped_words(k, max_entry) for k in lengths]
+    values = np.empty((math.prod(map(len, words)), sum(lengths)), dtype=np.int16)
+    stride, at = 1, 0
+    for k, w in zip(lengths, words):
+        # word i fills rows i * stride .. (i + 1) * stride - 1 of each block
+        values.reshape(-1, len(w), stride, values.shape[1])[..., at:at + k] = w[:, None]
+        stride, at = stride * len(w), at + k
+    return values
+
+
+def capped_fillings(s: Shape, max_entry: int):
+    """Row sums, column sums (int16) and support masks of the fillings of
+    s with entries at most max_entry whose row sums or column sums all
+    stay within it, the family sum_capped_mask keeps (see the module
+    docstring).  The row-capped fillings come first, the zero filling
+    leading."""
+    cells, h, n = s.sorted_cells(), s.height, s.size
+    lines = np.zeros((n, h + s.width), dtype=np.int16)  # cell k's row, then its column
+    lines[[*range(n), *range(n)], [*(y - 1 for _, y in cells), *(h + x - 1 for x, _ in cells)]] = 1
+    lengths = lines.sum(axis=0).tolist()
+    # the column-capped fillings come column by column, that is in sorted(cells) order
+    by_column = np.argsort(sorted(range(n), key=cells.__getitem__))
+    col_capped = _word_product(lengths[h:], max_entry)[:, by_column]
+    col_capped = col_capped[(col_capped @ lines[:, :h] > max_entry).any(axis=1)]  # not row-capped
+    values = np.vstack([_word_product(lengths[:h], max_entry), col_capped])
+    sums = values @ lines
+    return sums[:, :h], sums[:, h:], (values > 0) @ (1 << np.arange(n, dtype=np.int64))
 
 
 def value_matrix(n: int, max_entry: int) -> np.ndarray:

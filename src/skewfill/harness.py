@@ -92,7 +92,11 @@ column sums <= max_entry: the sum classes an entry cap enumerates
 completely (_engine.sum_capped_mask).  A bare entry cap cuts classes in
 half and makes the identities false as stated; the 2x2 square with row
 and column sums (1, 3) shows this for caps 1 and 2.  A shape builds its
-fillings and each chain table once (_filling_table).
+fillings and each chain table once (_filling_table).  The fillings are
+generated, not filtered out of all (max_entry + 1)^n value vectors: the
+row-capped ones one capped word per row, then the column-capped ones
+that are not row-capped (_engine.capped_fillings).  A chain table of a
+rectangle reads the one table of its box size (_engine.support_chain_table).
 
 Each key is packed into one int64 (_Sums).  Row y's sum is at most
 max_entry times its length and column x's at most max_entry times its
@@ -147,15 +151,16 @@ from functools import partial
 
 import numpy as np
 
-from ._engine import ShapeContext, _packed_keys, line_sums, multiset_equal, sum_capped_mask, \
-    support_chain_table, support_index, value_matrix
+from ._engine import ShapeContext, _packed_keys, capped_fillings, multiset_equal, \
+    support_chain_table
 from .enumeration import _admits_transversal, _catalog_intervals, _catalog_walk, \
-    _diagonal_prefix, _ferrers_prefix, _filter_prefix, _joined, _line, _transversals, \
+    _diagonal_prefix, _ferrers_prefix, _filter_prefix, _joined, _line, _new_dent, _transversals, \
     catalog_line, catalog_sums, enum_moon_polyominoes, parse_catalog_line
 from .fillings import NE, SE
 from .shapes import Rect, Shape, _interval_rectangles, _interval_shape, _kept_skew, _quoted, \
-    _row_spans, _top_row_dents, dent_shape, maximal_rectangles
-from .structure import DecompositionError, ferrers_decompose, is_ds_free, sum_permutations
+    _rectangles, _row_spans, _top_row_dents, dent_shape
+from .structure import DecompositionError, _rectangle_ds_free, ferrers_decompose, \
+    sum_permutations
 
 class BudgetError(ValueError):
     """A parameter exceeds its cap and no override is set."""
@@ -386,20 +391,17 @@ def _run_thm_bp(params, shard):
 
 def _filling_table(s: Shape, max_entry: int):
     """Row sums, column sums and chain tables of the sum-capped fillings of
-    s: chains(direction, region=None) gives each filling's longest chain,
-    building each (direction, region) table once."""
-    values = value_matrix(s.size, max_entry)
-    rows = line_sums(values, s, by_row=True)
-    cols = line_sums(values, s, by_row=False)
-    keep = sum_capped_mask(rows, cols, max_entry)
-    sidx, tables = support_index(values)[keep], {}
+    s (_engine.capped_fillings): chains(direction, region=None) gives each
+    filling's longest chain, building each (direction, region) table once."""
+    rows, cols, support = capped_fillings(s, max_entry)
+    tables = {}
 
     def chains(direction: str, region: Rect | None = None) -> np.ndarray:
         if (direction, region) not in tables:
-            tables[direction, region] = support_chain_table(s, direction, region)[sidx]
+            tables[direction, region] = support_chain_table(s, direction, region)[support]
         return tables[direction, region]
 
-    return rows[keep], cols[keep], chains
+    return rows, cols, chains
 
 
 # every packed key lies below this, as in _engine._packed_keys
@@ -429,8 +431,10 @@ class _Sums:
     the digit it lands on."""
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray, bounds):
-        self.rows, self.cols, self.bounds = rows, cols, bounds
         self._lines, self._bounds = np.hstack([rows, cols]), (*bounds[0], *bounds[1])
+        # views of the lines, so that a side holds its sums once
+        self.rows, self.cols = np.hsplit(self._lines, [len(bounds[0])])
+        self.bounds = bounds
         places = list(itertools.accumulate((b + 1 for b in self._bounds), operator.mul, initial=1))
         self.size = places.pop()
         self._places = np.array(places, dtype=np.int64) if self.size <= _KEY_BOUND else None
@@ -667,7 +671,7 @@ def _run_rubey(params, shard):
             bounds = (row_bounds, (max(col_bounds),) * len(col_bounds))
         for c in (cols, swapped):
             if c not in tables:
-                rects = maximal_rectangles(moons[c])
+                rects = _rectangles(moons[c])  # a moon by construction, not checked again
                 rows, col_sums, chains = _filling_table(moons[c], e)
                 tables[c] = ([r.width for r in rects],
                              (np.column_stack([chains(NE, r) for r in rects]),
@@ -689,16 +693,25 @@ def _run_rubey(params, shard):
 
 
 def _run_ds_free_oracle(params, shard):
+    """The pattern criterion carries a dent bit down the walk's current
+    path: a list holds a dent placement exactly when its parent does or one
+    has its top in the new top row (_new_dent), the scan of
+    shapes._contains_dent one top row at a time.  The walk is a preorder,
+    so the parent of a list of d rows is the latest list of d - 1 rows.
+    The rectangle criterion reads the row intervals; a Shape is built only
+    for the connected lists, to decompose."""
     instances, failures = 0, []
     dent_free = 0
     decomposed = 0
+    dents = [False]  # dents[d]: the path's list of d rows holds a dent
     for intervals, _, mine in _catalog_walk(params["max_cells"], shard):
+        del dents[len(intervals):]
+        dents.append(dents[-1] or _new_dent(intervals))
         if not mine:
             continue
-        s = _interval_shape(intervals)
         instances += 1
-        by_pattern = is_ds_free(s, "pattern")
-        by_rect = is_ds_free(s, "rectangle")
+        by_pattern = not dents[-1]
+        by_rect = _rectangle_ds_free(intervals)
         if by_pattern != by_rect:
             failures.append({"shape": _line(intervals), "clause": "criteria disagree",
                              "pattern": by_pattern, "rectangle": by_rect})
@@ -707,7 +720,7 @@ def _run_ds_free_oracle(params, shard):
         if not _joined(intervals):
             continue
         try:
-            ferrers_decompose(s)
+            ferrers_decompose(_interval_shape(intervals))
         except DecompositionError as exc:
             if by_pattern:
                 failures.append({"shape": _line(intervals),
@@ -729,15 +742,15 @@ def _run_ds_free_oracle(params, shard):
 # counts cells, up to the max_cells cap.
 _PROPERTIES = {
     "cor_sskew": (_run_cor_sskew, {"max_cells": (1, 9, 16), "kmax": (1, 3, 3),
-                                   "refine_cells": (0, 7, 7), "max_entry": (1, 2, 2)}),
+                                   "refine_cells": (0, 7, 9), "max_entry": (1, 2, 2)}),
     "conjecture": (_run_conjecture, {"max_cells": (1, 9, 16), "kmax": (1, 3, 3)}),
     "thm_bp": (_run_thm_bp, {"max_cells": (1, 9, 16)}),
     "genskew": (_run_genskew, {"max_cells": (1, 10, 14), "shape": (1, None, 14)}),
     "lemma_gi": (_run_lemma_gi, {"max_cells": (1, 8, 12), "shape": (1, None, 12)}),
-    "lem_ferrers": (_run_lem_ferrers, {"max_cells": (1, 8, 10), "kmax": (0, 2, 2),
+    "lem_ferrers": (_run_lem_ferrers, {"max_cells": (1, 8, 11), "kmax": (0, 2, 2),
                                        "lmax": (0, 2, 2), "max_entry": (1, 2, 2)}),
-    "rubey": (_run_rubey, {"max_cells": (1, 8, 10), "max_entry": (1, 1, 2)}),
-    "ds_free_oracle": (_run_ds_free_oracle, {"max_cells": (1, 9, 12)}),
+    "rubey": (_run_rubey, {"max_cells": (1, 8, 11), "max_entry": (1, 1, 2)}),
+    "ds_free_oracle": (_run_ds_free_oracle, {"max_cells": (1, 9, 13)}),
 }
 
 PROPERTIES = tuple(_PROPERTIES)

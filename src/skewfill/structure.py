@@ -75,12 +75,16 @@ def is_ds_free(s: Shape, method: str = "pattern") -> bool:
     if method == "pattern":
         return not _contains_dent(s)
     if method == "rectangle":
-        spans = list(_row_spans(s).values())
-        starts = [a for a, _ in spans] + [math.inf]
-        ends = [-math.inf] + [b for _, b in spans]
-        return all(starts[bisect_right(starts, a)] > ends[bisect_left(ends, b) - 1]
-                   for a, b in spans)
+        return _rectangle_ds_free(list(_row_spans(s).values()))
     raise ValueError(f"unknown method {method!r}, expected pattern or rectangle")
+
+
+def _rectangle_ds_free(spans) -> bool:
+    """The rectangle criterion of is_ds_free on a skew shape's row spans
+    [a, b], bottom row first."""
+    starts = [a for a, _ in spans] + [math.inf]
+    ends = [-math.inf] + [b for _, b in spans]
+    return all(starts[bisect_right(starts, a)] > ends[bisect_left(ends, b) - 1] for a, b in spans)
 
 
 @dataclass(frozen=True)

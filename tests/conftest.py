@@ -3,8 +3,10 @@
 The reference helpers deliberately avoid the package's own fast paths:
 chains are checked against a subset scan, skew shapes against the
 defining difference-of-Ferrers construction, avoider counts against
-direct filtering, and the span block splitter against the block
-procedure on cell sets.  Pinned constants in the test modules were
+direct filtering, the span block splitter against the block procedure
+on cell sets, the sum-capped filling generator against a mask over all
+value vectors, and region chain tables against the recursion over the
+whole shape.  Pinned constants in the test modules were
 produced by these oracles.
 """
 
@@ -320,6 +322,35 @@ def reference_tr_counts(s: Shape, ks) -> list[tuple[int, int]]:
     return [(int(np.count_nonzero(ne < k)), int(np.count_nonzero(se < k))) for k in ks]
 
 
+def reference_capped_fillings(s: Shape, max_entry: int):
+    """Row sums, column sums and support masks of the sum-capped fillings of
+    s, masked out of all (max_entry + 1)^n value vectors."""
+    values = value_matrix(s.size, max_entry)
+    rows = line_sums(values, s, by_row=True)
+    cols = line_sums(values, s, by_row=False)
+    keep = sum_capped_mask(rows, cols, max_entry)
+    return rows[keep], cols[keep], support_index(values)[keep]
+
+
+def reference_region_chains(s: Shape, direction: str, region: Rect) -> np.ndarray:
+    """Longest chain inside region per support mask of s, by the recursion
+    over all of s's cells that counts only those in region: T[m] =
+    max(T[m - 2^b], 1 + T[m & before_b]) for a highest bit b in region,
+    T[m - 2^b] for one outside it."""
+    cells = s.sorted_cells()
+    table = np.zeros(1 << len(cells), dtype=np.int8)
+    low = np.arange(len(table) >> 1, dtype=np.int64)
+    for b, (x, y) in enumerate(cells):
+        head, tail = table[: 1 << b], table[1 << b: 2 << b]
+        if (x, y) not in region:
+            tail[:] = head
+            continue
+        before = sum(1 << k for k, (u, v) in enumerate(cells[:b])
+                     if v < y and (u < x if direction == NE else u > x) and (u, v) in region)
+        np.maximum(head, head[low[: 1 << b] & before] + 1, out=tail)
+    return table
+
+
 def frame_counts_by_cells(s: Shape) -> tuple[int, int]:
     """The full-height columns counted from the left and the rows as long
     as the top row counted from the top, by scanning the cells."""
@@ -360,11 +391,7 @@ def reference_lem_ferrers(max_cells: int, kmax: int, lmax: int, max_entry: int):
     instances, failures = 0, []
     for n in range(1, max_cells + 1):
         for s in filter(is_nw_ferrers, enum_skew_shapes(n)):
-            values = value_matrix(s.size, max_entry)
-            rows = line_sums(values, s, by_row=True)
-            cols = line_sums(values, s, by_row=False)
-            keep = sum_capped_mask(rows, cols, max_entry)
-            rows, cols, sidx = rows[keep], cols[keep], support_index(values)[keep]
+            rows, cols, sidx = reference_capped_fillings(s, max_entry)
             k_adm, l_adm = frame_counts_by_cells(s)
             for k, l in itertools.product(range(min(k_adm, kmax) + 1),
                                           range(min(l_adm, lmax) + 1)):

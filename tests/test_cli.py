@@ -328,7 +328,7 @@ def test_verify_jobs_cap_is_usage_error(capsys, fake_pool):
 
 
 @pytest.mark.parametrize("argv,message", [
-    (("cor_sskew", "--refine-cells", "8"), "refine_cells=8 exceeds cap 7"),
+    (("cor_sskew", "--refine-cells", "10"), "refine_cells=10 exceeds cap 9"),
     (("lem_ferrers", "--lmax", "3"), "lmax=3 exceeds cap 2"),
     (("thm_bp", "--lmax", "1"), "does not take parameter 'lmax'"),
     (("lem_ferrers", "--refine-cells", "1"), "does not take parameter 'refine_cells'"),

@@ -1,6 +1,6 @@
 import ast
 import itertools
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from functools import partial
 
@@ -386,6 +386,26 @@ def full_catalog():
         out.append(Listed(iv, used, transversal_codes(s).size > 0, is_connected(s),
                           not _contains_dent(s), is_nw_ferrers(s)))
     return out
+
+
+@pytest.mark.parametrize("shard", [(0, 1), (0, 3), (1, 3), (2, 3)])
+def test_catalog_walk_is_a_preorder(shard):
+    """Every list the walk to 8 cells yields, a shard's unowned one-row
+    lists too, comes after its parent and before any list outside its
+    parent's subtree: the extensions of each list are the run of lists
+    right after it.  catalog_lines, harness._contexts and the dent bits of
+    ds_free_oracle rely on it."""
+    order = [iv for iv, _, _ in _catalog_walk(8, shard)]
+    at = {iv: k for k, iv in enumerate(order)}
+    assert len(at) == len(order)
+    extensions = Counter(iv[:d] for iv in order for d in range(1, len(iv)))
+    for iv in order:
+        if len(iv) > 1:
+            assert at[iv[:-1]] < at[iv]
+        run = order[at[iv] + 1:at[iv] + 1 + extensions[iv]]
+        assert all(len(r) > len(iv) and r[:len(iv)] == iv for r in run), iv
+    if shard == (0, 1):
+        assert len(order) == 3909
 
 
 def test_catalog_walk_at_a_budget_is_the_lists_within_it(full_catalog):

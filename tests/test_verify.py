@@ -112,6 +112,27 @@ def test_ds_free_oracle_details():
     assert r.instances == 400
 
 
+@pytest.mark.parametrize("name, broken", [("_new_dent", lambda intervals: False),
+                                           ("_rectangle_ds_free", lambda spans: True)],
+                         ids=["dent_bit_never_set", "rectangle_test_always_passes"])
+def test_ds_free_oracle_sees_either_criterion_break(monkeypatch, name, broken):
+    """With the pattern's dent bit never set, or the rectangle test passing
+    every shape, the criteria disagree on exactly the 7 dented shapes of
+    the 3,909 of <= 8 cells."""
+    assert verify("ds_free_oracle", max_cells=8).details["dent_free"] == 3909 - 7
+    monkeypatch.setattr(harness, name, broken)
+    r = verify("ds_free_oracle", max_cells=8)
+    disagree = [f for f in r.failures if f["clause"] == "criteria disagree"]
+    assert r.instances == 3909 and len(disagree) == 7
+    assert {f["pattern"] for f in disagree} == {name == "_new_dent"}
+
+
+def test_ds_free_oracle_shards_merge_to_the_serial_report():
+    serial = verify("ds_free_oracle", max_cells=9)
+    assert verify("ds_free_oracle", max_cells=9, jobs=3) == serial
+    assert serial.passed
+
+
 def test_unknown_property_rejected():
     with pytest.raises(ValueError):
         verify("thm_sskew_made_up")
@@ -137,18 +158,18 @@ def test_budget_caps_enforced():
         with pytest.raises(BudgetError):
             verify("rubey", max_entry=3)
         with pytest.raises(BudgetError):
-            verify("rubey", max_cells=11)
+            verify("rubey", max_cells=12)
         with pytest.raises(BudgetError):
-            verify("ds_free_oracle", max_cells=13)
+            verify("ds_free_oracle", max_cells=14)
     finally:
         if saved is not None:
             os.environ["SKEWFILL_BUDGET_OVERRIDE"] = saved
 
 
-def test_lem_ferrers_caps_max_cells_at_10_and_defaults_to_8(monkeypatch):
+def test_lem_ferrers_caps_max_cells_at_11_and_defaults_to_8(monkeypatch):
     monkeypatch.delenv("SKEWFILL_BUDGET_OVERRIDE", raising=False)
-    with pytest.raises(BudgetError, match="max_cells=11 exceeds cap 10"):
-        verify("lem_ferrers", max_cells=11)
+    with pytest.raises(BudgetError, match="max_cells=12 exceeds cap 11"):
+        verify("lem_ferrers", max_cells=12)
     assert verify("lem_ferrers", kmax=0, lmax=0, max_entry=1).params["max_cells"] == 8
 
 
