@@ -433,7 +433,7 @@ class _Sums:
     def __init__(self, rows: np.ndarray, cols: np.ndarray, bounds):
         self._lines, self._bounds = np.hstack([rows, cols]), (*bounds[0], *bounds[1])
         # views of the lines, so that a side holds its sums once
-        self.rows, self.cols = np.hsplit(self._lines, [len(bounds[0])])
+        self.rows, self.cols = self._lines[:, :rows.shape[1]], self._lines[:, rows.shape[1]:]
         self.bounds = bounds
         places = list(itertools.accumulate((b + 1 for b in self._bounds), operator.mul, initial=1))
         self.size = places.pop()
