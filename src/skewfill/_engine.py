@@ -424,6 +424,10 @@ def sum_capped_mask(rows: np.ndarray, cols: np.ndarray, cap: int) -> np.ndarray:
     return (rows <= cap).all(axis=1) | (cols <= cap).all(axis=1)
 
 
+# every packed key lies below this (_packed_keys, harness._class_keys)
+_KEY_BOUND = 1 << 62
+
+
 def _packed_keys(a: np.ndarray, b: np.ndarray):
     """The rows of two integer key matrices as int64 keys in one shared
     mixed radix, or None when they are not integers or do not fit 62 bits.
@@ -440,7 +444,7 @@ def _packed_keys(a: np.ndarray, b: np.ndarray):
     for low, high in zip(lo.tolist(), hi.tolist()):
         radix.append(r)
         r *= high - low + 1
-        if r > 1 << 62:
+        if r > _KEY_BOUND:
             return None
     radix = np.array(radix, dtype=np.int64)
     return (a - lo) @ radix, (b - lo) @ radix

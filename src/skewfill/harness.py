@@ -98,19 +98,17 @@ row-capped ones one capped word per row, then the column-capped ones
 that are not row-capped (_engine.capped_fillings).  A chain table of a
 rectangle reads the one table of its box size (_engine.support_chain_table).
 
-Each key is packed into one int64 (_Sums).  Row y's sum is at most
-max_entry times its length and column x's at most max_entry times its
-height, so these bounds fix one mixed radix per shape before any filling
-is seen; the chain statistics take one digit each above the sums, in
-base the longest chain the shape can hold plus one.  The right side's
-sums pack in the same radix with permuted place values, one
-matrix-vector product per side, when no line lands on the digit of a
-shorter one: lem_ferrers' rho and sigma move lines only among lines of
-one length, and so do cor_sskew's on every connected dent-free shape of
-at most 10 cells; rubey's classes give every column the tallest
-column's bound.  A shape packs its sums once per (rho, sigma).  Past 62
-bits, or when a line would land on a shorter one's digit, the key
-matrices are compared instead.
+Each key is packed into one int64 (_sums, _class_keys), in a radix fixed
+by the shape's height h, its width w and max_entry alone: a row's sum is
+at most max_entry * w, a column's at most max_entry * h, and a chain
+holds at most min(h, w) cells, so every row digit has base max_entry * w
++ 1, every column digit max_entry * h + 1, and each chain statistic one
+digit above the sums in base min(h, w) + 1.  Any (rho, sigma) packs in
+this radix, and the two sides always share it: cor_sskew and lem_ferrers
+compare a shape with itself, and the moons of a rubey column class share
+h and w.  A shape packs its identity sums once; a permuted side adds the
+change of its moved lines only.  Past 62 bits the key matrices go to
+multiset_equal instead.
   cor_sskew    left SE chain < k, right NE chain < k, keys packed once
                for all k; (rho, sigma) from sum_permutations.  The
                identity passes too on every connected dent-free shape of
@@ -124,14 +122,12 @@ matrices are compared instead.
                and sigma the first k columns.
   rubey        NE chains of each maximal rectangle, of the moon left and
                the swapped moon right; rho is the identity and sigma
-               swaps columns t and t+1.  The moons of a column class
-               share their rows' lengths and one radix, in which every
-               column takes the tallest column's bound.  sigma is an
-               involution, and applied to both sides it keeps a multiset,
-               so comparing m with its swap s is the same check as s with
-               m: each unordered pair is compared once and counts two
-               instances, and on failure two failures, one per moon; a
-               self-swap, of two equal columns, counts one.
+               swaps columns t and t+1.  sigma is an involution, and
+               applied to both sides it keeps a multiset, so comparing m
+               with its swap s is the same check as s with m: each
+               unordered pair is compared once and counts two instances,
+               and on failure two failures, one per moon; a self-swap, of
+               two equal columns, counts one.
 lem_ferrers and rubey check multisets only ("level" in their details).
 """
 
@@ -151,7 +147,7 @@ from functools import partial
 
 import numpy as np
 
-from ._engine import ShapeContext, _packed_keys, capped_fillings, multiset_equal, \
+from ._engine import _KEY_BOUND, ShapeContext, capped_fillings, multiset_equal, \
     support_chain_table
 from .enumeration import _admits_transversal, _catalog_intervals, _catalog_walk, \
     _diagonal_prefix, _ferrers_prefix, _filter_prefix, _joined, _line, _new_dent, _transversals, \
@@ -404,84 +400,36 @@ def _filling_table(s: Shape, max_entry: int):
     return rows, cols, chains
 
 
-# every packed key lies below this, as in _engine._packed_keys
-_KEY_BOUND = 1 << 62
-
-
-def _line_bounds(s: Shape, max_entry: int):
-    """The largest row and column sums of s's fillings with entries at
-    most max_entry: max_entry times each line's length."""
-    rows, cols = [0] * s.height, [0] * s.width
-    for x, y in s.cells:
-        rows[y - 1] += max_entry
-        cols[x - 1] += max_entry
-    return tuple(rows), tuple(cols)
-
-
-class _Sums:
-    """The row and column sums of one shape's fillings and the largest sum
-    of each line.  These bounds fix a mixed radix, a digit per line, before
-    any filling is seen; chain statistics take a digit each above them, in
-    base the longest chain the shape can hold (no more than its rows or its
-    columns) plus one.  key(stats, rho, sigma) packs each filling into one
-    int64 in it, with row y's digit from row rho(y) and column x's from
-    column sigma(x), 1-based.  The sums are packed once per (rho, sigma),
-    and the digits of the last stats are kept.  The key is None when the
-    radix passes 62 bits, a statistic its digit, or a line the bound of
-    the digit it lands on."""
-
-    def __init__(self, rows: np.ndarray, cols: np.ndarray, bounds):
-        self._lines, self._bounds = np.hstack([rows, cols]), (*bounds[0], *bounds[1])
-        # views of the lines, so that a side holds its sums once
-        self.rows, self.cols = self._lines[:, :rows.shape[1]], self._lines[:, rows.shape[1]:]
-        self.bounds = bounds
-        places = list(itertools.accumulate((b + 1 for b in self._bounds), operator.mul, initial=1))
-        self.size = places.pop()
-        self._places = np.array(places, dtype=np.int64) if self.size <= _KEY_BOUND else None
-        self._base = min(map(len, bounds)) + 1
-        self._sums, self._digits = {}, (None, None)
-
-    def key(self, stats: np.ndarray, rho=None, sigma=None):
-        """The keys under (rho, sigma); None is the identity."""
-        perms = tuple(tuple(range(1, len(b) + 1)) if p is None else tuple(p)
-                      for p, b in zip((rho, sigma), self.bounds))
-        if perms not in self._sums:
-            self._sums[perms] = self._pack(*perms)
-        if self._digits[0] is not stats:
-            self._digits = stats, self._chain_digits(stats)
-        sums, digits = self._sums[perms], self._digits[1]
-        return None if sums is None or digits is None else sums + digits
-
-    def _pack(self, rho, sigma):
-        lines = [p - 1 for p in rho] + [len(rho) + x - 1 for x in sigma]  # 0-based, rows first
-        if self._places is None or any(map(operator.gt, map(self._bounds.__getitem__, lines),
-                                           self._bounds)):
-            return None
-        return self._lines[:, lines] @ self._places
-
-    def _chain_digits(self, stats: np.ndarray):
-        digits = stats.shape[1]
-        if self.size * self._base ** digits > _KEY_BOUND or (digits and stats.max() >= self._base):
-            return None
-        return stats @ (self.size * self._base ** np.arange(digits, dtype=np.int64))
+def _sums(rows: np.ndarray, cols: np.ndarray, max_entry: int):
+    """One shape's packed sums: its lines (rows, then columns), their place
+    values in the fixed radix with the radix's size last, and each
+    filling's identity key (see Sum classes in the module docstring);
+    places and keys are None past _KEY_BOUND."""
+    h, w = rows.shape[1], cols.shape[1]
+    places = list(itertools.accumulate([max_entry * w + 1] * h + [max_entry * h + 1] * w,
+                                       operator.mul, initial=1))
+    lines = np.hstack([rows, cols])
+    if places[-1] > _KEY_BOUND:
+        return lines, None, None
+    places = np.array(places, dtype=np.int64)
+    return lines, places, lines @ places[:-1]
 
 
 def _class_keys(left, right, rho, sigma):
     """The keys of a sum-class comparison (see the module docstring).  A
-    side is (chain statistics, a column each, and _Sums); rho and sigma
+    side is (chain statistics, a column each, and its _sums); rho and sigma
     are 1-based, rho[y - 1] the right row whose sum goes where the left
-    has row y's.  The keys are packed in the sides' shared radix; where
-    they do not pack, they are the key matrices, in one radix of their
-    observed ranges when they fit (_packed_keys)."""
-    (a_stats, a_sums), (b_stats, b_sums) = left, right
-    if a_sums.bounds == b_sums.bounds and a_stats.shape[1] == b_stats.shape[1]:
-        a, b = a_sums.key(a_stats), b_sums.key(b_stats, rho, sigma)
-        if a is not None and b is not None:
-            return a, b
-    a = np.column_stack([a_stats, a_sums.rows, a_sums.cols])
-    b = np.column_stack([b_stats, b_sums.rows[:, np.subtract(rho, 1)],
-                         b_sums.cols[:, np.subtract(sigma, 1)]])
-    return _packed_keys(a, b) or (a, b)
+    has row y.  The right side's key is its identity key plus what its
+    moved lines change; past _KEY_BOUND the keys are the key matrices."""
+    (a_stats, (a_lines, places, a_ident)), (b_stats, (b_lines, _, b_ident)) = left, right
+    perm = np.array([*rho, *(len(rho) + x for x in sigma)]) - 1  # the right line at each digit
+    base, digits = min(len(rho), len(sigma)) + 1, a_stats.shape[1]
+    if places is None or int(places[-1]) * base ** digits > _KEY_BOUND:
+        return np.column_stack([a_stats, a_lines]), np.column_stack([b_stats, b_lines[:, perm]])
+    chains = places[-1] * base ** np.arange(digits, dtype=np.int64)
+    moved = (perm != np.arange(len(perm))).nonzero()[0]
+    return a_ident + a_stats @ chains, \
+        b_ident + b_lines[:, perm[moved]] @ (places[moved] - places[perm[moved]]) + b_stats @ chains
 
 
 def _refined_sum_check(s: Shape, kmax: int, max_entry: int):
@@ -489,9 +437,8 @@ def _refined_sum_check(s: Shape, kmax: int, max_entry: int):
     keys of all kept fillings are packed once; each k compares a subset."""
     perms = sum_permutations(s)
     rows, cols, chains = _filling_table(s, max_entry)
-    sums = _Sums(rows, cols, _line_bounds(s, max_entry))
-    none = np.zeros((len(rows), 0), dtype=np.int8)  # no statistic
-    d_keys, i_keys = _class_keys((none, sums), (none, sums), perms.rho, perms.sigma)
+    side = np.zeros((len(rows), 0), dtype=np.int8), _sums(rows, cols, max_entry)  # no statistic
+    d_keys, i_keys = _class_keys(side, side, perms.rho, perms.sigma)
     return [k for k in range(2, kmax + 1)
             if not multiset_equal(d_keys[chains(SE) < k], i_keys[chains(NE) < k])]
 
@@ -613,7 +560,7 @@ def _run_lem_ferrers(params, shard):
             continue
         s = _interval_shape(intervals)
         rows, cols, chains = _filling_table(s, params["max_entry"])
-        sums = _Sums(rows, cols, _line_bounds(s, params["max_entry"]))
+        sums = _sums(rows, cols, params["max_entry"])
         # The rows all start at column 1 and their ends grow upward, so
         # the top row is the widest, the full-height columns are 1..b_1,
         # and the rows as long as the top row are the topmost, ending at w.
@@ -666,16 +613,14 @@ def _run_rubey(params, shard):
     pairs = itertools.islice(_rubey_pairs(params["max_cells"]), shard[0], None, shard[1])
     for moons, cols, t, swapped in pairs:
         if moons is not group:
-            row_bounds, col_bounds = _line_bounds(moons[cols], e)
             group, tables = moons, {}
-            bounds = (row_bounds, (max(col_bounds),) * len(col_bounds))
         for c in (cols, swapped):
             if c not in tables:
                 rects = _rectangles(moons[c])  # a moon by construction, not checked again
                 rows, col_sums, chains = _filling_table(moons[c], e)
                 tables[c] = ([r.width for r in rects],
                              (np.column_stack([chains(NE, r) for r in rects]),
-                              _Sums(rows, col_sums, bounds)))
+                              _sums(rows, col_sums, e)))
         pair = [moons[cols]] if cols == swapped else [moons[cols], moons[swapped]]
         instances += len(pair)
         (widths_m, side_m), (widths_s, side_s) = tables[cols], tables[swapped]
@@ -683,7 +628,7 @@ def _run_rubey(params, shard):
             clause = "rectangle widths do not match"
         else:
             sigma = [*range(1, t), t + 1, t, *range(t + 2, len(cols) + 1)]
-            rho = [*range(1, len(row_bounds) + 1)]  # a column swap keeps every row
+            rho = [*range(1, moons[cols].height + 1)]  # a column swap keeps every row
             clause = None if multiset_equal(*_class_keys(side_m, side_s, rho, sigma)) \
                 else "class sizes"
         if clause:

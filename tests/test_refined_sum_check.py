@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 from skewfill import harness
-from skewfill._engine import multiset_equal, support_chain_table
-from skewfill.enumeration import enum_skew_shapes
+from skewfill._engine import _packed_keys, multiset_equal, support_chain_table
+from skewfill.enumeration import _catalog_walk, _ferrers_prefix, enum_moon_polyominoes, \
+    enum_skew_shapes
 from skewfill.fillings import NE, SE
+from skewfill.shapes import _rectangles
 from skewfill.structure import SumPermutations
 
 
@@ -61,14 +63,13 @@ BREAKS = {
 @pytest.mark.parametrize("brk", ["as_built", *BREAKS])
 def test_refined_check_matches_the_per_k_reference(monkeypatch, brk, packed):
     """Equal failing-k lists on every connected dent-free shape of <= 7
-    cells, as built and under each break.  With no key packed a priori
-    and _packed_keys returning None, the matrix keys go to np.unique on
-    both sides."""
+    cells, as built and under each break.  With no key packed in the
+    fixed radix and _packed_keys returning None, the matrix keys go to
+    np.unique on both sides."""
     if brk in BREAKS:
         monkeypatch.setattr(harness, *BREAKS[brk])
     if not packed:
-        monkeypatch.setattr(harness, "_KEY_BOUND", 0)  # no key packs a priori
-        monkeypatch.setattr(harness, "_packed_keys", lambda a, b: None)
+        monkeypatch.setattr(harness, "_KEY_BOUND", 0)  # no key packs in the fixed radix
         monkeypatch.setattr("skewfill._engine._packed_keys", lambda a, b: None)
     failing = 0
     for max_entry in (1, 2):
@@ -82,57 +83,113 @@ def test_refined_check_matches_the_per_k_reference(monkeypatch, brk, packed):
 
 def unpacked_verdict(left, right, rho, sigma):
     """multiset_equal on the key matrices of _class_keys' docstring."""
-    (a_stats, a_sums), (b_stats, b_sums) = left, right
-    a = np.column_stack([a_stats, a_sums.rows, a_sums.cols])
-    b = np.column_stack([b_stats, b_sums.rows[:, np.subtract(rho, 1)],
-                         b_sums.cols[:, np.subtract(sigma, 1)]])
+    (a_stats, (a_lines, _, _)), (b_stats, (b_lines, _, _)) = left, right
+    a = np.column_stack([a_stats, a_lines])
+    b = np.column_stack([b_stats, b_lines[:, np.subtract(rho, 1)],
+                         b_lines[:, len(rho) + np.subtract(sigma, 1)]])
     return multiset_equal(a, b)
 
 
-def wide_sides(bounds, top, rng, n=40):
-    """Two sides of n random fillings with two statistics up to top, the
-    right one the left's fillings in another order with rows 1, 2 and
-    columns 1, 2 swapped; a copy of the right one with one statistic
-    changed; and the rho and sigma that swap them back."""
-    (rb, cb) = bounds
-    rows = rng.integers(0, min(rb) + 1, (n, len(rb)))
-    cols = rng.integers(0, min(cb) + 1, (n, len(cb)))
-    stats = rng.integers(0, top + 1, (n, 2)).astype(np.int8)
-    stats[0, 1] = top
+def wide_sides(max_entry, rng, n=40):
+    """Two sides of n random fillings of a 2x2 shape with entries up to
+    max_entry and two statistics up to min(2, 2), the right one the left's
+    fillings in another order with rows 1, 2 and columns 1, 2 swapped; a
+    copy of the right one with one statistic changed; and the rho and
+    sigma that swap them back."""
+    rows = rng.integers(0, 2 * max_entry + 1, (n, 2))
+    cols = rng.integers(0, 2 * max_entry + 1, (n, 2))
+    stats = rng.integers(0, 3, (n, 2)).astype(np.int8)
+    stats[0, 1] = 2
     order = rng.permutation(n)
-    swap = [1, 0, *range(2, len(rb))], [1, 0, *range(2, len(cb))]
-    right = stats[order], harness._Sums(rows[order][:, swap[0]], cols[order][:, swap[1]], bounds)
+    right = stats[order], harness._sums(rows[order][:, ::-1], cols[order][:, ::-1], max_entry)
     broken = right[0].copy(), right[1]
-    broken[0][0, 0] = (broken[0][0, 0] + 1) % (top + 1)
-    rho, sigma = (np.add(p, 1).tolist() for p in swap)
-    return (stats, harness._Sums(rows, cols, bounds)), right, broken, rho, sigma
+    broken[0][0, 0] = (broken[0][0, 0] + 1) % 3
+    return (stats, harness._sums(rows, cols, max_entry)), right, broken, [2, 1], [2, 1]
 
 
-@pytest.mark.parametrize("wide", ["sums", "digits", "statistic"])
-def test_class_keys_past_their_radix_compare_the_key_matrices(monkeypatch, wide):
-    """Sums whose radix passes 62 bits, sums that fit with chain digits
-    that do not, and a statistic past its digit: the keys are the key
-    matrices (the unpacked path, through _packed_keys), with the verdict
-    of multiset_equal on them; when all fits, they are packed a priori."""
-    unpacked = []
-    packed_keys = harness._packed_keys
-    monkeypatch.setattr(harness, "_packed_keys",
-                        lambda a, b: unpacked.append(a.shape) or packed_keys(a, b))
+@pytest.mark.parametrize("wide", ["sums", "digits"])
+def test_class_keys_past_their_radix_compare_the_key_matrices(wide):
+    """Sums whose radix passes 62 bits, and sums that fit with chain digits
+    that do not: the keys are the key matrices, with the verdict of
+    multiset_equal on them; when all fits, they are packed."""
     rng = np.random.default_rng(7)
-    bounds = {"sums": ((1 << 20,) * 2, (1 << 20,) * 2),  # 80 bits of sums
-              "digits": ((1 << 29,) * 2, (1, 1)),  # 60 bits of sums, then 2 digits
-              "statistic": ((3, 3), (3, 3))}[wide]
-    top = 3 if wide == "statistic" else 2  # the base is min(2 rows, 2 columns) + 1
-    left, right, broken, rho, sigma = wide_sides(bounds, top, rng)
-    assert (left[1].key(left[0][:, :0]) is None) == (wide == "sums")  # the sums alone
+    # four line digits in base 2^21 + 1 (84 bits), or in base 2^15 + 1
+    # (60 bits) and then two chain digits in base 3
+    max_entry = {"sums": 1 << 20, "digits": 1 << 14}[wide]
+    left, right, broken, rho, sigma = wide_sides(max_entry, rng)
+    assert (left[1][1] is None) == (wide == "sums")  # the sums alone
     for other, equal in ((right, True), (broken, False)):
         keys = harness._class_keys(left, other, rho, sigma)
-        assert unpacked.pop() == (40, 6)  # two statistics, two rows, two columns
+        assert keys[0].shape == keys[1].shape == (40, 6)  # two statistics, two rows, two columns
         assert multiset_equal(*keys) == unpacked_verdict(left, other, rho, sigma) == equal
     if wide == "sums":
-        assert keys[0].ndim == 2  # past 62 bits by their observed ranges too
-    left, right, broken, rho, sigma = wide_sides(((3, 3), (3, 3)), 2, rng)
+        assert _packed_keys(*keys) is None  # past 62 bits by their observed ranges too
+    left, right, broken, rho, sigma = wide_sides(3, rng)
     for other, equal in ((right, True), (broken, False)):
         a, b = harness._class_keys(left, other, rho, sigma)
-        assert not unpacked and a.ndim == b.ndim == 1
+        assert a.ndim == b.ndim == 1
         assert multiset_equal(a, b) == unpacked_verdict(left, other, rho, sigma) == equal
+
+
+def packs(h, w, digits, max_entry):
+    """Whether _class_keys packs the keys of an h x w shape with this many
+    chain statistics."""
+    lines = np.zeros((1, h), dtype=np.int16), np.zeros((1, w), dtype=np.int16)
+    side = np.zeros((1, digits), dtype=np.int8), harness._sums(*lines, max_entry)
+    return harness._class_keys(side, side, range(1, h + 1), range(1, w + 1))[0].ndim == 1
+
+
+def test_the_fixed_radix_fits_every_shape_up_to_the_caps():
+    """At the caps, the key matrices are never compared: every partition
+    up to lem_ferrers' cap with its widest frames (1 + k + l chain
+    digits), every moon up to rubey's with a digit per maximal rectangle
+    and every connected dent-free shape up to cor_sskew's refine_cells,
+    with no digit, packs at the max_entry cap."""
+    caps = {prop: {name: cap for name, (_, _, cap) in budgets.items()}
+            for prop, (_, budgets) in harness._PROPERTIES.items()}
+    ferrers, moons, cor = caps["lem_ferrers"], caps["rubey"], caps["cor_sskew"]
+    for iv, _, _ in _catalog_walk(ferrers["max_cells"], (0, 1), _ferrers_prefix):
+        h, w = len(iv), iv[-1][1]
+        frames = min(iv[0][1], ferrers["kmax"]) + min(sum(b == w for _, b in iv), ferrers["lmax"])
+        assert packs(h, w, 1 + frames, ferrers["max_entry"]), iv
+    counted = 0
+    for n in range(1, moons["max_cells"] + 1):
+        for m in enum_moon_polyominoes(n):
+            counted += 1
+            assert packs(m.height, m.width, len(_rectangles(m)), moons["max_entry"]), m
+    assert counted == 4273  # the moons of <= 11 cells
+    for n in range(1, cor["refine_cells"] + 1):
+        for s in enum_skew_shapes(n, connected=True, ds_free=True):
+            assert packs(s.height, s.width, 0, cor["max_entry"]), s
+
+
+def repacked(side, rho, sigma):
+    """A side's keys under (rho, sigma), packed from all its lines."""
+    stats, (lines, places, _) = side
+    perm = [*np.subtract(rho, 1), *(len(rho) + np.subtract(sigma, 1))]
+    chains = places[-1] * (min(len(rho), len(sigma)) + 1) ** np.arange(stats.shape[1])
+    return lines[:, perm] @ places[:-1] + stats @ chains
+
+
+@pytest.mark.parametrize("prop, compared", [("cor_sskew", 186), ("lem_ferrers", 235),
+                                            ("rubey", 427)])
+def test_moved_lines_keys_equal_the_full_repack(monkeypatch, prop, compared):
+    """For each (rho, sigma) a property compares under on shapes of <= 7
+    cells at max_entry 2, and a random (rho, sigma) beside each, the keys
+    built from the identity keys and the moved lines equal the keys packed
+    from all lines."""
+    rng = np.random.default_rng(11)
+    keys, moved = harness._class_keys, []
+
+    def checked(left, right, rho, sigma):
+        a, b = keys(left, right, rho, sigma)
+        assert np.array_equal(a, repacked(left, range(1, len(rho) + 1), range(1, len(sigma) + 1)))
+        assert np.array_equal(b, repacked(right, rho, sigma))
+        rho2, sigma2 = rng.permutation(len(rho)) + 1, rng.permutation(len(sigma)) + 1
+        assert np.array_equal(keys(left, right, rho2, sigma2)[1], repacked(right, rho2, sigma2))
+        moved.append(list(rho) != sorted(rho) or list(sigma) != sorted(sigma))
+        return a, b
+
+    monkeypatch.setattr(harness, "_class_keys", checked)
+    assert harness.verify(prop, max_cells=7, max_entry=2).passed
+    assert len(moved) == compared and any(moved)
