@@ -56,9 +56,8 @@ Row-sum vectors are packed into one int64 key per code.  Row y is one
 digit of a mixed radix whose base is its length plus one, so the key of
 code f is the sum of the weights of the rows of its set bits, and two
 codes share a key exactly when their row sums agree.  multiset_equal
-packs any integer key matrix the same way, with one digit per column
-spanning that column's observed range, whenever the product of the spans
-fits 62 bits; two sorted 1-D arrays then decide.
+compares two 1-D key arrays by sorting them, and two key matrices by
+sorting their rows (np.lexsort).
 
 Chain tables use the same bit order.  The longest chain of a support
 mask m whose highest bit b sits at cell (x, y) either skips b or ends
@@ -424,41 +423,11 @@ def sum_capped_mask(rows: np.ndarray, cols: np.ndarray, cap: int) -> np.ndarray:
     return (rows <= cap).all(axis=1) | (cols <= cap).all(axis=1)
 
 
-# every packed key lies below this (_packed_keys, harness._class_keys)
-_KEY_BOUND = 1 << 62
-
-
-def _packed_keys(a: np.ndarray, b: np.ndarray):
-    """The rows of two integer key matrices as int64 keys in one shared
-    mixed radix, or None when they are not integers or do not fit 62 bits.
-    One-dimensional integer keys come back as they are."""
-    if not (np.can_cast(a.dtype, np.int64) and np.can_cast(b.dtype, np.int64)):
-        return None
-    if a.ndim == 1:
-        return a, b
-    a = a.reshape(len(a), -1).astype(np.int64, copy=False)
-    b = b.reshape(len(b), -1).astype(np.int64, copy=False)
-    lo = np.minimum(a.min(axis=0), b.min(axis=0))
-    hi = np.maximum(a.max(axis=0), b.max(axis=0))
-    radix, r = [], 1
-    for low, high in zip(lo.tolist(), hi.tolist()):
-        radix.append(r)
-        r *= high - low + 1
-        if r > _KEY_BOUND:
-            return None
-    radix = np.array(radix, dtype=np.int64)
-    return (a - lo) @ radix, (b - lo) @ radix
-
-
 def multiset_equal(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether two key matrices hold the same rows with multiplicity."""
+    """Whether two key arrays hold the same keys with multiplicity, compared
+    sorted: 1-D keys by value, key matrices by row (np.lexsort)."""
     if a.shape != b.shape:
         return False
-    if a.size == 0:
-        return True
-    packed = _packed_keys(a, b)
-    if packed is not None:
-        return np.array_equal(np.sort(packed[0]), np.sort(packed[1]))
-    ua, ca = np.unique(a, axis=0, return_counts=True)
-    ub, cb = np.unique(b, axis=0, return_counts=True)
-    return ua.shape == ub.shape and bool(np.all(ua == ub)) and bool(np.all(ca == cb))
+    if a.ndim == 1:
+        return np.array_equal(np.sort(a), np.sort(b))
+    return a.size == 0 or np.array_equal(a[np.lexsort(a.T)], b[np.lexsort(b.T)])

@@ -107,8 +107,8 @@ digit above the sums in base min(h, w) + 1.  Any (rho, sigma) packs in
 this radix, and the two sides always share it: cor_sskew and lem_ferrers
 compare a shape with itself, and the moons of a rubey column class share
 h and w.  A shape packs its identity sums once; a permuted side adds the
-change of its moved lines only.  Past 62 bits the key matrices go to
-multiset_equal instead.
+change of its moved lines only.  Past 62 bits the keys are the key
+matrices, which multiset_equal compares by sorting their rows.
   cor_sskew    left SE chain < k, right NE chain < k, keys packed once
                for all k; (rho, sigma) from sum_permutations.  The
                identity passes too on every connected dent-free shape of
@@ -147,8 +147,7 @@ from functools import partial
 
 import numpy as np
 
-from ._engine import _KEY_BOUND, ShapeContext, capped_fillings, multiset_equal, \
-    support_chain_table
+from ._engine import ShapeContext, capped_fillings, multiset_equal, support_chain_table
 from .enumeration import _admits_transversal, _catalog_intervals, _catalog_walk, \
     _diagonal_prefix, _ferrers_prefix, _filter_prefix, _joined, _line, _new_dent, _transversals, \
     catalog_line, catalog_sums, enum_moon_polyominoes, parse_catalog_line
@@ -398,6 +397,9 @@ def _filling_table(s: Shape, max_entry: int):
         return tables[direction, region]
 
     return rows, cols, chains
+
+
+_KEY_BOUND = 1 << 62  # every packed key lies below this
 
 
 def _sums(rows: np.ndarray, cols: np.ndarray, max_entry: int):

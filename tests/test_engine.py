@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import skew_shapes
-from skewfill._engine import ShapeContext, _packed_keys, _step_table, multiset_equal
+from skewfill._engine import ShapeContext, _step_table, multiset_equal
 from skewfill.bijection import in_G, label_index, step_backward, step_forward
 from skewfill.enumeration import catalog_line, enum_skew_shapes, parse_catalog_line
 from skewfill.fillings import Filling, as_pattern, find_filling_occurrences
@@ -347,10 +347,8 @@ def key_pair(values, max_rows=12, max_cols=5):
 
 @given(key_pair(st.integers(-3, 3)))
 @settings(max_examples=200, deadline=None)
-def test_multiset_equal_packed_matches_unique(ab):
+def test_multiset_equal_narrow_keys_match_unique(ab):
     a, b = ab
-    if a.size:
-        assert _packed_keys(a, b) is not None
     assert multiset_equal(a, b) == reference_multiset_equal(a, b)
     assert multiset_equal(a[:, 0], b[:, 0]) == reference_multiset_equal(a[:, 0], b[:, 0])
 
@@ -364,7 +362,6 @@ def test_multiset_equal_wide_keys_match_unique(ab):
 
 def test_multiset_equal_edge_cases():
     wide = np.array([[-(2**40), 2**40, 0], [2**40, -(2**40), 1]], dtype=np.int64)
-    assert _packed_keys(wide, wide[::-1]) is None  # span product above 2^62
     assert multiset_equal(wide, wide[::-1])
     assert not multiset_equal(wide, wide[[0, 0]])
     assert not multiset_equal(np.zeros((3, 2), np.int64), np.zeros((2, 3), np.int64))
@@ -374,5 +371,22 @@ def test_multiset_equal_edge_cases():
     assert multiset_equal(one_d, one_d[::-1])
     assert not multiset_equal(one_d, np.array([5, -1, 2, 2], dtype=np.int16))
     floats = np.array([[0.5, 1.0], [2.0, 0.5]])
-    assert _packed_keys(floats, floats) is None
     assert multiset_equal(floats, floats[::-1])
+    # np.lexsort sorts on the last column first: rows that differ only in
+    # the first column, and rows that differ only in the last
+    first = np.array([[1, 7, 7], [0, 7, 7], [1, 7, 7]], dtype=np.int64)
+    for a in (first, first[:, ::-1]):
+        for b, equal in ((a[[2, 0, 1]], True), (a[[0, 1, 1]], False), (a[[1, 1, 0]], False)):
+            assert multiset_equal(a, b) == reference_multiset_equal(a, b) == equal
+    # an int8 statistic beside int16 sums, as np.column_stack builds them
+    stats = np.array([[2], [0], [2], [1]], dtype=np.int8)
+    sums = np.array([[300, -4], [0, 0], [300, -5], [7, 0]], dtype=np.int16)
+    a = np.column_stack([stats, sums])
+    for b, equal in ((a[::-1], True), (np.column_stack([stats[[1, 0, 2, 3]], sums]), False),
+                     (a[[0, 0, 1, 3]], False)):
+        assert multiset_equal(a, b) == reference_multiset_equal(a, b) == equal
+    # no columns, or no rows
+    for shape in ((4, 0), (0, 3)):
+        a = np.zeros(shape, dtype=np.int64)
+        assert multiset_equal(a, a.copy()) and reference_multiset_equal(a, a.copy())
+    assert not multiset_equal(np.zeros((4, 0), np.int64), np.zeros((3, 0), np.int64))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from skewfill import harness
-from skewfill._engine import _packed_keys, multiset_equal, support_chain_table
+from skewfill._engine import multiset_equal, support_chain_table
 from skewfill.enumeration import _catalog_walk, _ferrers_prefix, enum_moon_polyominoes, \
     enum_skew_shapes
 from skewfill.fillings import NE, SE
@@ -64,13 +64,12 @@ BREAKS = {
 def test_refined_check_matches_the_per_k_reference(monkeypatch, brk, packed):
     """Equal failing-k lists on every connected dent-free shape of <= 7
     cells, as built and under each break.  With no key packed in the
-    fixed radix and _packed_keys returning None, the matrix keys go to
-    np.unique on both sides."""
+    fixed radix, _class_keys returns the key matrices, and multiset_equal
+    compares them by sorting their rows (np.lexsort)."""
     if brk in BREAKS:
         monkeypatch.setattr(harness, *BREAKS[brk])
     if not packed:
         monkeypatch.setattr(harness, "_KEY_BOUND", 0)  # no key packs in the fixed radix
-        monkeypatch.setattr("skewfill._engine._packed_keys", lambda a, b: None)
     failing = 0
     for max_entry in (1, 2):
         for s in SHAPES:
@@ -122,8 +121,6 @@ def test_class_keys_past_their_radix_compare_the_key_matrices(wide):
         keys = harness._class_keys(left, other, rho, sigma)
         assert keys[0].shape == keys[1].shape == (40, 6)  # two statistics, two rows, two columns
         assert multiset_equal(*keys) == unpacked_verdict(left, other, rho, sigma) == equal
-    if wide == "sums":
-        assert _packed_keys(*keys) is None  # past 62 bits by their observed ranges too
     left, right, broken, rho, sigma = wide_sides(3, rng)
     for other, equal in ((right, True), (broken, False)):
         a, b = harness._class_keys(left, other, rho, sigma)
@@ -161,6 +158,21 @@ def test_the_fixed_radix_fits_every_shape_up_to_the_caps():
     for n in range(1, cor["refine_cells"] + 1):
         for s in enum_skew_shapes(n, connected=True, ds_free=True):
             assert packs(s.height, s.width, 0, cor["max_entry"]), s
+
+
+@pytest.mark.parametrize("prop, max_cells", [("lem_ferrers", 7), ("rubey", 7), ("cor_sskew", 8)])
+def test_the_benchmark_budgets_compare_packed_keys_only(monkeypatch, prop, max_cells):
+    """At the budgets of the chains and catalog benchmark workloads every
+    sum-class comparison gets 1-D int64 keys: none sorts key matrices."""
+    seen = set()
+
+    def recording(a, b):
+        seen.add((a.ndim, a.dtype, b.ndim, b.dtype))
+        return multiset_equal(a, b)
+
+    monkeypatch.setattr(harness, "multiset_equal", recording)
+    assert harness.verify(prop, max_cells=max_cells).passed
+    assert seen == {(1, np.dtype(np.int64)) * 2}
 
 
 def repacked(side, rho, sigma):
