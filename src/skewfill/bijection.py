@@ -55,9 +55,9 @@ def in_G(s: Shape, f: Filling, i: int) -> bool:
     """Membership in stage set i."""
     if f.shape != s:
         raise ValueError("filling does not live on the given shape")
+    n = len(cell_labels(s))
     if not f.is_binary():
         raise ValueError("stage sets contain binary fillings only")
-    n = s.size
     if not 1 <= i <= n:
         raise ValueError(f"stage index {i} out of range 1..{n}")
     for occ in find_filling_occurrences(f, "delta2"):

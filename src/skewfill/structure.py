@@ -22,6 +22,14 @@ column i, so it is not empty and the row above it exists; row t + 1 starts
 at or left of the end of row t, so row t holds column i; and the rows of F
 hold nothing right of the rectangle, so the column after G begins above
 row t.
+
+The validator reads each block's rows from the block's own cells, not
+from the host's spans, so it checks the splitter by a second method.  The
+rows of a block follow one another with no gap; an F's rows start at one
+column and their ends grow upward, a G's rows end at one column and their
+starts grow upward.  The cuts are the F's top-row ends and the G's top
+rows, and at each seam the cells after a block begin at the least of the
+later blocks' bottom-row starts and bottom rows.
 """
 
 from __future__ import annotations
@@ -35,10 +43,7 @@ from .shapes import (
     Shape,
     _contains_dent,
     _row_spans,
-    is_nw_ferrers,
-    is_se_ferrers,
     is_skew,
-    normalize,
 )
 
 
@@ -146,6 +151,18 @@ def ferrers_decompose(s: Shape) -> Decomposition:
     return d
 
 
+def _runs(block) -> list[tuple[int, int, int]]:
+    """A block's runs of adjacent cells in a row as (row, first, last),
+    bottom row first: one per row, or more where a row has a gap."""
+    runs: list[tuple[int, int, int]] = []
+    for y, x in sorted((y, x) for x, y in block):
+        if runs and runs[-1][0] == y and runs[-1][2] == x - 1:
+            runs[-1] = (y, runs[-1][1], x)
+        else:
+            runs.append((y, x, x))
+    return runs
+
+
 def validate_decomposition(s: Shape, d: Decomposition) -> bool:
     """Check the block conditions against the host shape.
 
@@ -154,78 +171,46 @@ def validate_decomposition(s: Shape, d: Decomposition) -> bool:
     and row ends across each cut, the cut-line bounds on neighboring
     blocks, and that the recorded cut lists match the blocks.
     """
-    blocks = d.blocks
-    if len(blocks) < 2 or len(blocks) % 2 != 0:
+    blocks, n = d.blocks, len(d.blocks) // 2
+    if n == 0 or len(blocks) % 2 or not all(blocks[:-1]):
         return False
-    fs, gs = blocks[0::2], blocks[1::2]
-    n = len(fs)
-    if any(not f for f in fs) or any(not g for g in gs[:-1]):
+    # a cell in two blocks fails the seam after the first of them
+    if set().union(*blocks) != s.cells:
         return False
-    covered: set[Cell] = set()
-    for b in blocks:
-        if covered & b:
-            return False
-        covered |= b
-    if covered != set(s.cells):
+    spans = [_runs(b) for b in blocks if b]  # only the last G may be empty
+    # each next run is the next row; F rows start at one column and their
+    # ends grow upward, G rows end at one column and their starts grow upward
+    if not all(r == r0 + 1 and (a == a0 and b >= b0 if k % 2 == 0 else b == b0 and a >= a0)
+               for k, rows in enumerate(spans)
+               for (r0, a0, b0), (r, a, b) in zip(rows, rows[1:])):
         return False
-    for f in fs:
-        if not is_nw_ferrers(normalize(f)):
-            return False
-    for g in gs:
-        if g and not is_se_ferrers(normalize(g)):
-            return False
-    if d.vertical_cuts != tuple(max(x for x, _ in f) for f in fs):
-        return False
-    if d.horizontal_cuts != tuple(max(y for _, y in g) for g in gs[:-1]):
+    if (d.vertical_cuts != tuple(f[-1][2] for f in spans[0::2])
+            or d.horizontal_cuts != tuple(g[-1][0] for g in spans[1:2 * n - 1:2])):
         return False
 
-    # concatenation geometry: peel blocks off and check each seam
-    rest = set(s.cells)
-    for k in range(n):
-        f = fs[k]
-        rest -= f
-        if rest:
-            c = max(x for x, _ in f)
-            if min(x for x, _ in rest) != c + 1:
+    # each seam against the least column and row of the cells after the block
+    col, row = math.inf, math.inf
+    for k in range(len(spans) - 1, 0, -1):
+        col, row = min(col, spans[k][0][1]), min(row, spans[k][0][0])
+        rows = spans[k - 1]
+        if k % 2:  # after F: one column right of its cut, not below its cut column
+            c = rows[-1][2]
+            if col != c + 1 or row < next(y for y, _, b in rows if b == c):
                 return False
-            col_bottom = min(y for x, y in f if x == c)
-            if min(y for _, y in rest) < col_bottom:
-                return False
-        elif k < n - 1 or gs[k]:
+        elif row != rows[-1][0] + 1 or col < rows[-1][1]:  # after G: right above, not left
             return False
-        g = gs[k]
-        if not g:
-            continue
-        rest -= g
-        if rest:
-            r = max(y for _, y in g)
-            if min(y for _, y in rest) != r + 1:
-                return False
-            row_left = min(x for x, y in g if y == r)
-            if min(x for x, _ in rest) < row_left:
-                return False
-        elif k < n - 1:
-            return False
-    if rest:
-        return False
 
-    col_top = {}
-    row_end = {}
+    col_top, row_end = {}, {}
     for x, y in s.cells:
         col_top[x] = max(col_top.get(x, y), y)
         row_end[y] = max(row_end.get(y, x), x)
-    for k in range(n - 1):
-        c = d.vertical_cuts[k]
-        if c + 1 not in col_top or col_top[c] >= col_top[c + 1]:
-            return False
-        r = d.horizontal_cuts[k]
-        if r + 1 not in row_end or row_end[r] >= row_end[r + 1]:
+    for k in range(n - 1):  # the seams put column c + 1 and row r + 1 in the shape
+        c, r = d.vertical_cuts[k], d.horizontal_cuts[k]
+        if col_top[c] >= col_top[c + 1] or row_end[r] >= row_end[r + 1]:
             return False
         # each G_i stays left of the next vertical cut, each F_i below
         # the horizontal cut at its right
-        if max(x for x, _ in gs[k]) > d.vertical_cuts[k + 1]:
-            return False
-        if max(y for _, y in fs[k]) > d.horizontal_cuts[k]:
+        if spans[2 * k + 1][0][2] > d.vertical_cuts[k + 1] or spans[2 * k][-1][0] > r:
             return False
     return True
 

@@ -4,7 +4,8 @@ The reference helpers deliberately avoid the package's own fast paths:
 chains are checked against a subset scan, skew shapes against the
 defining difference-of-Ferrers construction, avoider counts against
 direct filtering, the span block splitter against the block procedure
-on cell sets, the sum-capped filling generator against a mask over all
+on cell sets, the span validator against the decomposition checks on
+cell sets, the sum-capped filling generator against a mask over all
 value vectors, and region chain tables against the recursion over the
 whole shape.  Pinned constants in the test modules were
 produced by these oracles.
@@ -34,13 +35,13 @@ from skewfill.shapes import (
     component_cell_sets,
     is_connected,
     is_nw_ferrers,
+    is_se_ferrers,
     normalize,
 )
 from skewfill.structure import (
     Decomposition,
     DecompositionError,
     SumPermutations,
-    validate_decomposition,
 )
 
 
@@ -254,6 +255,92 @@ def reference_split_blocks(cells: frozenset) -> list[frozenset]:
         cur -= g_block
 
 
+def reference_validate_decomposition(s: Shape, d: Decomposition) -> bool:
+    """validate_decomposition on cell sets, as structure ran it before it
+    read row spans: every block goes through normalize and the Ferrers
+    tests, and the seams are checked by peeling blocks off the host.
+
+    Verifies tiling, the NW/SE Ferrers classification of every block, the
+    two concatenation adjacency rules, the strict increase of column tops
+    and row ends across each cut, the cut-line bounds on neighboring
+    blocks, and that the recorded cut lists match the blocks.
+    """
+    blocks = d.blocks
+    if len(blocks) < 2 or len(blocks) % 2 != 0:
+        return False
+    fs, gs = blocks[0::2], blocks[1::2]
+    n = len(fs)
+    if any(not f for f in fs) or any(not g for g in gs[:-1]):
+        return False
+    covered = set()
+    for b in blocks:
+        if covered & b:
+            return False
+        covered |= b
+    if covered != set(s.cells):
+        return False
+    for f in fs:
+        if not is_nw_ferrers(normalize(f)):
+            return False
+    for g in gs:
+        if g and not is_se_ferrers(normalize(g)):
+            return False
+    if d.vertical_cuts != tuple(max(x for x, _ in f) for f in fs):
+        return False
+    if d.horizontal_cuts != tuple(max(y for _, y in g) for g in gs[:-1]):
+        return False
+
+    # concatenation geometry: peel blocks off and check each seam
+    rest = set(s.cells)
+    for k in range(n):
+        f = fs[k]
+        rest -= f
+        if rest:
+            c = max(x for x, _ in f)
+            if min(x for x, _ in rest) != c + 1:
+                return False
+            col_bottom = min(y for x, y in f if x == c)
+            if min(y for _, y in rest) < col_bottom:
+                return False
+        elif k < n - 1 or gs[k]:
+            return False
+        g = gs[k]
+        if not g:
+            continue
+        rest -= g
+        if rest:
+            r = max(y for _, y in g)
+            if min(y for _, y in rest) != r + 1:
+                return False
+            row_left = min(x for x, y in g if y == r)
+            if min(x for x, _ in rest) < row_left:
+                return False
+        elif k < n - 1:
+            return False
+    if rest:
+        return False
+
+    col_top = {}
+    row_end = {}
+    for x, y in s.cells:
+        col_top[x] = max(col_top.get(x, y), y)
+        row_end[y] = max(row_end.get(y, x), x)
+    for k in range(n - 1):
+        c = d.vertical_cuts[k]
+        if c + 1 not in col_top or col_top[c] >= col_top[c + 1]:
+            return False
+        r = d.horizontal_cuts[k]
+        if r + 1 not in row_end or row_end[r] >= row_end[r + 1]:
+            return False
+        # each G_i stays left of the next vertical cut, each F_i below
+        # the horizontal cut at its right
+        if max(x for x, _ in gs[k]) > d.vertical_cuts[k + 1]:
+            return False
+        if max(y for _, y in fs[k]) > d.horizontal_cuts[k]:
+            return False
+    return True
+
+
 def reference_decompose(s: Shape) -> Decomposition:
     """ferrers_decompose by the cell-set procedure."""
     if not is_connected(s):
@@ -262,7 +349,7 @@ def reference_decompose(s: Shape) -> Decomposition:
     fs, gs = blocks[0::2], blocks[1::2]
     d = Decomposition(tuple(blocks), tuple(max(x for x, _ in f) for f in fs),
                       tuple(max(y for _, y in g) for g in gs[:-1]))
-    if not validate_decomposition(s, d):
+    if not reference_validate_decomposition(s, d):
         raise DecompositionError("block procedure produced an invalid decomposition")
     return d
 

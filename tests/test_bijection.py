@@ -17,7 +17,7 @@ from skewfill.bijection import (
     step_forward,
 )
 from skewfill.enumeration import enum_skew_shapes
-from skewfill.fillings import NE, SE, Filling, avoids, longest_chain, sum_vector
+from skewfill.fillings import NE, SE, Filling, avoids, longest_chain, parse_filling, sum_vector
 from skewfill.shapes import dent_shape
 
 DENT = dent_shape()
@@ -168,6 +168,17 @@ def test_step_index_bounds():
         step_forward(f, 7)
     with pytest.raises(ValueError):
         in_G(DENT, f, 8)
+
+
+@pytest.mark.parametrize("grid", ["11\n1.\n11\n", "1.\n.1\n"])
+def test_stage_sets_refuse_non_skew_shapes(grid):
+    """Labels and stages are undefined off skew shapes, so every entry
+    point gives the same refusal, whatever the filling holds."""
+    f = parse_filling(grid)
+    for call in (lambda: in_G(f.shape, f, 1), lambda: full_forward(f),
+                 lambda: full_backward(f), lambda: step_forward(f, 1)):
+        with pytest.raises(ValueError, match="skew shapes only"):
+            call()
 
 
 def test_bijection_on_all_small_shapes():

@@ -251,6 +251,15 @@ def test_bijection_rejects_invalid_member(capsys, tmp_path):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("grid", ["11\n1.\n11\n", "1.\n.1\n"])
+@pytest.mark.parametrize("direction", ["--forward", "--backward"])
+def test_bijection_refuses_non_skew_shapes(capsys, tmp_path, grid, direction):
+    path = tmp_path / "f.txt"
+    path.write_text(grid)
+    code, out, err = run(capsys, "bijection", direction, str(path))
+    assert (code, out, err) == (2, "", "error: cell labels are defined for skew shapes only\n")
+
+
 @pytest.mark.parametrize("grid", ["0\u0663\n00\n", "0\u00b2\n00\n"])
 def test_bijection_rejects_non_ascii_digits(capsys, tmp_path, grid):
     path = tmp_path / "f.txt"

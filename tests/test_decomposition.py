@@ -1,3 +1,7 @@
+import dataclasses
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -6,8 +10,10 @@ from conftest import (
     rectangle_ds_free,
     reference_decompose,
     reference_sum_permutations,
+    reference_validate_decomposition,
     skew_shapes,
 )
+from skewfill import structure
 from skewfill.enumeration import enum_skew_shapes
 from skewfill.shapes import Shape, dent_shape, is_connected, is_skew, normalize
 from skewfill.structure import (
@@ -170,6 +176,155 @@ def test_validate_rejects_incomplete_cover():
 def test_validate_rejects_odd_block_count():
     d = ferrers_decompose(STAIRCASE)
     assert not validate_decomposition(STAIRCASE, Decomposition(d.blocks[:3], (1, 3), (1,)))
+    # cuts that would fit F_1, G_1, F_2 read as a last pair with G_2 empty
+    assert not validate_decomposition(STAIRCASE, Decomposition(d.blocks[:3], (1, 3), ()))
+
+
+def with_cuts(*blocks) -> Decomposition:
+    """The blocks with the cut lists read off them: each F's last column and
+    each G's top row but the last, 0 for an empty block."""
+    blocks = tuple(frozenset(b) for b in blocks)
+    return Decomposition(blocks, tuple(max((x for x, _ in f), default=0) for f in blocks[0::2]),
+                         tuple(max((y for _, y in g), default=0) for g in blocks[1:-1:2]))
+
+
+TWO_COMPONENTS = shape_from_intervals([(1, 2), (2, 2), (3, 4)])
+
+REFUSALS = {
+    "empty F": (STAIRCASE, [(1, 1)], [(2, 1)], [], [(2, 2), (3, 2)]),
+    "empty middle G": (STAIRCASE, [(1, 1)], [], [(2, 1), (2, 2), (3, 2)], []),
+    "overlapping blocks": (STAIRCASE, [(1, 1)], [(1, 1), (2, 1)], [(2, 2), (3, 2)], []),
+    "seam column off by one": (STAIRCASE, [(1, 1), (2, 1)], [(2, 2), (3, 2)]),
+    "G not SE Ferrers": (THREE_STAGE, [(1, 1)], [(2, 1), (2, 2), (3, 2), (4, 2)],
+                         [(3, 3), (4, 3), (5, 3)], []),
+    "row with a gap": (THREE_STAGE, [(1, 1)], [(2, 1)], [(2, 2)], [(3, 2), (4, 2)],
+                       [(3, 3), (5, 3)], [(4, 3)]),
+    "seam row above G off by one": (THREE_STAGE, [(1, 1)], [(2, 1), (2, 2)],
+                                    [(3, 2), (4, 2), (3, 3), (4, 3), (5, 3)], []),
+    "F not NW Ferrers": (TWO_COMPONENTS, [(1, 1), (2, 1), (2, 2)], [(3, 3), (4, 3)]),
+    "row ends do not rise": (TWO_COMPONENTS, [(1, 1)], [(2, 1)], [(2, 2)], [(3, 3), (4, 3)]),
+    "column tops do not rise": (shape_from_intervals([(1, 1), (1, 2), (3, 3)]),
+                                [(1, 1), (1, 2)], [(2, 2)], [(3, 3)], []),
+    "G past the next vertical cut": (shape_from_intervals([(1, 3), (2, 4), (4, 4)]),
+                                     [(1, 1)], [(2, 1), (3, 1)], [(2, 2)],
+                                     [(3, 2), (4, 2), (4, 3)]),
+    "F above its horizontal cut": (shape_from_intervals([(1, 2), (1, 3), (2, 3)]),
+                                   [(1, 1), (1, 2)], [(2, 1)],
+                                   [(2, 2), (3, 2), (2, 3), (3, 3)], []),
+    # the last three break no other condition only off skew shapes: on a
+    # skew host that the blocks cover, breaking one of them breaks another
+    "rows skip": (normalize([(1, 1), (1, 3)]), [(1, 1), (1, 3)], []),
+    "seam row below the column bottom": (normalize([(1, 2), (2, 1)]), [(1, 2)], [(2, 1)]),
+    "seam column left of G's top row": (normalize([(1, 1), (2, 3), (3, 2), (3, 3), (4, 3)]),
+                                        [(1, 1)], [(3, 2)], [(2, 3), (3, 3), (4, 3)], []),
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_validate_refuses_each_broken_condition(name):
+    """Each entry breaks the named condition.  Past the empty-block checks
+    it breaks no other, except where the named one forces it: an overlap
+    breaks a seam, and a row with a gap its block's shape."""
+    s, *blocks = REFUSALS[name]
+    d = with_cuts(*blocks)
+    assert not validate_decomposition(s, d)
+    assert not reference_validate_decomposition(s, d)
+
+
+def row_partition(s: Shape) -> Decomposition:
+    """Each row a block, bottom row first, with an empty last G if needed."""
+    rows = [[c for c in s.cells if c[1] == y] for y in sorted({y for _, y in s.cells})]
+    return with_cuts(*rows, *[[]] * (len(rows) % 2))
+
+
+def mutations(s: Shape, d: Decomposition, rng: random.Random):
+    """(family, decomposition) pairs around d on s.  A cell moves or is
+    copied only between neighbouring blocks."""
+    yield "base", d
+    blocks = [set(b) for b in d.blocks]
+    for i, j in itertools.combinations(range(len(blocks)), 2):
+        b = blocks[:]
+        b[i], b[j] = b[j], b[i]
+        yield "swap", with_cuts(*b)
+    neighbours = [(i, i + 1) for i in range(len(blocks) - 1)]
+    for i, j in neighbours + [(j, i) for i, j in neighbours]:
+        for c in blocks[i]:
+            b = blocks[:]
+            b[i], b[j] = b[i] - {c}, b[j] | {c}
+            yield "move", with_cuts(*b)
+            yield "move, cuts kept", Decomposition(with_cuts(*b).blocks, d.vertical_cuts,
+                                                   d.horizontal_cuts)
+            b[i] = blocks[i]
+            yield "copy", with_cuts(*b)
+    for which in ("vertical_cuts", "horizontal_cuts"):
+        cuts = getattr(d, which)
+        for k, step in itertools.product(range(len(cuts)), (-1, 1)):
+            moved = cuts[:k] + (cuts[k] + step,) + cuts[k + 1:]
+            yield "cut", dataclasses.replace(d, **{which: moved})
+    yield "last pair dropped", with_cuts(*blocks[:-2])
+    yield "empty pair appended", with_cuts(*blocks, [], [])
+    for i in range(len(blocks) - 2):
+        yield "merge", with_cuts(*blocks[:i], set().union(*blocks[i:i + 3]), *blocks[i + 3:])
+    yield "merge", with_cuts(*blocks[:-2], blocks[-2] | blocks[-1], [])
+    for _ in range(4):
+        b = [set() for _ in range(2 * rng.randint(1, s.size))]
+        for c in sorted(s.cells):
+            b[rng.randrange(len(b))].add(c)
+        yield "repartition", with_cuts(*b)
+
+
+def validator_cases(shapes, seed=0):
+    """(shape, family, decomposition) around each shape's decomposition, or
+    its row partition when it has none."""
+    rng = random.Random(seed)
+    for s in shapes:
+        try:
+            d = ferrers_decompose(s)
+        except ValueError:
+            d = row_partition(s)
+        for family, m in mutations(s, d, rng):
+            yield s, family, m
+
+
+def catalog(max_cells):
+    return (s for n in range(1, max_cells + 1) for s in enum_skew_shapes(n))
+
+
+# Swaps, copies, shifted cuts and added or dropped pairs are refused by
+# construction: the seams order the blocks, a copied cell fails the seam
+# after its first block, the cuts must be read off the blocks, and the
+# blocks must cover the shape with a nonempty F in every pair.
+ALWAYS_REFUSED = {"swap", "copy", "cut", "last pair dropped", "empty pair appended"}
+
+
+def test_validator_matches_the_cell_based_reference():
+    """Every skew shape of at most 8 cells, connected or not, dented or not,
+    then every other shape in a 3 x 3 box."""
+    off_skew = (s for s in sorted(all_subshapes_of_box(3, 3)) if not is_skew(s))
+    verdicts = {}
+    for s, family, d in validator_cases(itertools.chain(catalog(8), off_skew)):
+        got = validate_decomposition(s, d)
+        assert got == reference_validate_decomposition(s, d), (s, family, d)
+        verdicts.setdefault(family, set()).add(got)
+    assert verdicts == {family: {False} if family in ALWAYS_REFUSED else {False, True}
+                        for family in verdicts}
+    assert len(verdicts) == 10
+
+
+def test_validator_reads_no_span_of_the_host(monkeypatch):
+    """The validator checks the splitter by a second method, so it must not
+    read the splitter or the host's row spans."""
+    cases = list(validator_cases(catalog(6)))
+    expected = [validate_decomposition(s, d) for s, _, d in cases]
+
+    def refuse(*args):
+        raise AssertionError("validate_decomposition read the host's spans")
+
+    monkeypatch.setattr(structure, "_split_blocks", refuse)
+    monkeypatch.setattr(structure, "_row_spans", refuse)
+    monkeypatch.setattr(Shape, "_lines", refuse)
+    assert [validate_decomposition(s, d) for s, _, d in cases] == expected
+    assert True in expected and False in expected
 
 
 def test_sum_permutations_ferrers_identity():
