@@ -24,11 +24,10 @@ from .structure import ferrers_decompose, render_decomposition
 # base of 2 in the binary, sparse and transversal modes.
 _COUNT_BUDGET = 1 << 20
 
-# Most cells enum-shapes lists: 1,171,631 shapes at 13 cells.  Each line
-# is built from its parent's line on the walk, and all of them are held
-# until the walk ends, since the output goes by size.  One cold run on
-# one core takes about 1.3 s and 80 MB at 12 cells, 3 s and 170 MB at
-# 13; each further cell takes about three times as much.
+# Most cells enum-shapes lists: 1,171,631 shapes at 13 cells.  Every line
+# is held until the walk ends, since the output goes by size.  One cold
+# run on one core takes about 0.7 s and 80 MB at 12 cells, 2.3 s and
+# 170 MB at 13: each further cell costs about 3 times the time, 2.1 the memory.
 _ENUM_SHAPES_CAP = 13
 
 # Lines enum-shapes joins into one write, so the output is never held

@@ -4,7 +4,9 @@ Skew shapes are generated through their row-interval encoding: row y
 occupies columns a_y..b_y, both endpoints weakly increasing upward, with
 a_y at most one past b_{y-1} so no column is skipped.  Every normalized
 skew shape without empty rows or columns has exactly one such encoding,
-which doubles as the catalog text format (bottom row first).
+which doubles as the catalog text format (bottom row first).  The walk
+takes a list's extensions from a table keyed by its top row and the cells
+left (_children), and its lines take each row's text from another (_row_texts).
 
 Moon polyominoes are built from their columns.  An n-cell moon in normal
 position is its list of column intervals, left to right, and a list of
@@ -67,17 +69,15 @@ class EnumSpec:
             raise ValueError(f"max_entry does not apply to mode {self.mode!r}")
 
 
-def _add_children(out: list, intervals, used: int, room: int) -> list:
-    """Append to out the one-row extensions (intervals, cells) of a list
-    of `used` cells that the catalog grammar allows with room cells left,
-    in the order the walk pushes them (the reverse of its visiting order),
-    and return out.  The first row of a list sits above the virtual row
-    (1, 0)."""
-    a_lo, b_lo = intervals[-1] if intervals else (1, 0)
-    for a in range(b_lo + 1, max(a_lo, b_lo + 1 - room) - 1, -1):
-        for b in range(a + room - 1, max(a, b_lo) - 1, -1):
-            out.append((intervals + ((a, b),), used + b - a + 1))
-    return out
+@lru_cache(maxsize=None)
+def _children(last, room: int) -> tuple:
+    """(row, cells) for each row the catalog grammar allows above the top
+    row last with room cells left, in the order the walk pushes them (the
+    reverse of its visiting order); (1, 0) is the row below a first row."""
+    a_lo, b_lo = last
+    return tuple(((a, b), b - a + 1)
+                 for a in range(b_lo + 1, max(a_lo, b_lo + 1 - room) - 1, -1)
+                 for b in range(a + room - 1, max(a, b_lo) - 1, -1))
 
 
 def _catalog_walk(max_cells: int, shard: tuple[int, int] = (0, 1), keep=None):
@@ -85,12 +85,12 @@ def _catalog_walk(max_cells: int, shard: tuple[int, int] = (0, 1), keep=None):
     max_cells cells, in lexicographic order: each list comes right before
     its extensions by one more row.  Yields (intervals, cells, mine).
 
-    keep, if given, is a prefix test keep(intervals, room), with room the
-    cells left in the budget.  It is asked only about lists whose parent
-    passed it, and a list that fails it is dropped with its extensions.
-    When every row prefix of a list that passes also passes, the pruned
-    walk yields exactly the lists of the full walk that pass, in the same
-    order.  Without keep, children go straight onto the stack.
+    A list's extensions are its own rows plus one from _children.  keep,
+    if given, is a prefix test keep(intervals, room), with room the cells
+    left in the budget.  It is asked only about lists whose parent passed
+    it, and a list that fails it is dropped with its extensions.  When
+    every row prefix of a list that passes also passes, the pruned walk
+    yields exactly the lists of the full walk that pass, in the same order.
 
     With shard = (index, count) the lists are dealt out in subtrees keyed
     by their first two rows (a one-row list is its own key), round-robin
@@ -99,7 +99,7 @@ def _catalog_walk(max_cells: int, shard: tuple[int, int] = (0, 1), keep=None):
     """
     index, count = shard
     key = -1
-    stack = _add_children([], (), 0, max_cells)
+    stack = [((row,), k) for row, k in _children((1, 0), max_cells)]
     if keep is not None:
         stack = [c for c in stack if keep(c[0], max_cells - c[1])]
     while stack:
@@ -113,11 +113,11 @@ def _catalog_walk(max_cells: int, shard: tuple[int, int] = (0, 1), keep=None):
         yield intervals, used, mine
         if used == max_cells:
             continue
-        if keep is None:
-            _add_children(stack, intervals, used, max_cells - used)
-        else:
-            stack += [c for c in _add_children([], intervals, used, max_cells - used)
-                      if keep(c[0], max_cells - c[1])]
+        children = [(intervals + (row,), used + k)
+                    for row, k in _children(intervals[-1], max_cells - used)]
+        if keep is not None:
+            children = [c for c in children if keep(c[0], max_cells - c[1])]
+        stack += children
 
 
 @lru_cache(maxsize=None)
@@ -129,11 +129,9 @@ def _subtree_size(last, room: int) -> tuple[int, int, int]:
     row (1, 0)."""
     own = int(last != (1, 0))
     lists, powers, cells = own, own, 0
-    for rows, k in _add_children([], (last,), 0, room):
-        below = _subtree_size(rows[-1], room - k)
-        lists += below[0]
-        powers += below[1] << k
-        cells += below[2] + k * below[0]
+    for row, k in _children(last, room):
+        n, p, c = _subtree_size(row, room - k)
+        lists, powers, cells = lists + n, powers + (p << k), cells + c + k * n
     return lists, powers, cells
 
 
@@ -238,15 +236,21 @@ def catalog_lines(max_cells: int, connected: bool, ds_free: bool) -> list[str]:
     yields only further extensions of that list, all longer than it, so
     the latest list of d - 1 rows before a list of d rows is its parent.
     heads[d] keeps the latest line of d rows, with a trailing comma in
-    place of its closing bracket."""
+    place of its closing bracket, and _row_texts gives a row's texts."""
     by_size = [[] for _ in range(max_cells + 1)]
     heads = ["["] * (max_cells + 1)
     for intervals, used, _ in _catalog_walk(max_cells, keep=_flag_prefix(connected, ds_free)):
         d = len(intervals)
-        a, b = intervals[-1]
-        heads[d] = head = f"{heads[d - 1]}({a},{b}),"
-        by_size[used].append(head[:-1] + "]")
+        more, last = _row_texts(intervals[-1])
+        heads[d] = heads[d - 1] + more
+        by_size[used].append(heads[d - 1] + last)
     return [line for lines in by_size for line in lines]
+
+
+@lru_cache(maxsize=None)
+def _row_texts(row) -> tuple[str, str]:
+    """A row's text in a catalog line: "(a,b)," below another row, "(a,b)]" on top."""
+    return "({},{}),".format(*row), "({},{})]".format(*row)
 
 
 def _flag_prefix(connected: bool | None, ds_free: bool | None):

@@ -138,7 +138,6 @@ import csv
 import io
 import itertools
 import json
-import multiprocessing
 import operator
 import os
 import time
@@ -446,8 +445,7 @@ def _refined_sum_check(s: Shape, kmax: int, max_entry: int):
 
 
 def _run_cor_sskew(params, shard):
-    instances, failures = 0, []
-    shapes_checked = refined_checked = 0
+    instances, failures, shapes_checked, refined_checked = 0, [], 0, 0
     ks = range(2, params["kmax"] + 1)
     keep = partial(_filter_prefix, connected=True, ds_free=True)
     for intervals, used, mine in _catalog_walk(params["max_cells"], shard, keep):
@@ -647,9 +645,7 @@ def _run_ds_free_oracle(params, shard):
     so the parent of a list of d rows is the latest list of d - 1 rows.
     The rectangle criterion reads the row intervals; a Shape is built only
     for the connected lists, to decompose."""
-    instances, failures = 0, []
-    dent_free = 0
-    decomposed = 0
+    instances, failures, dent_free, decomposed = 0, [], 0, 0
     dents = [False]  # dents[d]: the path's list of d rows holds a dent
     for intervals, _, mine in _catalog_walk(params["max_cells"], shard):
         del dents[len(intervals):]
@@ -662,8 +658,7 @@ def _run_ds_free_oracle(params, shard):
         if by_pattern != by_rect:
             failures.append({"shape": _line(intervals), "clause": "criteria disagree",
                              "pattern": by_pattern, "rectangle": by_rect})
-        if by_pattern:
-            dent_free += 1
+        dent_free += by_pattern
         if not _joined(intervals):
             continue
         try:
@@ -761,6 +756,7 @@ def verify(prop: str, **params) -> VerificationReport:
     if jobs == 1:
         parts = [_run(prop, effective, (0, 1))]
     else:
+        import multiprocessing  # here, so serial runs and CLI calls skip its import
         with multiprocessing.Pool(jobs) as pool:
             parts = pool.starmap(
                 _run, [(prop, effective, (k, jobs)) for k in range(jobs)]

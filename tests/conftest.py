@@ -6,9 +6,10 @@ defining difference-of-Ferrers construction, avoider counts against
 direct filtering, the span block splitter against the block procedure
 on cell sets, the span validator against the decomposition checks on
 cell sets, the sum-capped filling generator against a mask over all
-value vectors, and region chain tables against the recursion over the
-whole shape.  Pinned constants in the test modules were
-produced by these oracles.
+value vectors, region chain tables against the recursion over the
+whole shape, and the catalog walk and its lines against the walk that
+appended each list's children to a fresh list and formatted each row.
+Pinned constants in the test modules were produced by these oracles.
 """
 
 import itertools
@@ -27,7 +28,8 @@ from skewfill._engine import (
     support_index,
     value_matrix,
 )
-from skewfill.enumeration import EnumSpec, _value_rows, catalog_line, enum_skew_shapes
+from skewfill.enumeration import EnumSpec, _flag_prefix, _value_rows, catalog_line, \
+    enum_skew_shapes
 from skewfill.fillings import NE, SE, Filling
 from skewfill.shapes import (
     Rect,
@@ -503,6 +505,60 @@ def reference_lem_ferrers(max_cells: int, kmax: int, lmax: int, max_entry: int):
         instances=instances, failures=failures, details={"level": "statistic multisets"})
 
 
+def reference_add_children(out: list, intervals, used: int, room: int) -> list:
+    """Append to out the one-row extensions (intervals, cells) of a list
+    of `used` cells that the catalog grammar allows with room cells left,
+    in the order the walk pushes them, and return out.  The first row of
+    a list sits above the virtual row (1, 0)."""
+    a_lo, b_lo = intervals[-1] if intervals else (1, 0)
+    for a in range(b_lo + 1, max(a_lo, b_lo + 1 - room) - 1, -1):
+        for b in range(a + room - 1, max(a, b_lo) - 1, -1):
+            out.append((intervals + ((a, b),), used + b - a + 1))
+    return out
+
+
+def reference_catalog_walk(max_cells: int, shard: tuple[int, int] = (0, 1), keep=None):
+    """enumeration._catalog_walk with each list's children computed afresh
+    by reference_add_children: the same (intervals, cells, mine) in the
+    same order, for the same shard and prefix test."""
+    index, count = shard
+    key = -1
+    stack = reference_add_children([], (), 0, max_cells)
+    if keep is not None:
+        stack = [c for c in stack if keep(c[0], max_cells - c[1])]
+    while stack:
+        intervals, used = stack.pop()
+        mine = True
+        if len(intervals) <= 2:
+            key += 1
+            mine = key % count == index
+            if not mine and len(intervals) == 2:
+                continue
+        yield intervals, used, mine
+        if used == max_cells:
+            continue
+        if keep is None:
+            reference_add_children(stack, intervals, used, max_cells - used)
+        else:
+            stack += [c for c in reference_add_children([], intervals, used, max_cells - used)
+                      if keep(c[0], max_cells - c[1])]
+
+
+def reference_catalog_lines(max_cells: int, connected: bool, ds_free: bool) -> list[str]:
+    """enumeration.catalog_lines over reference_catalog_walk, each row
+    formatted on its own: heads[d] keeps the latest line of d rows, with
+    a trailing comma in place of its closing bracket."""
+    by_size = [[] for _ in range(max_cells + 1)]
+    heads = ["["] * (max_cells + 1)
+    for intervals, used, _ in reference_catalog_walk(max_cells,
+                                                     keep=_flag_prefix(connected, ds_free)):
+        d = len(intervals)
+        a, b = intervals[-1]
+        heads[d] = head = f"{heads[d - 1]}({a},{b}),"
+        by_size[used].append(head[:-1] + "]")
+    return [line for lines in by_size for line in lines]
+
+
 @pytest.fixture
 def fake_pool(monkeypatch):
     """Replace the harness's process pool by one that starts no process:
@@ -523,5 +579,5 @@ def fake_pool(monkeypatch):
         def starmap(self, fn, args):
             return [fn(*a) for a in args]
 
-    monkeypatch.setattr("skewfill.harness.multiprocessing.Pool", SerialPool)
+    monkeypatch.setattr("multiprocessing.Pool", SerialPool)
     return sizes

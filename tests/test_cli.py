@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from skewfill import cli
@@ -181,6 +183,25 @@ def test_enum_shapes_lists_each_size_as_enum_skew_shapes(capsys, flags):
         want += [catalog_line(s) for s in enum_skew_shapes(n, connected, ds_free)]
         code, out, _ = run(capsys, "enum-shapes", "--max-cells", str(n), *flags)
         assert (code, out) == (0, "\n".join(want) + "\n")
+
+
+# sha256 of `enum-shapes --max-cells 10` stdout and its line count, per
+# flag set, as the walk that appended each list's children afresh gave them
+ENUM_SHAPES_DIGESTS = {
+    (): (38252, "77a67be85c596e21d1ad737a79b28e6185a64ef5222ea36af37588adb11fe346"),
+    ("--ds-free",): (38079, "2765ed2d0fde60e5a6b5e71d3f261103c2935f663266bee554d9692fd98c94fe"),
+    ("--connected",): (2271, "8a59ba48f1032f20273435f2726a22eba23e84921292c8ccaf24f2175547d6ae"),
+    ("--connected", "--ds-free"):
+        (2199, "a8c1f219c519411d00e9c78df69dc8bc3c538f8f8677f9996eb54603c666e0b8"),
+}
+
+
+@pytest.mark.parametrize("flags", list(ENUM_SHAPES_DIGESTS), ids=lambda f: "-".join(f) or "none")
+def test_enum_shapes_output_is_pinned_by_digest(capsys, flags):
+    code, out, _ = run(capsys, "enum-shapes", "--max-cells", "10", *flags)
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert (out.count("\n"), digest) == ENUM_SHAPES_DIGESTS[flags]
 
 
 def test_enum_shapes_rejects_nonpositive(capsys):

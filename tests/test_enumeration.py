@@ -6,7 +6,8 @@ from functools import partial
 
 import pytest
 
-from conftest import brute_transversal_count, ferrers_difference_shapes, transversal_codes
+from conftest import brute_transversal_count, ferrers_difference_shapes, reference_catalog_lines, \
+    reference_catalog_walk, transversal_codes
 from skewfill.enumeration import (
     EnumSpec,
     _admits_transversal,
@@ -480,3 +481,30 @@ def test_catalog_lines_build_each_line_from_its_parents(connected, ds_free):
         for iv, used, _ in _catalog_walk(n, keep=_flag_prefix(connected, ds_free)):
             by_size[used].append(_line(iv))
         assert catalog_lines(n, connected, ds_free) == [x for lines in by_size for x in lines]
+
+
+@pytest.mark.parametrize("keep", [
+    None,
+    _flag_prefix(True, False),
+    _flag_prefix(False, True),
+    _flag_prefix(True, True),
+    _diagonal_prefix,
+    _ferrers_prefix,
+], ids=["none", "connected", "ds_free", "connected-ds_free", "diagonal", "ferrers"])
+def test_catalog_walk_matches_the_reference_walk(keep):
+    # the cached child table yields what appending each list's children
+    # afresh yields, in the same order, at every budget and for every shard
+    for max_cells in range(1, 10):
+        for count in (1, 2, 3):
+            for index in range(count):
+                shard = (index, count)
+                assert list(_catalog_walk(max_cells, shard, keep)) == \
+                    list(reference_catalog_walk(max_cells, shard, keep)), (max_cells, shard)
+
+
+@pytest.mark.parametrize("connected", [False, True])
+@pytest.mark.parametrize("ds_free", [False, True])
+def test_catalog_lines_match_the_reference_lines(connected, ds_free):
+    for n in range(1, 10):
+        assert catalog_lines(n, connected, ds_free) == \
+            reference_catalog_lines(n, connected, ds_free), n

@@ -1,7 +1,11 @@
 """Every import in the package's modules (bar its __init__, which
-re-exports) and in the tests binds a name that its module uses."""
+re-exports) and in the tests binds a name that its module uses, and
+importing the CLI leaves out what only a parallel run needs."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -28,3 +32,13 @@ def unused_imports(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_module_uses_its_imports(path):
     assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_importing_the_cli_leaves_multiprocessing_out():
+    # harness imports multiprocessing only where verify makes a pool
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, skewfill.cli; print('multiprocessing' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "False"
