@@ -81,7 +81,8 @@ rather than filtered out of all (max_entry + 1)^n value vectors.  Those
 with every row sum at most max_entry are the products of one capped word
 per row; those with every column sum at most max_entry the products of
 one per column, and the second family adds its members that are not in
-the first.
+the first.  capped_fillings returns the family as its line sums, in one
+(N, h + w) int16 matrix (rows, then columns), and its support masks.
 """
 
 from __future__ import annotations
@@ -369,11 +370,11 @@ def _word_product(lengths, max_entry: int) -> np.ndarray:
 
 
 def capped_fillings(s: Shape, max_entry: int):
-    """Row sums, column sums (int16) and support masks of the fillings of
-    s with entries at most max_entry whose row sums or column sums all
-    stay within it, the family sum_capped_mask keeps (see the module
-    docstring).  The row-capped fillings come first, the zero filling
-    leading."""
+    """Line sums (int16, the h rows, then the w columns) and support masks
+    (support_index) of the fillings of s with entries at most max_entry
+    whose row sums or column sums all stay within it, the family
+    sum_capped_mask keeps (see the module docstring).  The row-capped
+    fillings come first, the zero filling leading."""
     cells, h, n = s.sorted_cells(), s.height, s.size
     lines = np.zeros((n, h + s.width), dtype=np.int16)  # cell k's row, then its column
     lines[[*range(n), *range(n)], [*(y - 1 for _, y in cells), *(h + x - 1 for x, _ in cells)]] = 1
@@ -383,8 +384,7 @@ def capped_fillings(s: Shape, max_entry: int):
     col_capped = _word_product(lengths[h:], max_entry)[:, by_column]
     col_capped = col_capped[(col_capped @ lines[:, :h] > max_entry).any(axis=1)]  # not row-capped
     values = np.vstack([_word_product(lengths[:h], max_entry), col_capped])
-    sums = values @ lines
-    return sums[:, :h], sums[:, h:], (values > 0) @ (1 << np.arange(n, dtype=np.int64))
+    return values @ lines, support_index(values)
 
 
 def value_matrix(n: int, max_entry: int) -> np.ndarray:
@@ -398,7 +398,8 @@ def value_matrix(n: int, max_entry: int) -> np.ndarray:
 def support_index(values: np.ndarray) -> np.ndarray:
     """Support bitmask per value vector row."""
     weights = 1 << np.arange(values.shape[1], dtype=np.int64)
-    return (values > 0) @ weights
+    # einsum casts to int64 one buffer at a time; @ copies the whole matrix
+    return np.einsum("ij,j->i", values > 0, weights)
 
 
 def line_sums(values: np.ndarray, s: Shape, by_row: bool) -> np.ndarray:

@@ -106,9 +106,10 @@ holds at most min(h, w) cells, so every row digit has base max_entry * w
 digit above the sums in base min(h, w) + 1.  Any (rho, sigma) packs in
 this radix, and the two sides always share it: cor_sskew and lem_ferrers
 compare a shape with itself, and the moons of a rubey column class share
-h and w.  A shape packs its identity sums once; a permuted side adds the
-change of its moved lines only.  Past 62 bits the keys are the key
-matrices, which multiset_equal compares by sorting their rows.
+h and w.  A shape packs its sums once, in _filling_table, from the line
+sums capped_fillings returns joined; a permuted side adds the change of
+its moved lines only.  Past 62 bits the keys are the key matrices, which
+multiset_equal compares by sorting their rows.
   cor_sskew    left SE chain < k, right NE chain < k, keys packed once
                for all k; (rho, sigma) from sum_permutations.  The
                identity passes too on every connected dent-free shape of
@@ -384,10 +385,10 @@ def _run_thm_bp(params, shard):
 
 
 def _filling_table(s: Shape, max_entry: int):
-    """Row sums, column sums and chain tables of the sum-capped fillings of
+    """The packed sums (_sums) and chain tables of the sum-capped fillings of
     s (_engine.capped_fillings): chains(direction, region=None) gives each
     filling's longest chain, building each (direction, region) table once."""
-    rows, cols, support = capped_fillings(s, max_entry)
+    lines, support = capped_fillings(s, max_entry)
     tables = {}
 
     def chains(direction: str, region: Rect | None = None) -> np.ndarray:
@@ -395,25 +396,25 @@ def _filling_table(s: Shape, max_entry: int):
             tables[direction, region] = support_chain_table(s, direction, region)[support]
         return tables[direction, region]
 
-    return rows, cols, chains
+    return _sums(lines, s.height, max_entry), chains
 
 
 _KEY_BOUND = 1 << 62  # every packed key lies below this
 
 
-def _sums(rows: np.ndarray, cols: np.ndarray, max_entry: int):
-    """One shape's packed sums: its lines (rows, then columns), their place
-    values in the fixed radix with the radix's size last, and each
-    filling's identity key (see Sum classes in the module docstring);
-    places and keys are None past _KEY_BOUND."""
-    h, w = rows.shape[1], cols.shape[1]
+def _sums(lines: np.ndarray, h: int, max_entry: int):
+    """One shape's packed sums: its line sums (the h rows, then the
+    columns, as given), their place values in the fixed radix with the
+    radix's size last, and each filling's identity key (see Sum classes in
+    the module docstring); places and keys are None past _KEY_BOUND."""
+    w = lines.shape[1] - h
     places = list(itertools.accumulate([max_entry * w + 1] * h + [max_entry * h + 1] * w,
                                        operator.mul, initial=1))
-    lines = np.hstack([rows, cols])
     if places[-1] > _KEY_BOUND:
         return lines, None, None
     places = np.array(places, dtype=np.int64)
-    return lines, places, lines @ places[:-1]
+    # einsum casts to int64 one buffer at a time; @ copies the whole matrix
+    return lines, places, np.einsum("ij,j->i", lines, places[:-1])
 
 
 def _class_keys(left, right, rho, sigma):
@@ -437,8 +438,8 @@ def _refined_sum_check(s: Shape, kmax: int, max_entry: int):
     """Failure clauses of the sum-class comparison on one shape.  The sum
     keys of all kept fillings are packed once; each k compares a subset."""
     perms = sum_permutations(s)
-    rows, cols, chains = _filling_table(s, max_entry)
-    side = np.zeros((len(rows), 0), dtype=np.int8), _sums(rows, cols, max_entry)  # no statistic
+    sums, chains = _filling_table(s, max_entry)
+    side = np.zeros((len(sums[0]), 0), dtype=np.int8), sums  # no statistic
     d_keys, i_keys = _class_keys(side, side, perms.rho, perms.sigma)
     return [k for k in range(2, kmax + 1)
             if not multiset_equal(d_keys[chains(SE) < k], i_keys[chains(NE) < k])]
@@ -559,8 +560,7 @@ def _run_lem_ferrers(params, shard):
         if not mine:
             continue
         s = _interval_shape(intervals)
-        rows, cols, chains = _filling_table(s, params["max_entry"])
-        sums = _sums(rows, cols, params["max_entry"])
+        sums, chains = _filling_table(s, params["max_entry"])
         # The rows all start at column 1 and their ends grow upward, so
         # the top row is the widest, the full-height columns are 1..b_1,
         # and the rows as long as the top row are the topmost, ending at w.
@@ -617,10 +617,9 @@ def _run_rubey(params, shard):
         for c in (cols, swapped):
             if c not in tables:
                 rects = _rectangles(moons[c])  # a moon by construction, not checked again
-                rows, col_sums, chains = _filling_table(moons[c], e)
+                sums, chains = _filling_table(moons[c], e)
                 tables[c] = ([r.width for r in rects],
-                             (np.column_stack([chains(NE, r) for r in rects]),
-                              _sums(rows, col_sums, e)))
+                             (np.column_stack([chains(NE, r) for r in rects]), sums))
         pair = [moons[cols]] if cols == swapped else [moons[cols], moons[swapped]]
         instances += len(pair)
         (widths_m, side_m), (widths_s, side_s) = tables[cols], tables[swapped]

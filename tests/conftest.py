@@ -6,9 +6,10 @@ defining difference-of-Ferrers construction, avoider counts against
 direct filtering, the span block splitter against the block procedure
 on cell sets, the span validator against the decomposition checks on
 cell sets, the sum-capped filling generator against a mask over all
-value vectors, region chain tables against the recursion over the
-whole shape, and the catalog walk and its lines against the walk that
-appended each list's children to a fresh list and formatted each row.
+value vectors, support masks against a whole-matrix product, region
+chain tables against the recursion over the whole shape, and the catalog
+walk and its lines against the walk that appended each list's children
+to a fresh list and formatted each row.
 Pinned constants in the test modules were produced by these oracles.
 """
 
@@ -411,6 +412,12 @@ def reference_tr_counts(s: Shape, ks) -> list[tuple[int, int]]:
     return [(int(np.count_nonzero(ne < k)), int(np.count_nonzero(se < k))) for k in ks]
 
 
+def reference_support_index(values: np.ndarray) -> np.ndarray:
+    """Support bitmask per value vector row, by a matrix product over the
+    whole int64 copy of the support matrix."""
+    return (values > 0) @ (1 << np.arange(values.shape[1], dtype=np.int64))
+
+
 def reference_capped_fillings(s: Shape, max_entry: int):
     """Row sums, column sums and support masks of the sum-capped fillings of
     s, masked out of all (max_entry + 1)^n value vectors."""
@@ -418,7 +425,7 @@ def reference_capped_fillings(s: Shape, max_entry: int):
     rows = line_sums(values, s, by_row=True)
     cols = line_sums(values, s, by_row=False)
     keep = sum_capped_mask(rows, cols, max_entry)
-    return rows[keep], cols[keep], support_index(values)[keep]
+    return rows[keep], cols[keep], reference_support_index(values)[keep]
 
 
 def reference_region_chains(s: Shape, direction: str, region: Rect) -> np.ndarray:

@@ -1,17 +1,21 @@
 """The integer-filling scans' fast paths against their references.
 
 _engine.capped_fillings generates the sum-capped fillings directly; the
-reference masks them out of every value vector (sum_capped_mask).  A
-region's chain table reads the box table of its size; the reference runs
-the chain recursion over the whole shape, counting only the region's
-cells.
+reference masks them out of every value vector (sum_capped_mask).
+support_index sums its weights with einsum; the reference multiplies the
+whole support matrix, cast to int64.  A region's chain table reads the
+box table of its size; the reference runs the chain recursion over the
+whole shape, counting only the region's cells.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import reference_capped_fillings, reference_region_chains
-from skewfill._engine import capped_fillings, support_chain_table
+from conftest import reference_capped_fillings, reference_region_chains, reference_support_index
+from skewfill import harness
+from skewfill._engine import capped_fillings, support_chain_table, support_index
 from skewfill.enumeration import enum_moon_polyominoes, enum_skew_shapes
 from skewfill.fillings import NE, SE
 from skewfill.shapes import Rect, Shape
@@ -20,10 +24,10 @@ CATALOG = [s for n in range(1, 9) for s in enum_skew_shapes(n)]
 MOONS = [m for n in range(1, 9) for m in enum_moon_polyominoes(n)]
 
 
-def row_multiset(s, rows, cols, support):
-    """Each filling's (row sums, column sums, support mask) as one integer,
-    sorted: the sums in one radix, then the mask's n bits."""
-    sums = np.column_stack([rows, cols]).astype(np.int64)
+def row_multiset(s, lines, support):
+    """Each filling's (line sums, support mask) as one integer, sorted: the
+    sums (rows, then columns) in one radix, then the mask's n bits."""
+    sums = lines.astype(np.int64)
     base = int(sums.max()) + 1
     assert base ** sums.shape[1] << s.size < 1 << 62
     return np.sort((sums @ base ** np.arange(sums.shape[1])) << s.size | support)
@@ -37,9 +41,37 @@ def test_generated_fillings_are_the_masked_ones(family, max_entry):
     for s in CATALOG if family == "catalog" else MOONS:
         got = capped_fillings(s, max_entry)
         assert not any(a[0].any() for a in got), s
+        rows, cols, support = reference_capped_fillings(s, max_entry)
         assert np.array_equal(row_multiset(s, *got),
-                              row_multiset(s, *reference_capped_fillings(s, max_entry))), s
+                              row_multiset(s, np.hstack([rows, cols]), support)), s
     assert (len(CATALOG), len(MOONS)) == (3909, 601)
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.int64])
+def test_support_index_matches_the_whole_matrix_product(dtype):
+    """Seeded random value matrices of 1..40 columns, with empty matrices
+    and all-zero rows among them."""
+    rng = np.random.default_rng(11)
+    for width in range(1, 41):
+        for rows in (0, 1, 50):
+            values = rng.integers(-2, 4, (rows, width)).astype(dtype)
+            values[::3] = 0
+            assert np.array_equal(support_index(values), reference_support_index(values))
+
+
+def test_the_filling_table_of_a_row_peaks_near_what_it_keeps():
+    """The one-row shape of 10 cells at max_entry 2 (59,049 fillings): the
+    packed sums are built without an int64 copy of the line or support
+    matrices, so the traced peak stays below 4x the lines and keys kept."""
+    row = Shape(frozenset((x, 1) for x in range(1, 11)))
+    tracemalloc.start()
+    try:
+        (lines, _, ident), _ = harness._filling_table(row, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lines.shape == (59049, 11)
+    assert peak < 4 * (lines.nbytes + ident.nbytes)
 
 
 def boxes(s):

@@ -147,6 +147,17 @@ def test_count_avoid_pattern_from_file(capsys, dent_file, tmp_path):
     assert (code, out) == (0, "112\n")
 
 
+def test_count_integer_mode_past_the_int16_range(capsys, tmp_path):
+    """Entries past 32767 on a 1-cell shape: the values 0..4 avoid the
+    filling 5.  An int16 value matrix would wrap and count 7238."""
+    cell, five = tmp_path / "cell.txt", tmp_path / "five.txt"
+    cell.write_text("#\n")
+    five.write_text("5\n")
+    code, out, _ = run(capsys, "count", "--mode", "integer", "--max-entry", "40000",
+                       "--avoid", f"@{five}", str(cell))
+    assert (code, out) == (0, "5\n")
+
+
 def test_count_rejects_unknown_pattern(capsys, dent_file):
     code, _, err = run(capsys, "count", "--avoid", "sigma3", dent_file)
     assert code == 2 and err.startswith("error:")

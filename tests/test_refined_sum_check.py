@@ -22,12 +22,12 @@ def reference_refined_sum_check(s, kmax, max_entry):
     perms = harness.sum_permutations(s)
     rho_idx = np.array(perms.rho, dtype=np.int64) - 1
     sigma_idx = np.array(perms.sigma, dtype=np.int64) - 1
-    rows, cols, chains = harness._filling_table(s, max_entry)
+    (lines, _, _), chains = harness._filling_table(s, max_entry)
     se, ne = chains(SE), chains(NE)
     bad = []
     for k in range(2, kmax + 1):
-        d_keys = np.hstack([rows[se < k], cols[se < k]])
-        i_keys = np.hstack([rows[ne < k][:, rho_idx], cols[ne < k][:, sigma_idx]])
+        d_keys = lines[se < k]
+        i_keys = lines[ne < k][:, np.concatenate([rho_idx, s.height + sigma_idx])]
         if not multiset_equal(d_keys, i_keys):
             bad.append(k)
     return bad
@@ -100,10 +100,11 @@ def wide_sides(max_entry, rng, n=40):
     stats = rng.integers(0, 3, (n, 2)).astype(np.int8)
     stats[0, 1] = 2
     order = rng.permutation(n)
-    right = stats[order], harness._sums(rows[order][:, ::-1], cols[order][:, ::-1], max_entry)
+    lines = np.hstack([rows, cols])
+    right = stats[order], harness._sums(lines[order][:, [1, 0, 3, 2]], 2, max_entry)
     broken = right[0].copy(), right[1]
     broken[0][0, 0] = (broken[0][0, 0] + 1) % 3
-    return (stats, harness._sums(rows, cols, max_entry)), right, broken, [2, 1], [2, 1]
+    return (stats, harness._sums(lines, 2, max_entry)), right, broken, [2, 1], [2, 1]
 
 
 @pytest.mark.parametrize("wide", ["sums", "digits"])
@@ -131,8 +132,8 @@ def test_class_keys_past_their_radix_compare_the_key_matrices(wide):
 def packs(h, w, digits, max_entry):
     """Whether _class_keys packs the keys of an h x w shape with this many
     chain statistics."""
-    lines = np.zeros((1, h), dtype=np.int16), np.zeros((1, w), dtype=np.int16)
-    side = np.zeros((1, digits), dtype=np.int8), harness._sums(*lines, max_entry)
+    lines = np.zeros((1, h + w), dtype=np.int16)
+    side = np.zeros((1, digits), dtype=np.int8), harness._sums(lines, h, max_entry)
     return harness._class_keys(side, side, range(1, h + 1), range(1, w + 1))[0].ndim == 1
 
 

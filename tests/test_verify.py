@@ -424,8 +424,8 @@ def recorded_frames(monkeypatch, max_cells):
 
     def table(s, max_entry):
         at["line"] = catalog_line(s)
-        rows, cols = np.zeros((1, s.height), dtype=np.int64), np.zeros((1, s.width), dtype=np.int64)
-        return rows, cols, lambda direction, region=None: np.zeros(1, dtype=np.int8)
+        sums = np.zeros((1, s.height + s.width), dtype=np.int16), None, None
+        return sums, lambda direction, region=None: np.zeros(1, dtype=np.int8)
 
     def rects(h, t, k, l, se):
         at["frame"] = (k, l)
