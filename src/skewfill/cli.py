@@ -21,8 +21,11 @@ from .shapes import _quoted, classify_shape, parse_shape
 from .structure import ferrers_decompose, render_decomposition
 
 # Most fillings one count call may scan: (max_entry + 1) ** cells, with a
-# base of 2 in the binary, sparse and transversal modes.
+# base of 2 in the binary, sparse and transversal modes.  A host of more
+# than _COUNT_CELLS_CAP cells is past it in every mode, so it is refused by
+# its cell count before base ** cells is built.
 _COUNT_BUDGET = 1 << 20
+_COUNT_CELLS_CAP = _COUNT_BUDGET.bit_length() - 1
 
 # Most cells enum-shapes lists: 1,171,631 shapes at 13 cells.  Every line
 # is held until the walk ends, since the output goes by size.  One cold
@@ -39,9 +42,12 @@ _ENUM_BATCH = 1 << 16
 # h x w grid, so its cost grows like the sixth power of the side.
 _GRID_CELLS_CAP = 225
 
-# Largest k of an iota<k> or delta<k> token.  A k x k pattern occurs only in
-# a host holding a k x k square, so within the count budget no k above 4
-# can occur; the cap stops the k x k build before it starts.
+# Largest k of an iota<k> or delta<k> token, and most rows or columns of
+# an @file pattern grid.  A host within the count budget holds at most 20
+# cells, so it spans at most 20 rows and 20 columns, and a k x k pattern
+# occurs only in a host holding a k x k square: no k above 4 can occur.
+# The cap refuses no pattern that can occur; it stops the build before
+# it starts.
 _PATTERN_CAP = 20
 
 
@@ -52,9 +58,35 @@ def _read(path: str) -> str:
         return fh.read()
 
 
+def _grid_box(text: str) -> tuple[int, int]:
+    """The width and height of a grid's normalized bounding box, read off
+    its text lines before any cell is built: a line's cells run from its
+    first to its last non-hole character.  For a grid that parses they are
+    the shape's width and height; a grid with no cells gives (0, 0)."""
+    lines = text.splitlines()
+    held = [k for k, line in enumerate(lines) if line.strip(".")]
+    if not held:
+        return 0, 0
+    width = max(len(lines[k].rstrip(".")) for k in held) - \
+        min(len(lines[k]) - len(lines[k].lstrip(".")) for k in held)
+    return width, held[-1] - held[0] + 1
+
+
+def _grid(verb: str, path: str, parse):
+    """The grid at path, parsed once its box is within the grid-cells cap."""
+    text = _read(path)
+    width, height = _grid_box(text)
+    check_budget(f"{verb}: grid cells", width * height, 0, _GRID_CELLS_CAP)
+    return parse(text)
+
+
 def _pattern_arg(text: str):
     if text.startswith("@"):
-        return parse_filling(_read(text[1:]))
+        grid = _read(text[1:])
+        width, height = _grid_box(grid)
+        check_budget("pattern grid: rows", height, 0, _PATTERN_CAP)
+        check_budget("pattern grid: columns", width, 0, _PATTERN_CAP)
+        return parse_filling(grid)
     m = TOKEN_RE.fullmatch(text.strip())
     if m is not None and m.group(2) is not None:
         check_budget("pattern size k", int(m.group(2)), 1, _PATTERN_CAP)
@@ -128,8 +160,7 @@ def _flag_text(value) -> str:
 
 
 def _cmd_classify(args) -> int:
-    s = parse_shape(_read(args.file))
-    check_budget("classify: grid cells", s.width * s.height, 1, _GRID_CELLS_CAP)
+    s = _grid("classify", args.file, parse_shape)
     props = classify_shape(s)
     lines = [f"cells: {s.size}", f"width: {s.width}", f"height: {s.height}"]
     for flag in dataclasses.fields(props):
@@ -139,21 +170,23 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    s = parse_shape(_read(args.file))
-    check_budget("decompose: grid cells", s.width * s.height, 1, _GRID_CELLS_CAP)
+    s = _grid("decompose", args.file, parse_shape)
     print(render_decomposition(ferrers_decompose(s)))
     return 0
 
 
 def _cmd_count(args) -> int:
-    s = parse_shape(_read(args.file))
+    text = _read(args.file)
+    cells = text.count("#")  # the host's cells, counted before any is built
+    check_budget("count budget: host cells", cells, 0, _COUNT_CELLS_CAP)
     spec = EnumSpec(
         mode=args.mode,
         max_entry=args.max_entry,
         avoid=tuple(_pattern_arg(a) for a in args.avoid),
     )
     base = spec.max_entry + 1 if spec.mode == "integer" else 2
-    check_budget(f"count budget: {base}^{s.size} fillings", base**s.size, 1, _COUNT_BUDGET)
+    check_budget(f"count budget: {base}^{cells} fillings", base**cells, 1, _COUNT_BUDGET)
+    s = parse_shape(text)
     print(count_avoiders(s, spec))
     return 0
 
@@ -167,8 +200,7 @@ def _cmd_enum_shapes(args) -> int:
 
 
 def _cmd_bijection(args) -> int:
-    f = parse_filling(_read(args.file))
-    check_budget("bijection: grid cells", f.shape.width * f.shape.height, 1, _GRID_CELLS_CAP)
+    f = _grid("bijection", args.file, parse_filling)
     run = full_backward if args.backward else full_forward
     result, trace = run(f, keep_trace=args.trace)
     out = render_filling(result)

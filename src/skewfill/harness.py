@@ -80,8 +80,10 @@ at column 1, which are exactly the NW Ferrers shapes
 column and row counts, bounded by the partition's rows: the full-height
 columns and the rows as long as the top row.  rubey compares a moon
 with each moon that a swap of two adjacent columns turns it into.  A
-swap keeps the multiset of column intervals, so rubey takes the moons
-one column class (one size, one such multiset) at a time.
+swap keeps the multiset of column intervals, so the swapped moon is in
+the moon's column class (one size, one such multiset) exactly when the
+swap leaves a moon.  rubey takes one class at a time, and a shard takes
+whole classes: each moon's tables are built once, in one shard.
 
 Sum classes.  The refined part of cor_sskew, lem_ferrers and rubey
 compares two multisets with a key per filling (_class_keys): on the left
@@ -581,57 +583,49 @@ def _run_lem_ferrers(params, shard):
             "details": {"level": "statistic multisets"}}
 
 
-def _rubey_pairs(max_cells: int):
-    """(class, columns, t, swapped columns) for every adjacent column swap
-    that leaves a moon, one column class at a time.  Swapping t again
-    undoes it, so each unordered pair comes once, from the moon whose
-    columns sort first; a self-swap, of two equal columns, is its own pair.
-
-    A moon is keyed by its column intervals, left to right; its class maps
-    the keys of all moons of its size with the same multiset of column
-    intervals to the moons.  Swapping columns t and t+1 keeps the multiset,
-    so the swapped moon is in the class exactly when the swap leaves a moon.
-    """
+def _column_classes(max_cells: int):
+    """The moons' column classes, size by size, each as {columns: moon}: a
+    moon's columns are its column intervals, left to right, and its class
+    holds the moons of its size with the same multiset of them."""
     for n in range(1, max_cells + 1):
         classes: dict[tuple, dict] = {}
         for m in enum_moon_polyominoes(n):
             cols = tuple((r[0], r[-1]) for r in map(m.col_rows, range(1, m.width + 1)))
             classes.setdefault(tuple(sorted(cols)), {})[cols] = m
-        for moons in classes.values():
-            for cols in moons:
-                for t in range(1, len(cols)):
-                    swapped = cols[:t - 1] + (cols[t], cols[t - 1]) + cols[t + 1:]
-                    if cols <= swapped and swapped in moons:
-                        yield moons, cols, t, swapped
+        yield from classes.values()
 
 
 def _run_rubey(params, shard):
-    """One comparison per unordered pair, counted for each of its moons
-    (see Sum classes in the module docstring)."""
+    """Swapping t again undoes a swap, so each unordered pair is compared
+    once, from the moon whose columns sort first, and counted for each of
+    its moons; a self-swap, of two equal columns, is its own pair (see Sum
+    classes in the module docstring)."""
     instances, failures, e = 0, [], params["max_entry"]
-    group, tables = None, {}  # a class and its moons' rectangle widths and sides
-    pairs = itertools.islice(_rubey_pairs(params["max_cells"]), shard[0], None, shard[1])
-    for moons, cols, t, swapped in pairs:
-        if moons is not group:
-            group, tables = moons, {}
-        for c in (cols, swapped):
-            if c not in tables:
-                rects = _rectangles(moons[c])  # a moon by construction, not checked again
-                sums, chains = _filling_table(moons[c], e)
-                tables[c] = ([r.width for r in rects],
-                             (np.column_stack([chains(NE, r) for r in rects]), sums))
-        pair = [moons[cols]] if cols == swapped else [moons[cols], moons[swapped]]
-        instances += len(pair)
-        (widths_m, side_m), (widths_s, side_s) = tables[cols], tables[swapped]
-        if len(set(widths_m)) != len(widths_m) or widths_m != widths_s:
-            clause = "rectangle widths do not match"
-        else:
-            sigma = [*range(1, t), t + 1, t, *range(t + 2, len(cols) + 1)]
-            rho = [*range(1, moons[cols].height + 1)]  # a column swap keeps every row
-            clause = None if multiset_equal(*_class_keys(side_m, side_s, rho, sigma)) \
-                else "class sizes"
-        if clause:
-            failures += [{"shape": catalog_line(m), "swap": t, "clause": clause} for m in pair]
+    for moons in itertools.islice(_column_classes(params["max_cells"]), shard[0], None, shard[1]):
+        tables = {}  # the class's moons' rectangle widths and sides, built as needed
+        for cols, m in moons.items():
+            for t in range(1, len(cols)):
+                swapped = cols[:t - 1] + (cols[t], cols[t - 1]) + cols[t + 1:]
+                if cols > swapped or swapped not in moons:
+                    continue
+                for c in (cols, swapped):
+                    if c not in tables:
+                        rects = _rectangles(moons[c])  # a moon by construction, not rechecked
+                        sums, chains = _filling_table(moons[c], e)
+                        tables[c] = ([r.width for r in rects],
+                                     (np.column_stack([chains(NE, r) for r in rects]), sums))
+                pair = [m] if cols == swapped else [m, moons[swapped]]
+                instances += len(pair)
+                (widths_m, side_m), (widths_s, side_s) = tables[cols], tables[swapped]
+                if len(set(widths_m)) != len(widths_m) or widths_m != widths_s:
+                    clause = "rectangle widths do not match"
+                else:
+                    sigma = [*range(1, t), t + 1, t, *range(t + 2, len(cols) + 1)]
+                    rho = [*range(1, m.height + 1)]  # a column swap keeps every row
+                    clause = None if multiset_equal(*_class_keys(side_m, side_s, rho, sigma)) \
+                        else "class sizes"
+                failures += [{"shape": catalog_line(p), "swap": t, "clause": clause}
+                             for p in pair if clause]
     return {"instances": instances, "failures": failures,
             "details": {"level": "cardinalities"}}
 

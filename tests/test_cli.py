@@ -6,7 +6,7 @@ from skewfill import cli
 from skewfill.cli import main
 from skewfill.enumeration import EnumSpec, catalog_line, catalog_lines, count_avoiders, \
     enum_skew_shapes
-from skewfill.fillings import pattern_library
+from skewfill.fillings import parse_filling, pattern_library
 from skewfill.harness import format_report, parse_report_csv, parse_report_json, verify
 from skewfill.shapes import classify_shape, parse_shape
 from skewfill.structure import ferrers_decompose
@@ -576,6 +576,50 @@ def test_grid_verbs_refuse_grids_over_budget(capsys, tmp_path, monkeypatch):
         path.write_text(text)
         assert run(capsys, verb, str(path))[0] == 0
     assert calls[3:] == [verb for verb, _ in big]
+
+
+@pytest.mark.parametrize("argv, token, message", [
+    (("classify", "BIG"), "#", "classify: grid cells=200000 exceeds cap 225"),
+    (("decompose", "BIG"), "#", "decompose: grid cells=200000 exceeds cap 225"),
+    (("bijection", "BIG"), "0", "bijection: grid cells=200000 exceeds cap 225"),
+    (("count", "BIG"), "#", "count budget: host cells=200000 exceeds cap 20"),
+    (("count", "--avoid", "@BIG", "SHAPE"), "0", "pattern grid: columns=200000 exceeds cap 20"),
+], ids=["classify", "decompose", "bijection", "count", "avoid_file"])
+def test_an_oversized_grid_is_refused_before_it_is_parsed(capsys, tmp_path, monkeypatch,
+                                                         dent_file, argv, token, message):
+    monkeypatch.delenv("SKEWFILL_BUDGET_OVERRIDE", raising=False)
+    parsed = []
+
+    def recorded(parse):
+        def run_parse(text):
+            parsed.append(len(text))
+            return parse(text)
+        return run_parse
+
+    monkeypatch.setattr("skewfill.cli.parse_shape", recorded(parse_shape))
+    monkeypatch.setattr("skewfill.cli.parse_filling", recorded(parse_filling))
+    big = tmp_path / "big.txt"
+    big.write_text(token * 200_000 + "\n")
+    argv = [a.replace("BIG", str(big)).replace("SHAPE", str(dent_file)) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and message in err
+    assert all(n < 200_000 for n in parsed)
+
+
+def test_count_caps_an_avoid_file_at_20_rows_and_columns(capsys, tmp_path, dent_file,
+                                                        monkeypatch):
+    monkeypatch.delenv("SKEWFILL_BUDGET_OVERRIDE", raising=False)
+    pattern = tmp_path / "pattern.txt"
+    for text, message in (("0" * 21 + "\n", "columns=21 exceeds cap 20"),
+                          ("0\n" * 21, "rows=21 exceeds cap 20")):
+        pattern.write_text(text)
+        code, out, err = run(capsys, "count", "--avoid", f"@{pattern}", str(dent_file))
+        assert (code, out) == (2, "") and message in err
+    pattern.write_text("0" * 20 + "\n")  # at the cap, and it cannot occur
+    assert run(capsys, "count", "--avoid", f"@{pattern}", str(dent_file))[:2] == (0, "128\n")
+    monkeypatch.setenv("SKEWFILL_BUDGET_OVERRIDE", "1")
+    pattern.write_text("0\n" * 21)
+    assert run(capsys, "count", "--avoid", f"@{pattern}", str(dent_file))[:2] == (0, "128\n")
 
 
 def test_count_refuses_oversized_pattern_tokens(capsys, dent_file, monkeypatch):

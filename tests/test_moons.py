@@ -140,6 +140,26 @@ def test_rubey_shards_merge_to_the_serial_report(max_entry):
     assert serial.passed
 
 
+def test_rubey_shards_build_each_moon_table_once(monkeypatch):
+    """A shard takes whole column classes, so the shards together build
+    each moon's table once, as many as a serial run builds."""
+    built = []
+    table = harness._filling_table
+    monkeypatch.setattr(harness, "_filling_table",
+                        lambda m, max_entry: built.append(m) or table(m, max_entry))
+    for jobs in (1, 2, 3):
+        built.clear()
+        for k in range(jobs):
+            harness._run("rubey", {"max_cells": 8, "max_entry": 1}, (k, jobs))
+        assert (len(built), len(set(built))) == (593, 593)
+
+
+def test_rubey_shards_outnumbering_the_classes_merge_to_the_serial_report(fake_pool):
+    assert sum(1 for _ in harness._column_classes(4)) < 64  # some shards get no class
+    assert verify("rubey", max_cells=4, jobs=64) == verify("rubey", max_cells=4)
+    assert fake_pool == [64]
+
+
 # ((2,2),(1,3),(1,2)) swaps only at t=2, into ((2,2),(1,2),(1,3)), which
 # in turn swaps only back
 TARGET = ((2, 2), (1, 3), (1, 2))
@@ -167,12 +187,14 @@ def perturbed_target(monkeypatch):
     monkeypatch.setattr(harness, "_filling_table", perturbed)
 
 
-def test_rubey_failure_names_the_moon_of_its_pair(perturbed_target):
-    r = verify("rubey", max_cells=6)
-    assert r.failures == sorted(
-        ({"shape": catalog_line(shape_of_columns(cols)), "swap": 2, "clause": "class sizes"}
-         for cols in (TARGET, PARTNER)),
-        key=lambda f: json.dumps(f, sort_keys=True))
+def test_rubey_failure_names_the_moon_of_its_pair(perturbed_target, fake_pool):
+    for jobs in (1, 3):  # the failing class's witness survives the dealing
+        r = verify("rubey", max_cells=6, jobs=jobs)
+        assert r.failures == sorted(
+            ({"shape": catalog_line(shape_of_columns(cols)), "swap": 2, "clause": "class sizes"}
+             for cols in (TARGET, PARTNER)),
+            key=lambda f: json.dumps(f, sort_keys=True))
+    assert fake_pool == [3]
 
 
 def test_rubey_matches_pair_loop_with_a_perturbed_key(perturbed_target):
