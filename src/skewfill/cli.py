@@ -95,17 +95,27 @@ def _pattern_arg(text: str):
 
 
 def integer(text: str) -> int:
-    """An integer option: ASCII digits 0-9 after an optional minus sign.
-    int() alone takes any Unicode decimal digit.  argparse prints the
-    message of an ArgumentTypeError as it is, where for a ValueError it
-    would quote the whole value, and exits 2."""
-    if re.fullmatch(r"-?[0-9]+", text) is None:
+    """An integer option: 1 to 640 ASCII digits after an optional minus
+    sign.  int() alone takes any Unicode decimal digit, and past 640
+    digits it may raise ValueError (PYTHONINTMAXSTRDIGITS sets where).
+    argparse prints the message of an ArgumentTypeError as it is, where
+    for a ValueError it would quote the whole value, and exits 2."""
+    if re.fullmatch(r"-?[0-9]{1,640}", text) is None:
         raise argparse.ArgumentTypeError(f"invalid integer value: {_quoted(text)}")
     return int(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, quoting a bad choice or an unknown verb cut, as
+    every other bad input is; the usage line above lists the choices."""
+
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            raise argparse.ArgumentError(action, f"invalid choice: {_quoted(value)}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="skewfill",
         description="Skew-shape fillings: classification, decomposition, "
         "counting, and property verification.",

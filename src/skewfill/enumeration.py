@@ -20,9 +20,10 @@ The generator extends such lists one column at a time for each h: until
 [1, h] appears each new column holds the last one, and from then on each
 lies inside the last one and is nested with every earlier column.
 
-Filling enumeration supports four modes: binary, sparse (at most one
-1-cell per row and column), transversal (exactly one per row and column),
-and bounded-entry integer fillings.
+Filling enumeration supports four modes: binary, integer (bounded
+entries), sparse and transversal (at most, and exactly, one 1-cell per
+row and column).  One recursion yields the first three: sparse is the
+binary one refusing a 1 in a row or column that already holds one.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from ._engine import line_sums, support_index, value_matrix
+from ._engine import line_sums, value_matrix
 from .fillings import Filling, SumVector, as_pattern, avoids, sum_vector
 from .shapes import (
     Shape,
@@ -60,6 +61,9 @@ class EnumSpec:
     avoid: tuple = ()
 
     def __post_init__(self):
+        for name, value in (("max_entry", self.max_entry), ("max_total", self.max_total)):
+            if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
+                raise ValueError(f"{name}={_quoted(value)} is not an integer")
         if self.mode not in _MODES:
             raise ValueError(f"unknown mode {self.mode!r}, expected one of {_MODES}")
         if self.mode == "integer":
@@ -347,51 +351,36 @@ def enum_moon_polyominoes(n: int):
 
 def _enum_values(s: Shape, spec: EnumSpec):
     """Raw value tuples for the mode, in deterministic order.  Every mode
-    prunes on the running total when spec.max_total is set."""
+    prunes on the running total when spec.max_total is set; a negative one
+    yields nothing.  In the one recursion a sparse cell carries a bit for
+    its row and one for its column, and every other cell 0."""
     cells = s.sorted_cells()
     n = len(cells)
     # without a max_total, the largest possible total, which never prunes
     total_cap = n * (spec.max_entry or 1) if spec.max_total is None else spec.max_total
-    if spec.mode in ("binary", "integer"):
-        cap = 1 if spec.mode == "binary" else spec.max_entry
-
-        def rec(idx, acc, total):
-            if idx == n:
-                yield tuple(acc)
-                return
-            for v in range(min(cap, total_cap - total) + 1):
-                acc.append(v)
-                yield from rec(idx + 1, acc, total + v)
-                acc.pop()
-
-        yield from rec(0, [], 0)
+    if spec.mode == "transversal":  # one 1-cell in every row and every column
+        if s.height != s.width:
+            raise ValueError("transversal mode requires height = width")
+        if s.height > total_cap:
+            return
+        for p in _transversals([s.row_cols(y) for y in range(1, s.height + 1)]):
+            yield tuple(int(p[y - 1] == x) for x, y in cells)
         return
+    cap = spec.max_entry if spec.mode == "integer" else 1
+    lines = [1 << y | 1 << (s.height + x) if spec.mode == "sparse" else 0 for x, y in cells]
 
-    if spec.mode == "sparse":
-        def rec(idx, acc, rows_used, cols_used):
-            if idx == n:
-                yield tuple(acc)
-                return
-            x, y = cells[idx]
-            acc.append(0)
-            yield from rec(idx + 1, acc, rows_used, cols_used)
+    def rec(idx, acc, total, used):
+        if idx == n:
+            yield tuple(acc)
+            return
+        line = lines[idx]
+        for v in range(1 if used & line else min(cap, total_cap - total) + 1):
+            acc.append(v)
+            yield from rec(idx + 1, acc, total + v, used | line if v else used)
             acc.pop()
-            if y not in rows_used and x not in cols_used and len(rows_used) < total_cap:
-                acc.append(1)
-                yield from rec(idx + 1, acc, rows_used | {y}, cols_used | {x})
-                acc.pop()
 
-        if total_cap >= 0:
-            yield from rec(0, [], frozenset(), frozenset())
-        return
-
-    # transversal: one 1-cell in every row and every column
-    if s.height != s.width:
-        raise ValueError("transversal mode requires height = width")
-    if s.height > total_cap:
-        return
-    for p in _transversals([s.row_cols(y) for y in range(1, s.height + 1)]):
-        yield tuple(int(p[y - 1] == x) for x, y in cells)
+    if total_cap >= 0:
+        yield from rec(0, [], 0, 0)
 
 
 def _transversals(rows) -> list[tuple[int, ...]]:
@@ -438,30 +427,22 @@ def count_avoiders(s: Shape, spec: EnumSpec) -> int:
     """How many fillings enum_fillings(s, spec) yields, in one array scan.
 
     Candidates are laid out over s.sorted_cells(): cell c_{k+1} is bit k
-    of a binary code, or column k of an integer value row.  Binary mode
-    scans every code below 2^n and integer mode every row of
-    value_matrix; sparse and transversal mode, and any max_total, take
-    the pruned output of the generator behind enum_fillings, so a large
-    square shape costs its transversals only.  Each pattern's shape
-    occurrences are found once.  A binary code holds an occurrence iff
-    code & mask == mask over the pattern's nonzero cells (never when the
-    pattern has an entry of 2 or more); an integer row holds it iff it
-    dominates the pattern's values there.  An all-zero pattern is held
-    wherever its shape occurs.  Memory: one int64 per binary candidate
-    (8 MB at 2^20 codes), n int64 per integer candidate, and n int64 per
-    surviving binary code when sums are required.
+    of a binary code, or column k of a value row.  Only the full binary
+    scan (binary mode, no max_total) uses codes, every code below 2^n.
+    Integer mode without a max_total takes every row of value_matrix;
+    sparse and transversal mode, and any max_total, take the value rows
+    of the generator behind enum_fillings, so a large square shape costs
+    its transversals only.  Each pattern's shape occurrences are found
+    once.  A code holds an occurrence iff code & mask == mask over the
+    pattern's nonzero cells (never when the pattern has an entry of 2 or
+    more); a value row holds it iff it dominates the pattern's values
+    there.  An all-zero pattern is held wherever its shape occurs.
+    Memory: one int64 per code (8 MB at 2^20 codes), n int64 per value
+    row, and n int64 per surviving code when sums are required.
     """
-    pruned = spec.mode in ("sparse", "transversal") or spec.max_total is not None
     needs = _requirements(s, spec.avoid)
-    if spec.mode == "integer":
-        values = _value_rows(s, spec) if pruned else value_matrix(s.size, spec.max_entry)
-        for cells, need in needs:
-            values = values[~(values[:, cells] >= need).all(axis=1)]
-    else:
-        if pruned:
-            codes = support_index(_value_rows(s, spec))
-        else:
-            codes = np.arange(1 << s.size, dtype=np.int64)
+    if spec.mode == "binary" and spec.max_total is None:
+        codes = np.arange(1 << s.size, dtype=np.int64)
         for cells, need in needs:
             if set(need) <= {1}:  # an entry of 2 or more never occurs here
                 mask = sum(1 << k for k in cells)
@@ -469,6 +450,13 @@ def count_avoiders(s: Shape, spec: EnumSpec) -> int:
         if spec.sums is None:
             return len(codes)
         values = (codes[:, None] >> np.arange(s.size)) & 1
+    else:
+        if spec.mode == "integer" and spec.max_total is None:
+            values = value_matrix(s.size, spec.max_entry)
+        else:
+            values = _value_rows(s, spec)
+        for cells, need in needs:
+            values = values[~(values[:, cells] >= need).all(axis=1)]
     sums = spec.sums
     if sums is None:
         return len(values)

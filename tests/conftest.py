@@ -7,9 +7,10 @@ direct filtering, the span block splitter against the block procedure
 on cell sets, the span validator against the decomposition checks on
 cell sets, the sum-capped filling generator against a mask over all
 value vectors, support masks against a whole-matrix product, region
-chain tables against the recursion over the whole shape, and the catalog
+chain tables against the recursion over the whole shape, the catalog
 walk and its lines against the walk that appended each list's children
-to a fresh list and formatted each row.
+to a fresh list and formatted each row, and the filling generator
+against one recursion per mode.
 Pinned constants in the test modules were produced by these oracles.
 """
 
@@ -29,8 +30,8 @@ from skewfill._engine import (
     support_index,
     value_matrix,
 )
-from skewfill.enumeration import EnumSpec, _flag_prefix, _value_rows, catalog_line, \
-    enum_skew_shapes
+from skewfill.enumeration import EnumSpec, _flag_prefix, _transversals, _value_rows, \
+    catalog_line, enum_skew_shapes
 from skewfill.fillings import NE, SE, Filling
 from skewfill.shapes import (
     Rect,
@@ -564,6 +565,54 @@ def reference_catalog_lines(max_cells: int, connected: bool, ds_free: bool) -> l
         heads[d] = head = f"{heads[d - 1]}({a},{b}),"
         by_size[used].append(head[:-1] + "]")
     return [line for lines in by_size for line in lines]
+
+
+def reference_enum_values(s: Shape, spec: EnumSpec):
+    """enumeration._enum_values with a recursion of its own per mode: the
+    binary and integer one prunes on the running total, and the sparse one
+    tries 0 and then 1, a 1 only in a row and column without one."""
+    cells = s.sorted_cells()
+    n = len(cells)
+    total_cap = n * (spec.max_entry or 1) if spec.max_total is None else spec.max_total
+    if spec.mode in ("binary", "integer"):
+        cap = 1 if spec.mode == "binary" else spec.max_entry
+
+        def rec(idx, acc, total):
+            if idx == n:
+                yield tuple(acc)
+                return
+            for v in range(min(cap, total_cap - total) + 1):
+                acc.append(v)
+                yield from rec(idx + 1, acc, total + v)
+                acc.pop()
+
+        yield from rec(0, [], 0)
+        return
+
+    if spec.mode == "sparse":
+        def rec(idx, acc, rows_used, cols_used):
+            if idx == n:
+                yield tuple(acc)
+                return
+            x, y = cells[idx]
+            acc.append(0)
+            yield from rec(idx + 1, acc, rows_used, cols_used)
+            acc.pop()
+            if y not in rows_used and x not in cols_used and len(rows_used) < total_cap:
+                acc.append(1)
+                yield from rec(idx + 1, acc, rows_used | {y}, cols_used | {x})
+                acc.pop()
+
+        if total_cap >= 0:
+            yield from rec(0, [], frozenset(), frozenset())
+        return
+
+    if s.height != s.width:
+        raise ValueError("transversal mode requires height = width")
+    if s.height > total_cap:
+        return
+    for p in _transversals([s.row_cols(y) for y in range(1, s.height + 1)]):
+        yield tuple(int(p[y - 1] == x) for x, y in cells)
 
 
 @pytest.fixture

@@ -494,7 +494,14 @@ CUT = "more characters cut"
      "int too long to print"),
     (("verify", "genskew", "--max-cells", "x" * 100_000), "invalid integer value", CUT),
     (("count", "--avoid", "x" * 100_000, "SHAPE"), "unknown pattern token", CUT),
-], ids=["catalog_line", "interval", "cells", "cells_past_digit_limit", "integer", "pattern"])
+    # all digits, but past the interpreter's limit on parsed digits
+    (("verify", "genskew", "--max-cells", "9" * 5000), "invalid integer value", CUT),
+    (("verify", "x" * 5000), "invalid choice", CUT),
+    (("verify", "genskew", "--format", "x" * 5000), "invalid choice", CUT),
+    (("count", "--mode", "x" * 5000, "SHAPE"), "invalid choice", CUT),
+    (("x" * 5000,), "invalid choice", CUT),
+], ids=["catalog_line", "interval", "cells", "cells_past_digit_limit", "integer", "pattern",
+        "integer_past_digit_limit", "property", "format", "mode", "verb"])
 def test_a_long_bad_input_is_quoted_cut(capsys, monkeypatch, dent_file, argv, message, marker):
     monkeypatch.delenv("SKEWFILL_BUDGET_OVERRIDE", raising=False)
     code, out, err = run(capsys, *(str(dent_file) if a == "SHAPE" else a for a in argv))

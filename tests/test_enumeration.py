@@ -7,12 +7,13 @@ from functools import partial
 import pytest
 
 from conftest import brute_transversal_count, ferrers_difference_shapes, reference_catalog_lines, \
-    reference_catalog_walk, transversal_codes
+    reference_catalog_walk, reference_enum_values, transversal_codes
 from skewfill.enumeration import (
     EnumSpec,
     _admits_transversal,
     _catalog_walk,
     _diagonal_prefix,
+    _enum_values,
     _ferrers_prefix,
     _filter_prefix,
     _flag_prefix,
@@ -289,6 +290,47 @@ def test_enum_spec_validation():
         EnumSpec(mode="integer")
     with pytest.raises(ValueError):
         EnumSpec(mode="binary", max_entry=3)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"mode": "integer", "max_entry": 1.5},
+    {"max_total": 1.5},
+    {"max_total": "2"},
+    {"mode": "integer", "max_entry": True},
+    {"max_total": False},
+], ids=["max_entry_float", "max_total_float", "max_total_str", "max_entry_bool", "max_total_bool"])
+def test_enum_spec_refuses_a_bound_that_is_not_an_int(kwargs):
+    with pytest.raises(ValueError, match="is not an integer"):
+        EnumSpec(**kwargs)
+
+
+def test_a_negative_max_total_yields_no_filling():
+    empty = Shape(frozenset())
+    for mode, max_entry in (("binary", None), ("sparse", None), ("transversal", None),
+                            ("integer", 2)):
+        spec = EnumSpec(mode=mode, max_entry=max_entry, max_total=-1)
+        for s in (empty, SQUARE, DENT):
+            assert list(_enum_values(s, spec)) == []
+            assert count_avoiders(s, spec) == 0
+    assert list(_enum_values(empty, EnumSpec(max_total=0))) == [()]
+
+
+def test_enum_values_match_the_recursion_per_mode():
+    # the order is pinned too: enum_fillings streams these tuples as they come
+    specs = [EnumSpec(mode=mode, max_entry=max_entry, max_total=max_total)
+             for mode, max_entry in (("binary", None), ("sparse", None), ("transversal", None),
+                                     ("integer", 1), ("integer", 2))
+             for max_total in (None, -1, 0, 1, 2, 3)]
+    for n in range(1, 7):
+        for s in enum_skew_shapes(n):
+            for spec in specs:
+                try:
+                    want = list(reference_enum_values(s, spec))
+                except ValueError:  # transversal mode on a shape that is not square
+                    with pytest.raises(ValueError, match="height = width"):
+                        list(_enum_values(s, spec))
+                    continue
+                assert list(_enum_values(s, spec)) == want, (catalog_line(s), spec)
 
 
 def test_count_avoiders_transversal_pins():
