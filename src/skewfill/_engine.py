@@ -11,10 +11,13 @@ cell is c_{i+1}.  When X is smaller than 2x2 the step is the identity.
 Otherwise X is a w x h box with c_{i+1} at its top-right, and step i
 acts on X exactly as the last step (i = wh - 1) of the w x h box shape
 acts on the same bit pattern: within X the labels run row by row, left
-to right, as they do in the box.  So each box size has one table of the
-images of all 2^(wh) patterns, built once from the support recipes, and
-a shape's step gathers its X rows into a box pattern, looks the image
-up, and scatters it back.
+to right, as they do in the box.  So each box size and direction has
+one table of the images of all 2^(wh) patterns, and a shape's step
+gathers its X rows into a box pattern, looks the image up, and scatters
+it back.  A table is built for all patterns at once from column masks of
+the box: which columns of A and of R hold a 1, and whether C and c_{i+1}
+do, pick each pattern's class, and one pass over the w - 1 columns of A
+moves their contents for the classes that shift them (see _step_table).
 
 The occurrences behind dmax and umin come straight from the rows.  In a
 skew shape every row is an interval, so a 2x2 box of cells is a row pair
@@ -92,7 +95,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .bijection import _backward_support, _forward_support, cell_labels, step_anatomy
+from .bijection import cell_labels
 from .fillings import NE, SE
 from .shapes import Rect, Shape, _lower_rows, _top_row_dents, is_skew, skew_rectangles
 
@@ -273,19 +276,63 @@ def _apply_one(F: np.ndarray, step, forward: bool) -> np.ndarray:
 @lru_cache
 def _step_table(w: int, h: int, forward: bool) -> np.ndarray:
     """Image of every bit pattern of the w x h box under its last step,
-    -1 where the step is undefined; see the module docstring."""
-    box = Shape(frozenset(Rect(1, w, 1, h).cells()))
-    an = step_anatomy(box, w * h - 1)
-    cells = box.sorted_cells()
-    fn = _forward_support if forward else _backward_support
-    table = np.full(1 << len(cells), -1, dtype=np.int64)
-    for pattern in range(len(table)):
-        try:
-            image = fn(an, frozenset(c for k, c in enumerate(cells) if pattern >> k & 1))
-        except ValueError:
-            continue
-        table[pattern] = sum(1 << ((y - 1) * w + x - 1) for x, y in image)
-    return table
+    -1 where the step is undefined; see the module docstring.
+
+    c_{i+1} is the cell (w, h), R the rest of row h, C the rest of column
+    w and A columns 1..w-1 x rows 1..h-1.  Per pattern, nz marks the
+    columns of A that hold a 1 and r those of R; first is the lowest
+    column of nz.  The classes are those of classify_lower (forward) and
+    classify_upper (backward), read off the masks:
+
+      forward   1  c_{i+1} unset, or nz empty
+                2  C holds a 1
+                3  nz meets r, nz one column
+                4  nz meets r, nz two or more columns
+                5  nz and r disjoint
+      backward  1  C or r empty
+                3  c_{i+1} set
+                2  nz meets r, r one column
+                4  nz meets r, r two or more columns
+                5  nz and r disjoint
+
+    Classes 3 to 5 forward move the contents of the nz columns one slot
+    right, the last into C, in one left-to-right pass.  Classes 4 and 5
+    backward move them one slot left, C's into the last and the first's
+    into c1, in one right-to-left pass; c1 is the last column of r left
+    of first (of all of r when nz is empty).  Backward is undefined in
+    class 4 when no column of r lies left of first, and in class 5 when
+    one lies right of it.
+    """
+    code = _codes(w * h)
+    col = sum(1 << (y * w) for y in range(h - 1))  # column 1 below row h
+    top, corner = (h - 1) * w, 1 << (w * h - 1)  # the bits of (1, h) and of c_{i+1}
+    a = [code >> x & col for x in range(w)]  # columns 1..w below row h, moved to column 1
+    c = a.pop()
+    nz = sum((ax != 0).astype(np.int64) << x for x, ax in enumerate(a))
+    r = code >> top & (1 << (w - 1)) - 1
+    first, over = nz & -nz, nz & r != 0
+    high = np.zeros(1 << (w - 1), dtype=np.int64)  # the highest set bit, 0 for 0
+    for x in range(w - 1):
+        high[1 << x: 2 << x] = 1 << x
+    c1 = high[r & first - 1]
+    moved, carry = code & ~(col * ((1 << w) - 1)), 0 if forward else c  # A and C cleared
+    into = nz if forward else nz | c1
+    for x in range(w - 1) if forward else reversed(range(w - 1)):
+        moved |= np.where(into >> x & 1, carry, 0) << x
+        carry = np.where(a[x] != 0, a[x], carry)
+    if forward:
+        moved |= carry << (w - 1)
+        rest = nz & nz - 1  # nz without first
+        return _frozen(np.select(
+            [(code & corner == 0) | (nz == 0), c != 0, over & (rest == 0), over],
+            [code, (code | first << top) & ~corner, moved,
+             (moved | (rest & -rest) << top) & ~corner], (moved | first << top) & ~corner))
+    return _frozen(np.select(
+        [(c == 0) | (r == 0), code & corner != 0, over & (r & r - 1 == 0), over & (c1 == 0), over,
+         r & first - 1 != r],
+        [code, code & ~(col << (w - 1) | col * high[r]) | c * high[r],
+         code & ~((r & -r) << top) | corner, -1, moved & ~(first << top) | corner, -1],
+        moved & ~(c1 << top) | corner))
 
 
 def _chain_recursion(cells, direction: str) -> np.ndarray:

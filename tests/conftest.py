@@ -9,11 +9,13 @@ cell sets, the sum-capped filling generator against a mask over all
 value vectors, support masks against a whole-matrix product, region
 chain tables against the recursion over the whole shape, the catalog
 walk and its lines against the walk that appended each list's children
-to a fresh list and formatted each row, and the filling generator
-against one recursion per mode.
+to a fresh list and formatted each row, the filling generator
+against one recursion per mode, and the box step tables against one
+support-recipe call per pattern.
 Pinned constants in the test modules were produced by these oracles.
 """
 
+import functools
 import itertools
 import json
 
@@ -22,6 +24,7 @@ import pytest
 from hypothesis import strategies as st
 
 from skewfill import harness
+from skewfill.bijection import _backward_support, _forward_support, step_anatomy
 from skewfill._engine import (
     line_sums,
     multiset_equal,
@@ -445,6 +448,25 @@ def reference_region_chains(s: Shape, direction: str, region: Rect) -> np.ndarra
         before = sum(1 << k for k, (u, v) in enumerate(cells[:b])
                      if v < y and (u < x if direction == NE else u > x) and (u, v) in region)
         np.maximum(head, head[low[: 1 << b] & before] + 1, out=tail)
+    return table
+
+
+@functools.lru_cache
+def reference_step_table(w: int, h: int, forward: bool) -> np.ndarray:
+    """Image of every bit pattern of the w x h box under its last step,
+    -1 where the step is undefined, by one call of the support recipe
+    (bijection._forward_support or _backward_support) per pattern."""
+    box = Shape(frozenset(Rect(1, w, 1, h).cells()))
+    an = step_anatomy(box, w * h - 1)
+    cells = box.sorted_cells()
+    fn = _forward_support if forward else _backward_support
+    table = np.full(1 << len(cells), -1, dtype=np.int64)
+    for pattern in range(len(table)):
+        try:
+            image = fn(an, frozenset(c for k, c in enumerate(cells) if pattern >> k & 1))
+        except ValueError:
+            continue
+        table[pattern] = sum(1 << ((y - 1) * w + x - 1) for x, y in image)
     return table
 
 

@@ -1,6 +1,7 @@
 """Differential tests for the bitmask fast paths of the genskew engine."""
 
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -8,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import skew_shapes
+from conftest import reference_step_table, skew_shapes
+from skewfill import bijection
 from skewfill._engine import ShapeContext, _step_table, multiset_equal
 from skewfill.bijection import in_G, label_index, step_backward, step_forward
 from skewfill.enumeration import catalog_line, enum_skew_shapes, parse_catalog_line
 from skewfill.fillings import Filling, as_pattern, find_filling_occurrences
-from skewfill.harness import _contexts
+from skewfill.harness import _contexts, verify
 from skewfill.shapes import _row_spans, is_skew, normalize, parse_shape
 from test_genskew_runner import components
 
@@ -100,7 +102,7 @@ def step_images(F, step, forward):
     _, w, bases = step
     row = (1 << w) - 1
     pattern = sum(((F >> base) & row) << (r * w) for r, base in enumerate(bases))
-    image = _step_table(w, len(bases), forward)[pattern]
+    image = reference_step_table(w, len(bases), forward)[pattern]
     out = F & ~sum(row << base for base in bases)
     for r, base in enumerate(bases):
         out |= ((image >> (r * w)) & row) << base
@@ -141,6 +143,38 @@ def assert_tables_match(ctx):
         for code in codes[~defined].tolist():
             with pytest.raises(ValueError, match="is undefined"):
                 ctx.apply_all(np.array([code], dtype=np.int64), direction)
+
+
+def test_step_tables_match_the_support_recipes():
+    boxes = [(w, h) for w in range(2, 7) for h in range(2, 7) if w * h <= 12]
+    assert len(boxes) == 12
+    for (w, h), forward in itertools.product(boxes, (True, False)):
+        got = _step_table(w, h, forward)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, reference_step_table(w, h, forward)), (w, h, forward)
+    # the backward step is undefined on some 3x2 patterns (a class 4 or 5
+    # without a recoverable column), and the table says so
+    assert np.count_nonzero(_step_table(3, 2, False) == -1) == 3
+
+
+def test_genskew_and_lemma_gi_never_call_the_support_recipes(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a Filling-level step recipe was called")
+
+    # under every name a skewfill module holds them by
+    recipes = [getattr(bijection, name) for name in
+               ("_forward_support", "_backward_support", "step_anatomy")]
+    for module in [m for name, m in sys.modules.items() if name.startswith("skewfill")]:
+        for name, value in list(vars(module).items()):
+            if any(value is fn for fn in recipes):
+                monkeypatch.setattr(module, name, refuse)
+    _step_table.cache_clear()  # every table is built afresh under the patch
+    try:
+        genskew, lemma_gi = verify("genskew", max_cells=8), verify("lemma_gi", max_cells=7)
+    finally:
+        _step_table.cache_clear()
+    assert (genskew.failures, genskew.instances, genskew.details) == ([], 810230, {"shapes": 3909})
+    assert (lemma_gi.failures, lemma_gi.instances, lemma_gi.details) == ([], 6913, {"shapes": 1250})
 
 
 def test_walk_tables_match_whole_shape_construction():
