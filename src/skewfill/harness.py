@@ -28,6 +28,16 @@ Property tokens and their instance counts:
   ds_free_oracle agreement of the two dent-freeness criteria plus the
                  decompose/validate round-trip; instances = shapes.
 
+One runner, _run, drives every property (_PROPERTIES).  A property's
+source(params, shard) yields the items a shard owns: catalog lists that
+pass a prefix test (_walk), ShapeContexts (_contexts), rubey's column
+classes or ds_free_oracle's lists with their dent bits (_dent_walk).
+Its check(item, params) gives one item's (instances, failures, details),
+and covered(params), set for conjecture, genskew and lemma_gi, the same
+for the catalog shapes no check scans; shard 0 adds it.  One fold, _add,
+merges the items into a shard's part and the parts into the report:
+ints add, bools OR, lists join and any other value is kept.
+
 The three transversal properties walk only the catalog shapes they can
 use; a pruned walk yields the lists of the full walk that pass its
 prefix test, in the same order (enumeration._catalog_walk).  thm_bp and
@@ -36,25 +46,25 @@ shapes admitting a transversal; its square shapes are those shapes.
 All three read the transversals off the rows as permutations, with no
 Shape, ShapeContext or 2^n table (the argument is at
 _transversal_chains).  A shape without a transversal counts (0, 0) for
-every k in conjecture, never a failure, so conjecture takes its
-instances, kmax per catalog shape, from enumeration.catalog_sums, which
-counts the catalog by the walk's own child rule; shard 0 reports it.
+every k in conjecture, never a failure, so conjecture's covered gives
+its instances, kmax per catalog shape, from enumeration.catalog_sums,
+which counts the catalog by the walk's own child rule.
 cor_sskew walks the connected, dent-free row prefixes, and its refined
 part runs on those of at most refine_cells cells.
 
 genskew and lemma_gi scan the connected shapes of the catalog on the
 connected walk, one ShapeContext each, and cover the disconnected ones
-by the product lemma below.  Like conjecture, they take instances and
-shapes for the whole catalog from enumeration.catalog_sums, on shard 0,
-so instances counts the fillings, or the (shape, step) pairs, covered,
-not those scanned.  The differential tests check the lemma against a
+by the product lemma below.  Like conjecture's, their covered gives
+instances and shapes for the whole catalog from catalog_sums, so
+instances counts the fillings, or the (shape, step) pairs, covered, not
+those scanned.  The differential tests check the lemma against a
 scan of every shape up to a small budget; above it, a disconnected
 shape is covered by the lemma and not by its own scan.  A single shape
 given as a parameter is scanned itself, connected or not.  genskew maps
 stage 1 forward, checks that the sorted image is stage N and that each
 code keeps its row key, and maps the image back; the repeat test and
 the direct refined counts follow from the first two checks, so they run
-only when one of those fails (the argument is at _genskew_clauses).
+only when one of those fails (the argument is at _check_genskew).
 
 The product lemma.  Order the components of a skew shape from lower
 left to upper right.  Their rows and their columns are disjoint, and
@@ -145,7 +155,7 @@ import operator
 import os
 import time
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
@@ -275,7 +285,15 @@ def parse_report_csv(text: str) -> VerificationReport:
         csv.field_size_limit(limit)
 
 
-# --- runners ---------------------------------------------------------------
+# --- sources and checks ----------------------------------------------------
+
+
+def _walk(keep, square=False):
+    """The source of the catalog lists a shard owns on the walk that keep
+    prunes (enumeration._catalog_walk), only the square ones if asked."""
+    return lambda params, shard: (
+        intervals for intervals, _, mine in _catalog_walk(params["max_cells"], shard, keep)
+        if mine and (not square or intervals[-1][1] == len(intervals)))
 
 
 def _contexts(params, shard, keep=None):
@@ -355,35 +373,23 @@ def _bp_counts(intervals) -> tuple[int, int]:
     return d_count, u_count
 
 
-def _run_conjecture(params, shard):
-    failures, strict, ds_strict = [], 0, False
-    dent = tuple(_row_spans(dent_shape()).values())
+_DENT = tuple(_row_spans(dent_shape()).values())  # the dent's row intervals
+
+
+def _check_conjecture(intervals, params):
+    failures, strict = [], 0
     ks = range(1, params["kmax"] + 1)
-    instances = len(ks) * catalog_sums(params["max_cells"])[0] if shard[0] == 0 else 0
-    for intervals, _, mine in _catalog_walk(params["max_cells"], shard, _diagonal_prefix):
-        if not mine or intervals[-1][1] != len(intervals):
-            continue
-        for k, (ti, td) in zip(ks, _tr_counts(intervals, ks)):
-            if ti < td:
-                failures.append({"shape": _line(intervals), "k": k, "iota": ti, "delta": td})
-            elif ti > td:
-                strict += 1
-                ds_strict = ds_strict or intervals == dent
-    return {"instances": instances, "failures": failures,
-            "details": {"strict": strict, "ds_strict": ds_strict}}
+    for k, (ti, td) in zip(ks, _tr_counts(intervals, ks)):
+        if ti < td:
+            failures.append({"shape": _line(intervals), "k": k, "iota": ti, "delta": td})
+        strict += ti > td
+    return 0, failures, {"strict": strict, "ds_strict": strict > 0 and intervals == _DENT}
 
 
-def _run_thm_bp(params, shard):
-    instances, failures = 0, []
-    for intervals, _, mine in _catalog_walk(params["max_cells"], shard, _diagonal_prefix):
-        if not mine or intervals[-1][1] != len(intervals):
-            continue
-        instances += 1
-        for clause, count in zip(("delta2", "iota2+fd"), _bp_counts(intervals)):
-            if count != 1:
-                failures.append({"shape": _line(intervals), "clause": clause, "count": count})
-    return {"instances": instances, "failures": failures,
-            "details": {"shapes_with_transversal": instances}}
+def _check_thm_bp(intervals, params):
+    return 1, [{"shape": _line(intervals), "clause": clause, "count": count}
+               for clause, count in zip(("delta2", "iota2+fd"), _bp_counts(intervals))
+               if count != 1], {"shapes_with_transversal": 1}
 
 
 def _filling_table(s: Shape, max_entry: int):
@@ -447,38 +453,27 @@ def _refined_sum_check(s: Shape, kmax: int, max_entry: int):
             if not multiset_equal(d_keys[chains(SE) < k], i_keys[chains(NE) < k])]
 
 
-def _run_cor_sskew(params, shard):
-    instances, failures, shapes_checked, refined_checked = 0, [], 0, 0
+def _check_cor_sskew(intervals, params):
     ks = range(2, params["kmax"] + 1)
-    keep = partial(_filter_prefix, connected=True, ds_free=True)
-    for intervals, used, mine in _catalog_walk(params["max_cells"], shard, keep):
-        if not mine:
-            continue
-        shapes_checked += 1
-        instances += len(ks)
-        if _admits_transversal(intervals):
-            for k, (ti, td) in zip(ks, _tr_counts(intervals, ks)):
-                if ti != td:
-                    failures.append({"shape": _line(intervals), "k": k, "iota": ti, "delta": td})
-        if used <= params["refine_cells"]:
-            refined_checked += 1
-            for k in _refined_sum_check(_interval_shape(intervals), params["kmax"],
-                                        params["max_entry"]):
-                failures.append({"shape": _line(intervals), "k": k,
-                                 "clause": "refined sum classes"})
-            instances += params["kmax"] - 1
-    return {"instances": instances, "failures": failures,
-            "details": {"shapes": shapes_checked, "refined_shapes": refined_checked}}
+    failures = []
+    if _admits_transversal(intervals):
+        failures += [{"shape": _line(intervals), "k": k, "iota": ti, "delta": td}
+                     for k, (ti, td) in zip(ks, _tr_counts(intervals, ks)) if ti != td]
+    refined = sum(b - a + 1 for a, b in intervals) <= params["refine_cells"]
+    if refined:
+        failures += [{"shape": _line(intervals), "k": k, "clause": "refined sum classes"}
+                     for k in _refined_sum_check(_interval_shape(intervals), params["kmax"],
+                                                 params["max_entry"])]
+    return len(ks) * (1 + refined), failures, {"shapes": 1, "refined_shapes": int(refined)}
 
 
-def _genskew_clauses(ctx):
+def _check_genskew(ctx, params):
     """The clauses one shape fails, from two facts about the forward
     image of g1: onto (sorted, it is gn) and kept (each code keeps its
     row key).  gn ascends strictly, so onto rules out a repeated image,
     and the repeat test only picks the clause when onto fails.  Onto and
     kept give multiset(rk[g1]) = multiset(rk[image]) = multiset(rk[gn]),
-    so the direct counts are compared only when one of them fails.
-    Returns the clauses, g1 and gn."""
+    so the direct counts are compared only when one of them fails."""
     g1 = ctx.stage_members(1)
     gn = ctx.stage_members(ctx.n)
     rk = ctx.row_keys()
@@ -498,50 +493,30 @@ def _genskew_clauses(ctx):
         clauses.append("row sums not preserved")
     if not (ctx.apply_all(image, forward=False) == g1).all():
         clauses.append("backward not inverse")
-    return clauses, g1, gn
+    failures = [{"shape": catalog_line(ctx.shape), "clause": c} for c in clauses]
+    if params.get("shape") is None:
+        return 0, failures, {"shapes": 0}
+    return 1 << ctx.n, failures, {"shapes": 1, "g1_count": int(g1.size), "gN_count": int(gn.size)}
 
 
-# the walk of genskew and lemma_gi (see the module docstring)
-_CONNECTED = partial(_filter_prefix, connected=True, ds_free=False)
-
-
-def _run_genskew(params, shard):
-    """The clauses of _genskew_clauses on each connected catalog shape, or
-    on the single shape given."""
+def _check_lemma_gi(ctx, params):
+    """Equal stage sizes and step images on one shape."""
+    stages = [ctx.stage_members(i) for i in range(1, ctx.n + 1)]
+    counts = [int(g.size) for g in stages]
+    clauses = [{"clause": "stage sizes differ", "counts": counts}] if len(set(counts)) > 1 else []
+    clauses += [{"clause": "step image", "i": i} for i in range(1, ctx.n)
+                if not np.array_equal(np.sort(ctx.apply_step(stages[i - 1], i)), stages[i])]
+    failures = [{"shape": catalog_line(ctx.shape), **c} for c in clauses]
     single = params.get("shape") is not None
-    instances, failures, details = 0, [], {"shapes": 0}
-    for ctx in _contexts(params, shard, _CONNECTED):
-        clauses, g1, gn = _genskew_clauses(ctx)
-        failures += [{"shape": catalog_line(ctx.shape), "clause": c} for c in clauses]
-        if single:
-            instances = 1 << ctx.n
-            details.update(shapes=1, g1_count=int(g1.size), gN_count=int(gn.size))
-    if not single and shard[0] == 0:
-        details["shapes"], instances, _ = catalog_sums(params["max_cells"])
-    return {"instances": instances, "failures": failures, "details": details}
+    return single * (ctx.n - 1), failures, {"shapes": int(single)}
 
 
-def _run_lemma_gi(params, shard):
-    """Equal stage sizes and step images on each connected catalog shape,
-    or on the single shape given."""
-    single = params.get("shape") is not None
-    instances, failures, shapes = 0, [], 0
-    for ctx in _contexts(params, shard, _CONNECTED):
-        if single:
-            instances, shapes = ctx.n - 1, 1
-        clauses = []
-        stages = [ctx.stage_members(i) for i in range(1, ctx.n + 1)]
-        counts = [int(g.size) for g in stages]
-        if len(set(counts)) > 1:
-            clauses.append({"clause": "stage sizes differ", "counts": counts})
-        for i in range(1, ctx.n):
-            if not np.array_equal(np.sort(ctx.apply_step(stages[i - 1], i)), stages[i]):
-                clauses.append({"clause": "step image", "i": i})
-        failures += [{"shape": catalog_line(ctx.shape), **c} for c in clauses]
-    if not single and shard[0] == 0:
-        shapes, _, instances = catalog_sums(params["max_cells"])
-    return {"instances": instances, "failures": failures,
-            "details": {"shapes": shapes}}
+def _catalog_cover(params, at):
+    """genskew's (at 1) or lemma_gi's (at 2) catalog totals; none for one shape."""
+    if params.get("shape") is not None:
+        return 0, [], {}
+    sums = catalog_sums(params["max_cells"])
+    return sums[at], [], {"shapes": sums[0]}
 
 
 def _frame_rects(h: int, t: int, k: int, l: int, se: bool) -> list[Rect]:
@@ -556,31 +531,26 @@ def _frame_rects(h: int, t: int, k: int, l: int, se: bool) -> list[Rect]:
         [Rect(1, t, h - l + 1, h - l + j) for j in range(1, l + 1)]
 
 
-def _run_lem_ferrers(params, shard):
+def _check_lem_ferrers(intervals, params):
     instances, failures = 0, []
-    for intervals, _, mine in _catalog_walk(params["max_cells"], shard, _ferrers_prefix):
-        if not mine:
-            continue
-        s = _interval_shape(intervals)
-        sums, chains = _filling_table(s, params["max_entry"])
-        # The rows all start at column 1 and their ends grow upward, so
-        # the top row is the widest, the full-height columns are 1..b_1,
-        # and the rows as long as the top row are the topmost, ending at w.
-        h, w = len(intervals), intervals[-1][1]
-        k_adm = intervals[0][1]
-        l_adm = sum(b == w for _, b in intervals)
-        for k in range(0, min(k_adm, params["kmax"]) + 1):
-            for l in range(0, min(l_adm, params["lmax"]) + 1):
-                se, ne = (np.column_stack([chains(d), *(chains(d, r) for r in
-                                                        _frame_rects(h, w, k, l, d == SE))])
-                          for d in (SE, NE))
-                rho = [*range(1, h - l + 1), *range(h, h - l, -1)]
-                sigma = [*range(k, 0, -1), *range(k + 1, w + 1)]
-                instances += 1
-                if not multiset_equal(*_class_keys((se, sums), (ne, sums), rho, sigma)):
-                    failures.append({"shape": _line(intervals), "k": k, "l": l})
-    return {"instances": instances, "failures": failures,
-            "details": {"level": "statistic multisets"}}
+    sums, chains = _filling_table(_interval_shape(intervals), params["max_entry"])
+    # The rows all start at column 1 and their ends grow upward, so
+    # the top row is the widest, the full-height columns are 1..b_1,
+    # and the rows as long as the top row are the topmost, ending at w.
+    h, w = len(intervals), intervals[-1][1]
+    k_adm = intervals[0][1]
+    l_adm = sum(b == w for _, b in intervals)
+    for k in range(0, min(k_adm, params["kmax"]) + 1):
+        for l in range(0, min(l_adm, params["lmax"]) + 1):
+            se, ne = (np.column_stack([chains(d), *(chains(d, r) for r in
+                                                    _frame_rects(h, w, k, l, d == SE))])
+                      for d in (SE, NE))
+            rho = [*range(1, h - l + 1), *range(h, h - l, -1)]
+            sigma = [*range(k, 0, -1), *range(k + 1, w + 1)]
+            instances += 1
+            if not multiset_equal(*_class_keys((se, sums), (ne, sums), rho, sigma)):
+                failures.append({"shape": _line(intervals), "k": k, "l": l})
+    return instances, failures, {"level": "statistic multisets"}
 
 
 def _column_classes(max_cells: int):
@@ -595,117 +565,147 @@ def _column_classes(max_cells: int):
         yield from classes.values()
 
 
-def _run_rubey(params, shard):
-    """Swapping t again undoes a swap, so each unordered pair is compared
-    once, from the moon whose columns sort first, and counted for each of
-    its moons; a self-swap, of two equal columns, is its own pair (see Sum
-    classes in the module docstring)."""
-    instances, failures, e = 0, [], params["max_entry"]
-    for moons in itertools.islice(_column_classes(params["max_cells"]), shard[0], None, shard[1]):
-        tables = {}  # the class's moons' rectangle widths and sides, built as needed
-        for cols, m in moons.items():
-            for t in range(1, len(cols)):
-                swapped = cols[:t - 1] + (cols[t], cols[t - 1]) + cols[t + 1:]
-                if cols > swapped or swapped not in moons:
-                    continue
-                for c in (cols, swapped):
-                    if c not in tables:
-                        rects = _rectangles(moons[c])  # a moon by construction, not rechecked
-                        sums, chains = _filling_table(moons[c], e)
-                        tables[c] = ([r.width for r in rects],
-                                     (np.column_stack([chains(NE, r) for r in rects]), sums))
-                pair = [m] if cols == swapped else [m, moons[swapped]]
-                instances += len(pair)
-                (widths_m, side_m), (widths_s, side_s) = tables[cols], tables[swapped]
-                if len(set(widths_m)) != len(widths_m) or widths_m != widths_s:
-                    clause = "rectangle widths do not match"
-                else:
-                    sigma = [*range(1, t), t + 1, t, *range(t + 2, len(cols) + 1)]
-                    rho = [*range(1, m.height + 1)]  # a column swap keeps every row
-                    clause = None if multiset_equal(*_class_keys(side_m, side_s, rho, sigma)) \
-                        else "class sizes"
-                failures += [{"shape": catalog_line(p), "swap": t, "clause": clause}
-                             for p in pair if clause]
-    return {"instances": instances, "failures": failures,
-            "details": {"level": "cardinalities"}}
+def _check_rubey(moons, params):
+    """One column class.  Swapping t again undoes a swap, so each unordered
+    pair is compared once, from the moon whose columns sort first, and
+    counted for each of its moons; a self-swap, of two equal columns, is
+    its own pair (see Sum classes in the module docstring)."""
+    instances, failures = 0, []
+    tables = {}  # the class's moons' rectangle widths and sides, built as needed
+    for cols, m in moons.items():
+        for t in range(1, len(cols)):
+            swapped = cols[:t - 1] + (cols[t], cols[t - 1]) + cols[t + 1:]
+            if cols > swapped or swapped not in moons:
+                continue
+            for c in (cols, swapped):
+                if c not in tables:
+                    rects = _rectangles(moons[c])  # a moon by construction, not rechecked
+                    sums, chains = _filling_table(moons[c], params["max_entry"])
+                    tables[c] = ([r.width for r in rects],
+                                 (np.column_stack([chains(NE, r) for r in rects]), sums))
+            pair = [m] if cols == swapped else [m, moons[swapped]]
+            instances += len(pair)
+            (widths_m, side_m), (widths_s, side_s) = tables[cols], tables[swapped]
+            if len(set(widths_m)) != len(widths_m) or widths_m != widths_s:
+                clause = "rectangle widths do not match"
+            else:
+                sigma = [*range(1, t), t + 1, t, *range(t + 2, len(cols) + 1)]
+                rho = [*range(1, m.height + 1)]  # a column swap keeps every row
+                clause = None if multiset_equal(*_class_keys(side_m, side_s, rho, sigma)) \
+                    else "class sizes"
+            failures += [{"shape": catalog_line(p), "swap": t, "clause": clause}
+                         for p in pair if clause]
+    return instances, failures, {"level": "cardinalities"}
 
 
-def _run_ds_free_oracle(params, shard):
-    """The pattern criterion carries a dent bit down the walk's current
-    path: a list holds a dent placement exactly when its parent does or one
-    has its top in the new top row (_new_dent), the scan of
-    shapes._contains_dent one top row at a time.  The walk is a preorder,
-    so the parent of a list of d rows is the latest list of d - 1 rows.
-    The rectangle criterion reads the row intervals; a Shape is built only
-    for the connected lists, to decompose."""
-    instances, failures, dent_free, decomposed = 0, [], 0, 0
+def _dent_walk(params, shard):
+    """The lists a shard owns on the full walk, each with its dent bit,
+    carried down the walk's current path: a list holds a dent placement
+    exactly when its parent does or one has its top in the new top row
+    (_new_dent), the scan of shapes._contains_dent one top row at a time.
+    The walk is a preorder, so the parent of a list of d rows is the
+    latest list of d - 1 rows."""
     dents = [False]  # dents[d]: the path's list of d rows holds a dent
     for intervals, _, mine in _catalog_walk(params["max_cells"], shard):
         del dents[len(intervals):]
         dents.append(dents[-1] or _new_dent(intervals))
-        if not mine:
-            continue
-        instances += 1
-        by_pattern = not dents[-1]
-        by_rect = _rectangle_ds_free(intervals)
-        if by_pattern != by_rect:
-            failures.append({"shape": _line(intervals), "clause": "criteria disagree",
-                             "pattern": by_pattern, "rectangle": by_rect})
-        dent_free += by_pattern
-        if not _joined(intervals):
-            continue
+        if mine:
+            yield intervals, dents[-1]
+
+
+def _check_ds_free_oracle(item, params):
+    """The pattern criterion is the dent bit, the rectangle criterion reads
+    the row intervals; a Shape is built only for a connected list, to
+    decompose."""
+    intervals, dented = item
+    by_pattern, by_rect = not dented, _rectangle_ds_free(intervals)
+    failures, decomposed = [], 0
+    if by_pattern != by_rect:
+        failures.append({"shape": _line(intervals), "clause": "criteria disagree",
+                         "pattern": by_pattern, "rectangle": by_rect})
+    if _joined(intervals):
         try:
             ferrers_decompose(_interval_shape(intervals))
         except DecompositionError as exc:
             if by_pattern:
                 failures.append({"shape": _line(intervals),
                                  "clause": "decompose failed", "error": str(exc)})
-            continue
-        if by_pattern:
-            decomposed += 1
         else:
-            failures.append({"shape": _line(intervals),
-                             "clause": "decompose succeeded on dented shape"})
-    return {"instances": instances, "failures": failures,
-            "details": {"dent_free": dent_free, "decomposed": decomposed}}
+            decomposed = int(by_pattern)
+            if not by_pattern:
+                failures.append({"shape": _line(intervals),
+                                 "clause": "decompose succeeded on dented shape"})
+    return 1, failures, {"dent_free": int(by_pattern), "decomposed": decomposed}
 
 
-# property -> (runner, {param: (floor, default, cap)}).  A value below the
-# floor is an error even with the override.  A Ferrers frame may have no
-# special columns or rows, so lem_ferrers' kmax and lmax start at 0.  The
-# optional single shape of genskew and lemma_gi has no default; its budget
-# counts cells, up to the max_cells cap.
+# --- the driver -------------------------------------------------------------
+
+
+# the contexts of genskew and lemma_gi, on the connected walk (see the module docstring)
+_CONNECTED = partial(_contexts, keep=partial(_filter_prefix, connected=True, ds_free=False))
+_SQUARES = _walk(_diagonal_prefix, square=True)
+
+# property -> ((source, check, covered), {param: (floor, default, cap)}).
+# A value below the floor is an error even with the override.  A Ferrers
+# frame may have no special columns or rows, so lem_ferrers' kmax and lmax
+# start at 0.  The optional single shape of genskew and lemma_gi has no
+# default; its budget counts cells, up to the max_cells cap.
 _PROPERTIES = {
-    "cor_sskew": (_run_cor_sskew, {"max_cells": (1, 9, 16), "kmax": (1, 3, 3),
-                                   "refine_cells": (0, 7, 9), "max_entry": (1, 2, 2)}),
-    "conjecture": (_run_conjecture, {"max_cells": (1, 9, 16), "kmax": (1, 3, 3)}),
-    "thm_bp": (_run_thm_bp, {"max_cells": (1, 9, 16)}),
-    "genskew": (_run_genskew, {"max_cells": (1, 10, 14), "shape": (1, None, 14)}),
-    "lemma_gi": (_run_lemma_gi, {"max_cells": (1, 8, 12), "shape": (1, None, 12)}),
-    "lem_ferrers": (_run_lem_ferrers, {"max_cells": (1, 8, 11), "kmax": (0, 2, 2),
-                                       "lmax": (0, 2, 2), "max_entry": (1, 2, 2)}),
-    "rubey": (_run_rubey, {"max_cells": (1, 8, 11), "max_entry": (1, 1, 2)}),
-    "ds_free_oracle": (_run_ds_free_oracle, {"max_cells": (1, 9, 13)}),
+    "cor_sskew": ((_walk(partial(_filter_prefix, connected=True, ds_free=True)),
+                   _check_cor_sskew, None),
+                  {"max_cells": (1, 9, 16), "kmax": (1, 3, 3), "refine_cells": (0, 7, 9),
+                   "max_entry": (1, 2, 2)}),
+    "conjecture": ((_SQUARES, _check_conjecture,
+                    lambda params: (params["kmax"] * catalog_sums(params["max_cells"])[0], [], {})),
+                   {"max_cells": (1, 9, 16), "kmax": (1, 3, 3)}),
+    "thm_bp": ((_SQUARES, _check_thm_bp, None), {"max_cells": (1, 9, 16)}),
+    "genskew": ((_CONNECTED, _check_genskew, partial(_catalog_cover, at=1)),
+                {"max_cells": (1, 10, 14), "shape": (1, None, 14)}),
+    "lemma_gi": ((_CONNECTED, _check_lemma_gi, partial(_catalog_cover, at=2)),
+                 {"max_cells": (1, 8, 12), "shape": (1, None, 12)}),
+    "lem_ferrers": ((_walk(_ferrers_prefix), _check_lem_ferrers, None),
+                    {"max_cells": (1, 8, 11), "kmax": (0, 2, 2), "lmax": (0, 2, 2),
+                     "max_entry": (1, 2, 2)}),
+    "rubey": ((lambda params, shard: itertools.islice(
+                   _column_classes(params["max_cells"]), shard[0], None, shard[1]),
+               _check_rubey, None),
+              {"max_cells": (1, 8, 11), "max_entry": (1, 1, 2)}),
+    "ds_free_oracle": ((_dent_walk, _check_ds_free_oracle, None), {"max_cells": (1, 9, 13)}),
 }
 
 PROPERTIES = tuple(_PROPERTIES)
 
 
+def _add(total: dict, part: dict) -> dict:
+    """Fold part into total, key by key, and return total: ints add, bools
+    OR, lists join, dicts fold in turn, and any other value replaces the
+    one before."""
+    for key, val in part.items():
+        kind = type(val)  # a bool is no int here
+        if kind is int:
+            total[key] = total.get(key, 0) + val
+        elif kind is list:
+            total.setdefault(key, []).extend(val)
+        elif kind is dict:
+            _add(total.setdefault(key, {}), val)
+        elif kind is bool:
+            total[key] = total.get(key, False) or val
+        else:
+            total[key] = val
+    return total
+
+
 def _run(prop: str, params: dict, shard: tuple[int, int]) -> dict:
-    return _PROPERTIES[prop][0](params, shard)
-
-
-def _merge_details(parts) -> dict:
-    out: dict = {}
-    for part in parts:
-        for key, val in part["details"].items():
-            if isinstance(val, bool):
-                out[key] = out.get(key, False) or val
-            elif isinstance(val, int):
-                out[key] = out.get(key, 0) + val
-            else:
-                out[key] = val
-    return out
+    """Shard (index, count)'s part of a property: covered's totals on shard
+    0, then each item of the source checked, folded in walk order."""
+    (source, check, covered), _ = _PROPERTIES[prop]
+    part = {"instances": 0, "failures": [], "details": {}}
+    results = map(check, source(params, shard), itertools.repeat(params))
+    if covered is not None and shard[0] == 0:
+        results = itertools.chain([covered(params)], results)
+    for instances, failures, details in results:
+        _add(part, {"instances": instances, "failures": failures, "details": details})
+    return part
 
 
 def verify(prop: str, **params) -> VerificationReport:
@@ -751,19 +751,8 @@ def verify(prop: str, **params) -> VerificationReport:
     else:
         import multiprocessing  # here, so serial runs and CLI calls skip its import
         with multiprocessing.Pool(jobs) as pool:
-            parts = pool.starmap(
-                _run, [(prop, effective, (k, jobs)) for k in range(jobs)]
-            )
-    failures = sorted(
-        (f for part in parts for f in part["failures"]),
-        key=lambda f: json.dumps(f, sort_keys=True),
-    )
-    report = VerificationReport(
-        property=prop,
-        params=effective,
-        instances=sum(part["instances"] for part in parts),
-        failures=failures,
-        details=_merge_details(parts),
-        elapsed_ms=(time.perf_counter() - start) * 1000.0,
-    )
-    return report
+            parts = pool.starmap(_run, [(prop, effective, (k, jobs)) for k in range(jobs)])
+    total = reduce(_add, parts, {})
+    failures = sorted(total["failures"], key=lambda f: json.dumps(f, sort_keys=True))
+    return VerificationReport(prop, effective, total["instances"], failures, total["details"],
+                              (time.perf_counter() - start) * 1000.0)

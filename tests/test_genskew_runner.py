@@ -15,6 +15,8 @@ the references, and every disconnected shape a reference reports has a
 component that the runner reports.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -177,7 +179,7 @@ BREAKS = (forward_is_identity, duplicated_step_entry, perturbed_row_key,
 def test_runner_matches_reference_under_a_broken_engine(monkeypatch, brk, max_cells):
     clauses = brk(monkeypatch)
     params = {"max_cells": max_cells}
-    got = harness._run_genskew(params, (0, 1))
+    got = harness._run("genskew", params, (0, 1))
     ref = reference_run_genskew(params, (0, 1))
     assert_covers(got, ref)
     # at 6 cells every break but the one of LINE's forward map alone
@@ -192,14 +194,15 @@ def test_runner_matches_reference_under_a_broken_engine(monkeypatch, brk, max_ce
 def test_lemma_gi_runner_matches_reference_under_a_broken_engine(monkeypatch, brk, max_cells):
     brk(monkeypatch)
     params = {"max_cells": max_cells}
-    assert_covers(harness._run_lemma_gi(params, (0, 1)), reference_run_lemma_gi(params, (0, 1)))
+    assert_covers(harness._run("lemma_gi", params, (0, 1)),
+                  reference_run_lemma_gi(params, (0, 1)))
 
 
 @pytest.mark.parametrize("brk", BREAKS, ids=lambda b: b.__name__)
 def test_single_shape_matches_reference_under_a_broken_engine(monkeypatch, brk):
     brk(monkeypatch)
     params = {"shape": LINE}
-    got = harness._run_genskew(params, (0, 1))
+    got = harness._run("genskew", params, (0, 1))
     assert got == reference_run_genskew(params, (0, 1))
     assert got["failures"]
 
@@ -216,7 +219,8 @@ def test_a_disconnected_single_shape_is_scanned_itself(monkeypatch):
         return got[1:] if self.shape == shape and i == self.n else got
 
     monkeypatch.setattr(ShapeContext, "stage_members", broken)
-    for run in (harness._run_genskew, harness._run_lemma_gi):
+    for prop in ("genskew", "lemma_gi"):
+        run = partial(harness._run, prop)
         assert run({"max_cells": 6}, (0, 1))["failures"] == []
         assert {f["shape"] for f in run({"shape": line}, (0, 1))["failures"]} == {line}
 
@@ -224,13 +228,13 @@ def test_a_disconnected_single_shape_is_scanned_itself(monkeypatch):
 @pytest.mark.parametrize("max_cells", range(1, 9))
 def test_runner_matches_reference(max_cells):
     params = {"max_cells": max_cells}
-    assert harness._run_genskew(params, (0, 1)) == reference_run_genskew(params, (0, 1))
+    assert harness._run("genskew", params, (0, 1)) == reference_run_genskew(params, (0, 1))
 
 
 @pytest.mark.parametrize("max_cells", range(1, 9))
 def test_lemma_gi_runner_matches_reference(max_cells):
     params = {"max_cells": max_cells}
-    assert harness._run_lemma_gi(params, (0, 1)) == reference_run_lemma_gi(params, (0, 1))
+    assert harness._run("lemma_gi", params, (0, 1)) == reference_run_lemma_gi(params, (0, 1))
 
 
 def test_direct_counts_compared_only_after_a_failed_check(monkeypatch):
@@ -241,8 +245,8 @@ def test_direct_counts_compared_only_after_a_failed_check(monkeypatch):
         return multiset_equal(a, b)
 
     monkeypatch.setattr(harness, "multiset_equal", counting)
-    assert harness._run_genskew({"max_cells": 6}, (0, 1))["failures"] == []
+    assert harness._run("genskew", {"max_cells": 6}, (0, 1))["failures"] == []
     assert calls == []
     perturbed_row_key(monkeypatch)
-    failures = harness._run_genskew({"max_cells": 6}, (0, 1))["failures"]
+    failures = harness._run("genskew", {"max_cells": 6}, (0, 1))["failures"]
     assert len(calls) == len({f["shape"] for f in failures}) > 0

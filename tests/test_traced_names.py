@@ -2,6 +2,7 @@
 target that is renamed or removed would otherwise show only as a failed
 operation in a traced bench run."""
 
+import json
 import os
 import subprocess
 import sys
@@ -24,3 +25,15 @@ def test_every_traced_target_exists():
 def test_genskew_shard_entry_point_exists():
     # perfbench's worker runs the genskew shards through harness._run
     assert callable(skewfill.harness._run)
+
+
+def test_genskew_shards_carry_what_the_bench_reads():
+    # the bench sums the shards' instances and details["shapes"] and
+    # compares them with its pinned report
+    want = json.loads((ROOT / "perfbench" / "expected" / "genskew.json").read_text())[0]
+    assert (want["instances"], want["details"]["shapes"]) == (810230, 3909)
+    parts = [skewfill.harness._run("genskew", {"max_cells": 8}, (k, 2)) for k in (0, 1)]
+    for part in parts:
+        assert "shapes" in part["details"] and part["failures"] == []
+    assert sum(p["instances"] for p in parts) == want["instances"]
+    assert sum(p["details"]["shapes"] for p in parts) == want["details"]["shapes"]

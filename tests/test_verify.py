@@ -331,6 +331,15 @@ def test_three_jobs_with_empty_and_lopsided_shards():
     assert verify("thm_bp", max_cells=2, jobs=3) == verify("thm_bp", max_cells=2)
 
 
+@pytest.mark.parametrize("prop", PROPERTIES)
+def test_shards_outnumbering_the_items_merge_to_the_serial_report(fake_pool, prop):
+    # at one to three cells most of the 64 shards own no item, and their
+    # parts carry no tally at all
+    for max_cells in (1, 2, 3):
+        assert verify(prop, max_cells=max_cells, jobs=64) == verify(prop, max_cells=max_cells)
+    assert fake_pool == [64] * 3
+
+
 def test_report_equality_ignores_timing():
     a = verify("thm_bp", max_cells=5)
     b = verify("thm_bp", max_cells=5)
@@ -439,7 +448,7 @@ def recorded_frames(monkeypatch, max_cells):
     monkeypatch.setattr(harness, "_frame_rects", rects)
     monkeypatch.setattr(harness, "_class_keys", keys)
     params = {"max_cells": max_cells, "kmax": max_cells, "lmax": max_cells, "max_entry": 1}
-    harness._run_lem_ferrers(params, (0, 1))
+    harness._run("lem_ferrers", params, (0, 1))
     return frames
 
 
