@@ -33,10 +33,10 @@ source(params, shard) yields the items a shard owns: catalog lists that
 pass a prefix test (_walk), ShapeContexts (_contexts), rubey's column
 classes or ds_free_oracle's lists with their dent bits (_dent_walk).
 Its check(item, params) gives one item's (instances, failures, details),
-and covered(params), set for conjecture, genskew and lemma_gi, the same
-for the catalog shapes no check scans; shard 0 adds it.  One fold, _add,
-merges the items into a shard's part and the parts into the report:
-ints add, bools OR, lists join and any other value is kept.
+and covered(params), set for conjecture, genskew and lemma_gi, starts
+shard 0's part with the (instances, details) of the catalog shapes no
+check scans.  A part adds its items' instances, joins their failures and
+folds their flat details with _add; the report merges the parts alike.
 
 The three transversal properties walk only the catalog shapes they can
 use; a pruned walk yields the lists of the full walk that pass its
@@ -514,9 +514,9 @@ def _check_lemma_gi(ctx, params):
 def _catalog_cover(params, at):
     """genskew's (at 1) or lemma_gi's (at 2) catalog totals; none for one shape."""
     if params.get("shape") is not None:
-        return 0, [], {}
+        return 0, {}
     sums = catalog_sums(params["max_cells"])
-    return sums[at], [], {"shapes": sums[0]}
+    return sums[at], {"shapes": sums[0]}
 
 
 def _frame_rects(h: int, t: int, k: int, l: int, se: bool) -> list[Rect]:
@@ -645,18 +645,18 @@ def _check_ds_free_oracle(item, params):
 _CONNECTED = partial(_contexts, keep=partial(_filter_prefix, connected=True, ds_free=False))
 _SQUARES = _walk(_diagonal_prefix, square=True)
 
-# property -> ((source, check, covered), {param: (floor, default, cap)}).
-# A value below the floor is an error even with the override.  A Ferrers
-# frame may have no special columns or rows, so lem_ferrers' kmax and lmax
-# start at 0.  The optional single shape of genskew and lemma_gi has no
-# default; its budget counts cells, up to the max_cells cap.
+# property -> ((source, check, covered), {param: (floor, default, cap)}),
+# a value below the floor an error even with the override.  lem_ferrers'
+# kmax and lmax start at 0 (a frame may have no special columns or rows),
+# cor_sskew's kmax at 2 (both its parts start at k = 2).  The single shape
+# of genskew and lemma_gi has no default; its cells count to the max_cells cap.
 _PROPERTIES = {
     "cor_sskew": ((_walk(partial(_filter_prefix, connected=True, ds_free=True)),
                    _check_cor_sskew, None),
-                  {"max_cells": (1, 9, 16), "kmax": (1, 3, 3), "refine_cells": (0, 7, 9),
+                  {"max_cells": (1, 9, 16), "kmax": (2, 3, 3), "refine_cells": (0, 7, 9),
                    "max_entry": (1, 2, 2)}),
     "conjecture": ((_SQUARES, _check_conjecture,
-                    lambda params: (params["kmax"] * catalog_sums(params["max_cells"])[0], [], {})),
+                    lambda params: (params["kmax"] * catalog_sums(params["max_cells"])[0], {})),
                    {"max_cells": (1, 9, 16), "kmax": (1, 3, 3)}),
     "thm_bp": ((_SQUARES, _check_thm_bp, None), {"max_cells": (1, 9, 16)}),
     "genskew": ((_CONNECTED, _check_genskew, partial(_catalog_cover, at=1)),
@@ -677,17 +677,12 @@ PROPERTIES = tuple(_PROPERTIES)
 
 
 def _add(total: dict, part: dict) -> dict:
-    """Fold part into total, key by key, and return total: ints add, bools
-    OR, lists join, dicts fold in turn, and any other value replaces the
-    one before."""
+    """Fold one flat details dict into total and return total: ints add,
+    bools OR, and any other value, a constant of the property, is kept."""
     for key, val in part.items():
         kind = type(val)  # a bool is no int here
         if kind is int:
             total[key] = total.get(key, 0) + val
-        elif kind is list:
-            total.setdefault(key, []).extend(val)
-        elif kind is dict:
-            _add(total.setdefault(key, {}), val)
         elif kind is bool:
             total[key] = total.get(key, False) or val
         else:
@@ -696,16 +691,16 @@ def _add(total: dict, part: dict) -> dict:
 
 
 def _run(prop: str, params: dict, shard: tuple[int, int]) -> dict:
-    """Shard (index, count)'s part of a property: covered's totals on shard
-    0, then each item of the source checked, folded in walk order."""
+    """Shard (index, count)'s part of a property: covered's instances and
+    details on shard 0, then each item of the source checked, in walk order."""
     (source, check, covered), _ = _PROPERTIES[prop]
-    part = {"instances": 0, "failures": [], "details": {}}
-    results = map(check, source(params, shard), itertools.repeat(params))
-    if covered is not None and shard[0] == 0:
-        results = itertools.chain([covered(params)], results)
-    for instances, failures, details in results:
-        _add(part, {"instances": instances, "failures": failures, "details": details})
-    return part
+    instances, details = covered(params) if covered and shard[0] == 0 else (0, {})
+    failures = []
+    for count, fails, tallies in map(check, source(params, shard), itertools.repeat(params)):
+        instances += count
+        failures += fails
+        _add(details, tallies)
+    return {"instances": instances, "failures": failures, "details": details}
 
 
 def verify(prop: str, **params) -> VerificationReport:
@@ -752,7 +747,8 @@ def verify(prop: str, **params) -> VerificationReport:
         import multiprocessing  # here, so serial runs and CLI calls skip its import
         with multiprocessing.Pool(jobs) as pool:
             parts = pool.starmap(_run, [(prop, effective, (k, jobs)) for k in range(jobs)])
-    total = reduce(_add, parts, {})
-    failures = sorted(total["failures"], key=lambda f: json.dumps(f, sort_keys=True))
-    return VerificationReport(prop, effective, total["instances"], failures, total["details"],
+    failures = sorted((f for part in parts for f in part["failures"]),
+                      key=lambda f: json.dumps(f, sort_keys=True))
+    return VerificationReport(prop, effective, sum(part["instances"] for part in parts), failures,
+                              reduce(_add, (part["details"] for part in parts), {}),
                               (time.perf_counter() - start) * 1000.0)

@@ -438,6 +438,7 @@ def test_integer_options_take_plain_ascii_digits(capsys):
     ("thm_bp", "--max-cells", "-1"),
     ("cor_sskew", "--refine-cells", "-1"),
     ("lem_ferrers", "--lmax", "-1"),
+    ("cor_sskew", "--max-cells", "4", "--k", "1"),
 ])
 def test_verify_rejects_low_values_before_any_pool(capsys, monkeypatch, fake_pool,
                                                     argv, override):

@@ -210,7 +210,9 @@ def test_shape_budget_is_checked_before_the_shape_is_built(monkeypatch):
 
 def test_parameters_below_their_floor_rejected(monkeypatch):
     monkeypatch.setenv("SKEWFILL_BUDGET_OVERRIDE", "1")  # lifts no floor
+    # cor_sskew's parts both start at k = 2, so kmax = 1 would check nothing
     for prop, kw in (("cor_sskew", dict(refine_cells=-1)), ("cor_sskew", dict(kmax=0)),
+                     ("cor_sskew", dict(kmax=1)),
                      ("lem_ferrers", dict(kmax=-1)), ("lem_ferrers", dict(lmax=-1)),
                      ("lemma_gi", dict(max_cells=0)), ("rubey", dict(max_entry=0))):
         with pytest.raises(ValueError, match="is below"):
@@ -334,10 +336,34 @@ def test_three_jobs_with_empty_and_lopsided_shards():
 @pytest.mark.parametrize("prop", PROPERTIES)
 def test_shards_outnumbering_the_items_merge_to_the_serial_report(fake_pool, prop):
     # at one to three cells most of the 64 shards own no item, and their
-    # parts carry no tally at all
-    for max_cells in (1, 2, 3):
-        assert verify(prop, max_cells=max_cells, jobs=64) == verify(prop, max_cells=max_cells)
-    assert fake_pool == [64] * 3
+    # parts carry no tally at all; two and three shards split up to five
+    # cells unevenly, and shard 0 alone starts with the covered totals
+    runs = [(1, 64), (2, 64), (3, 64)] + [(n, jobs) for n in range(1, 6) for jobs in (2, 3)]
+    for max_cells, jobs in runs:
+        assert verify(prop, max_cells=max_cells, jobs=jobs) == verify(prop, max_cells=max_cells)
+    assert fake_pool == [jobs for _, jobs in runs]
+
+
+@pytest.mark.parametrize("prop", PROPERTIES)
+def test_checks_and_covered_give_flat_details(prop):
+    # _add folds details of ints, bools and constants only, and never nests
+    (source, check, covered), budgets = harness._PROPERTIES[prop]
+    params = {name: default for name, (_, default, _) in budgets.items() if default is not None}
+    runs = [dict(params, max_cells=4)]
+    if "shape" in budgets:
+        runs.append(dict(params, max_cells=4, shape=catalog_line(dent_shape())))
+    flat = (int, bool, str)
+    for run in runs:
+        items = list(source(run, (0, 1)))
+        assert items
+        for item in items:
+            instances, failures, details = check(item, run)
+            assert type(instances) is int and type(failures) is list
+            assert type(details) is dict and all(type(v) in flat for v in details.values())
+        if covered is not None:
+            instances, details = covered(run)
+            assert type(instances) is int and type(details) is dict
+            assert all(type(v) in flat for v in details.values())
 
 
 def test_report_equality_ignores_timing():
