@@ -96,32 +96,33 @@ swap leaves a moon.  rubey takes one class at a time, and a shard takes
 whole classes: each moon's tables are built once, in one shard.
 
 Sum classes.  The refined part of cor_sskew, lem_ferrers and rubey
-compares two multisets with a key per filling (_class_keys): on the left
-some chain statistics, the row sums and the column sums, on the right
-the same with row y's sum taken from row rho(y) and column x's from
-sigma(x).  The fillings have entries <= max_entry and all row sums or all
-column sums <= max_entry: the sum classes an entry cap enumerates
-completely (_engine.sum_capped_mask).  A bare entry cap cuts classes in
-half and makes the identities false as stated; the 2x2 square with row
-and column sums (1, 3) shows this for caps 1 and 2.  A shape builds its
-fillings and each chain table once (_filling_table).  The fillings are
-generated, not filtered out of all (max_entry + 1)^n value vectors: the
-row-capped ones one capped word per row, then the column-capped ones
-that are not row-capped (_engine.capped_fillings).  A chain table of a
-rectangle reads the one table of its box size (_engine.support_chain_table).
+compares two multisets with a key per filling: on the left some chain
+statistics, the row sums and the column sums, on the right the same with
+row y's sum taken from row rho(y) and column x's from sigma(x).  The
+fillings have entries <= max_entry and all row sums or all column sums
+<= max_entry: the sum classes an entry cap enumerates completely
+(_engine.sum_capped_mask).  A bare entry cap cuts classes in half and
+makes the identities false as stated; the 2x2 square with row and column
+sums (1, 3) shows this for caps 1 and 2.  A shape builds its fillings,
+its identity keys and each chain table once (_filling_table, the one
+owner of the key format).  The fillings are generated, not filtered out
+of all (max_entry + 1)^n value vectors: the row-capped ones one capped
+word per row, then the column-capped ones that are not row-capped
+(_engine.capped_fillings).  A chain table of a rectangle reads the one
+table of its box size (_engine.support_chain_table).
 
-Each key is packed into one int64 (_sums, _class_keys), in a radix fixed
-by the shape's height h, its width w and max_entry alone: a row's sum is
-at most max_entry * w, a column's at most max_entry * h, and a chain
-holds at most min(h, w) cells, so every row digit has base max_entry * w
-+ 1, every column digit max_entry * h + 1, and each chain statistic one
-digit above the sums in base min(h, w) + 1.  Any (rho, sigma) packs in
-this radix, and the two sides always share it: cor_sskew and lem_ferrers
-compare a shape with itself, and the moons of a rubey column class share
-h and w.  A shape packs its sums once, in _filling_table, from the line
-sums capped_fillings returns joined; a permuted side adds the change of
-its moved lines only.  Past 62 bits the keys are the key matrices, which
-multiset_equal compares by sorting their rows.
+Each key is packed into one int64, in a radix fixed by the shape's
+height h, its width w and max_entry alone: a row's sum is at most
+max_entry * w, a column's at most max_entry * h, and a chain holds at
+most min(h, w) cells, so every row digit has base max_entry * w + 1,
+every column digit max_entry * h + 1, and each chain statistic one digit
+above the sums in base min(h, w) + 1.  Any (rho, sigma) packs in this
+radix, and both sides share it and the fallback below: cor_sskew and
+lem_ferrers compare a shape with itself, and rubey compares moons of one
+h and w on equal rectangle widths, so on as many chain digits.  The
+identity keys are packed from the joined line sums capped_fillings
+returns; a permuted key adds what its moved lines change.  Past 62
+bits the keys are the key matrices, whose rows multiset_equal sorts.
   cor_sskew    left SE chain < k, right NE chain < k, keys packed once
                for all k; (rho, sigma) from sum_permutations.  The
                identity passes too on every connected dent-free shape of
@@ -392,63 +393,53 @@ def _check_thm_bp(intervals, params):
                if count != 1], {"shapes_with_transversal": 1}
 
 
+_KEY_BOUND = 1 << 62  # every packed key lies below this
+
+
 def _filling_table(s: Shape, max_entry: int):
-    """The packed sums (_sums) and chain tables of the sum-capped fillings of
-    s (_engine.capped_fillings): chains(direction, region=None) gives each
-    filling's longest chain, building each (direction, region) table once."""
+    """The keys and chain tables of the sum-capped fillings of s
+    (_engine.capped_fillings); see Sum classes in the module docstring.
+    keys(stats, rho=None, sigma=None) gives each filling's key, stats an
+    (N, d) block of chain statistics, rho and sigma 1-based or None for
+    the identity.  chains(direction, region=None) gives each filling's
+    longest chain, building each (direction, region) table once."""
     lines, support = capped_fillings(s, max_entry)
+    h, w = s.height, s.width
+    *places, size = itertools.accumulate([max_entry * w + 1] * h + [max_entry * h + 1] * w,
+                                         operator.mul, initial=1)
+    base = min(h, w) + 1  # of each chain digit, above the sums
+    if size <= _KEY_BOUND:
+        places = np.array(places, dtype=np.int64)
+        # einsum casts to int64 one buffer at a time; @ copies the whole matrix
+        ident = np.einsum("ij,j->i", lines, places)
     tables = {}
+
+    def keys(stats: np.ndarray, rho=None, sigma=None) -> np.ndarray:
+        perm = None if rho is None else np.array([*rho, *(h + x for x in sigma)]) - 1
+        if size * base ** stats.shape[1] > _KEY_BOUND:
+            return np.column_stack([stats, lines if perm is None else lines[:, perm]])
+        chain_places = [size * base ** i for i in range(stats.shape[1])]
+        key = ident + stats @ np.array(chain_places, dtype=np.int64)
+        if perm is None:
+            return key
+        moved = (perm != np.arange(h + w)).nonzero()[0]
+        return key + lines[:, perm[moved]] @ (places[moved] - places[perm[moved]])
 
     def chains(direction: str, region: Rect | None = None) -> np.ndarray:
         if (direction, region) not in tables:
             tables[direction, region] = support_chain_table(s, direction, region)[support]
         return tables[direction, region]
 
-    return _sums(lines, s.height, max_entry), chains
-
-
-_KEY_BOUND = 1 << 62  # every packed key lies below this
-
-
-def _sums(lines: np.ndarray, h: int, max_entry: int):
-    """One shape's packed sums: its line sums (the h rows, then the
-    columns, as given), their place values in the fixed radix with the
-    radix's size last, and each filling's identity key (see Sum classes in
-    the module docstring); places and keys are None past _KEY_BOUND."""
-    w = lines.shape[1] - h
-    places = list(itertools.accumulate([max_entry * w + 1] * h + [max_entry * h + 1] * w,
-                                       operator.mul, initial=1))
-    if places[-1] > _KEY_BOUND:
-        return lines, None, None
-    places = np.array(places, dtype=np.int64)
-    # einsum casts to int64 one buffer at a time; @ copies the whole matrix
-    return lines, places, np.einsum("ij,j->i", lines, places[:-1])
-
-
-def _class_keys(left, right, rho, sigma):
-    """The keys of a sum-class comparison (see the module docstring).  A
-    side is (chain statistics, a column each, and its _sums); rho and sigma
-    are 1-based, rho[y - 1] the right row whose sum goes where the left
-    has row y.  The right side's key is its identity key plus what its
-    moved lines change; past _KEY_BOUND the keys are the key matrices."""
-    (a_stats, (a_lines, places, a_ident)), (b_stats, (b_lines, _, b_ident)) = left, right
-    perm = np.array([*rho, *(len(rho) + x for x in sigma)]) - 1  # the right line at each digit
-    base, digits = min(len(rho), len(sigma)) + 1, a_stats.shape[1]
-    if places is None or int(places[-1]) * base ** digits > _KEY_BOUND:
-        return np.column_stack([a_stats, a_lines]), np.column_stack([b_stats, b_lines[:, perm]])
-    chains = places[-1] * base ** np.arange(digits, dtype=np.int64)
-    moved = (perm != np.arange(len(perm))).nonzero()[0]
-    return a_ident + a_stats @ chains, \
-        b_ident + b_lines[:, perm[moved]] @ (places[moved] - places[perm[moved]]) + b_stats @ chains
+    return keys, chains
 
 
 def _refined_sum_check(s: Shape, kmax: int, max_entry: int):
     """Failure clauses of the sum-class comparison on one shape.  The sum
     keys of all kept fillings are packed once; each k compares a subset."""
     perms = sum_permutations(s)
-    sums, chains = _filling_table(s, max_entry)
-    side = np.zeros((len(sums[0]), 0), dtype=np.int8), sums  # no statistic
-    d_keys, i_keys = _class_keys(side, side, perms.rho, perms.sigma)
+    keys, chains = _filling_table(s, max_entry)
+    none = np.zeros((len(chains(SE)), 0), dtype=np.int8)  # no statistic
+    d_keys, i_keys = keys(none), keys(none, perms.rho, perms.sigma)
     return [k for k in range(2, kmax + 1)
             if not multiset_equal(d_keys[chains(SE) < k], i_keys[chains(NE) < k])]
 
@@ -533,7 +524,7 @@ def _frame_rects(h: int, t: int, k: int, l: int, se: bool) -> list[Rect]:
 
 def _check_lem_ferrers(intervals, params):
     instances, failures = 0, []
-    sums, chains = _filling_table(_interval_shape(intervals), params["max_entry"])
+    keys, chains = _filling_table(_interval_shape(intervals), params["max_entry"])
     # The rows all start at column 1 and their ends grow upward, so
     # the top row is the widest, the full-height columns are 1..b_1,
     # and the rows as long as the top row are the topmost, ending at w.
@@ -548,7 +539,7 @@ def _check_lem_ferrers(intervals, params):
             rho = [*range(1, h - l + 1), *range(h, h - l, -1)]
             sigma = [*range(k, 0, -1), *range(k + 1, w + 1)]
             instances += 1
-            if not multiset_equal(*_class_keys((se, sums), (ne, sums), rho, sigma)):
+            if not multiset_equal(keys(se), keys(ne, rho, sigma)):
                 failures.append({"shape": _line(intervals), "k": k, "l": l})
     return instances, failures, {"level": "statistic multisets"}
 
@@ -571,7 +562,7 @@ def _check_rubey(moons, params):
     counted for each of its moons; a self-swap, of two equal columns, is
     its own pair (see Sum classes in the module docstring)."""
     instances, failures = 0, []
-    tables = {}  # the class's moons' rectangle widths and sides, built as needed
+    tables = {}  # the class's moons' rectangle widths, keys and chains, built as needed
     for cols, m in moons.items():
         for t in range(1, len(cols)):
             swapped = cols[:t - 1] + (cols[t], cols[t - 1]) + cols[t + 1:]
@@ -580,18 +571,19 @@ def _check_rubey(moons, params):
             for c in (cols, swapped):
                 if c not in tables:
                     rects = _rectangles(moons[c])  # a moon by construction, not rechecked
-                    sums, chains = _filling_table(moons[c], params["max_entry"])
-                    tables[c] = ([r.width for r in rects],
-                                 (np.column_stack([chains(NE, r) for r in rects]), sums))
+                    keys, chains = _filling_table(moons[c], params["max_entry"])
+                    tables[c] = ([r.width for r in rects], keys,
+                                 np.column_stack([chains(NE, r) for r in rects]))
             pair = [m] if cols == swapped else [m, moons[swapped]]
             instances += len(pair)
-            (widths_m, side_m), (widths_s, side_s) = tables[cols], tables[swapped]
+            (widths_m, keys_m, stats_m), (widths_s, keys_s, stats_s) = \
+                tables[cols], tables[swapped]
             if len(set(widths_m)) != len(widths_m) or widths_m != widths_s:
                 clause = "rectangle widths do not match"
             else:
                 sigma = [*range(1, t), t + 1, t, *range(t + 2, len(cols) + 1)]
                 rho = [*range(1, m.height + 1)]  # a column swap keeps every row
-                clause = None if multiset_equal(*_class_keys(side_m, side_s, rho, sigma)) \
+                clause = None if multiset_equal(keys_m(stats_m), keys_s(stats_s, rho, sigma)) \
                     else "class sizes"
             failures += [{"shape": catalog_line(p), "swap": t, "clause": clause}
                          for p in pair if clause]

@@ -535,6 +535,17 @@ def reference_lem_ferrers(max_cells: int, kmax: int, lmax: int, max_entry: int):
         instances=instances, failures=failures, details={"level": "statistic multisets"})
 
 
+def identity_permutations(table):
+    """A stand-in for harness._filling_table: table's keys with the
+    identity (rho, sigma) in place of every one they are asked for."""
+
+    def identity_table(s, max_entry):
+        keys, chains = table(s, max_entry)
+        return lambda stats, *perms: keys(stats, *map(sorted, perms)), chains
+
+    return identity_table
+
+
 def reference_add_children(out: list, intervals, used: int, room: int) -> list:
     """Append to out the one-row extensions (intervals, cells) of a list
     of `used` cells that the catalog grammar allows with room cells left,

@@ -61,16 +61,18 @@ def test_support_index_matches_the_whole_matrix_product(dtype):
 
 def test_the_filling_table_of_a_row_peaks_near_what_it_keeps():
     """The one-row shape of 10 cells at max_entry 2 (59,049 fillings): the
-    packed sums are built without an int64 copy of the line or support
+    identity keys are packed without an int64 copy of the line or support
     matrices, so the traced peak stays below 4x the lines and keys kept."""
     row = Shape(frozenset((x, 1) for x in range(1, 11)))
     tracemalloc.start()
     try:
-        (lines, _, ident), _ = harness._filling_table(row, 2)
+        keys, _ = harness._filling_table(row, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert lines.shape == (59049, 11)
+    lines, _ = capped_fillings(row, 2)
+    ident = keys(np.zeros((len(lines), 0), dtype=np.int8))
+    assert lines.shape == (59049, 11) and ident.shape == (59049,)
     assert peak < 4 * (lines.nbytes + ident.nbytes)
 
 

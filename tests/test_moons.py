@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from skewfill import harness
+from skewfill._engine import capped_fillings
 from skewfill.enumeration import catalog_line, enum_moon_polyominoes
 from skewfill.fillings import NE
 from skewfill.harness import VerificationReport, verify
@@ -76,7 +77,8 @@ def _column_swap(s, t):
 def moon_keys(m, rects, max_entry):
     """NE chain per maximal rectangle (in the given order), row and column
     sums of the sum-capped fillings of a moon."""
-    (lines, _, _), chains = harness._filling_table(m, max_entry)
+    lines, _ = capped_fillings(m, max_entry)
+    _, chains = harness._filling_table(m, max_entry)
     h = m.height
     return np.column_stack([chains(NE, r) for r in rects]), lines[:, :h], lines[:, h:]
 
@@ -123,14 +125,28 @@ def test_rubey_matches_pair_loop(max_entry):
 def test_rubey_compares_each_unordered_swap_once(monkeypatch):
     """579 instances at 7 cells: 275 self-swaps, of two equal columns,
     and 152 pairs of moons, each compared once for both of its moons."""
-    swaps = []
-    keys = harness._class_keys
-    monkeypatch.setattr(harness, "_class_keys",
-                        lambda left, right, rho, sigma: swaps.append(left is right)
-                        or keys(left, right, rho, sigma))
+    moons, table = [], harness._filling_table
+
+    def recording(m, max_entry):
+        keys, chains = table(m, max_entry)
+        return lambda *args: moons.append(m) or keys(*args), chains
+
+    monkeypatch.setattr(harness, "_filling_table", recording)
     r = verify("rubey", max_cells=7)
     assert r.instances == 579 and r.passed
+    # a comparison takes the keys of the moon, then of the swapped moon
+    swaps = [a == b for a, b in zip(moons[::2], moons[1::2])]
     assert (swaps.count(True), swaps.count(False)) == (275, 152)
+
+
+def test_each_rubey_column_class_has_one_height_and_width():
+    """The moons of a column class, up to rubey's cap, share h and w, so the
+    two sides of each comparison pack in one radix (see Sum classes in the
+    harness docstring)."""
+    cap = harness._PROPERTIES["rubey"][1]["max_cells"][2]
+    classes = list(harness._column_classes(cap))
+    assert all(len({(m.height, m.width) for m in moons.values()}) == 1 for moons in classes)
+    assert len(classes) == 852  # the column classes of <= 11 cells
 
 
 @pytest.mark.parametrize("max_entry", [1, 2])
@@ -173,16 +189,16 @@ def perturbed_target(monkeypatch):
     table = harness._filling_table
 
     def perturbed(m, max_entry):
-        sums, chains = table(m, max_entry)
+        keys, chains = table(m, max_entry)
         if m != target:
-            return sums, chains
+            return keys, chains
 
         def raised(direction, region=None):
             lam = chains(direction, region).copy()
             lam[0] += 1
             return lam
 
-        return sums, raised
+        return keys, raised
 
     monkeypatch.setattr(harness, "_filling_table", perturbed)
 

@@ -22,7 +22,7 @@ from skewfill.harness import (
 )
 from skewfill.fillings import NE
 from skewfill.shapes import Rect, dent_shape, is_nw_ferrers, normalize
-from conftest import frame_counts_by_cells, reference_lem_ferrers
+from conftest import frame_counts_by_cells, identity_permutations, reference_lem_ferrers
 from test_genskew_runner import LINE, forward_is_identity
 
 
@@ -457,22 +457,21 @@ def recorded_frames(monkeypatch, max_cells):
     frames, at = {}, {}
     frame_rects = harness._frame_rects
 
+    def keys(stats, rho=None, sigma=None):
+        if rho is not None:
+            frames.setdefault(at["line"], {})[at["frame"]] = (list(rho), list(sigma))
+        return np.zeros(1, dtype=np.int64)
+
     def table(s, max_entry):
         at["line"] = catalog_line(s)
-        sums = np.zeros((1, s.height + s.width), dtype=np.int16), None, None
-        return sums, lambda direction, region=None: np.zeros(1, dtype=np.int8)
+        return keys, lambda direction, region=None: np.zeros(1, dtype=np.int8)
 
     def rects(h, t, k, l, se):
         at["frame"] = (k, l)
         return frame_rects(h, t, k, l, se)
 
-    def keys(left, right, rho, sigma):
-        frames.setdefault(at["line"], {})[at["frame"]] = (list(rho), list(sigma))
-        return np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
-
     monkeypatch.setattr(harness, "_filling_table", table)
     monkeypatch.setattr(harness, "_frame_rects", rects)
-    monkeypatch.setattr(harness, "_class_keys", keys)
     params = {"max_cells": max_cells, "kmax": max_cells, "lmax": max_cells, "max_entry": 1}
     harness._run("lem_ferrers", params, (0, 1))
     return frames
@@ -538,9 +537,7 @@ def test_identity_permutations_fail_lem_ferrers_and_rubey(monkeypatch, prop, max
     """The frames' and the swaps' (rho, sigma) are seen: with identity
     permutations in their place the checks fail.  cor_sskew's refined
     part passes with the identity too (see the harness docstring)."""
-    keys = harness._class_keys
-    monkeypatch.setattr(harness, "_class_keys",
-                        lambda left, right, rho, sigma: keys(left, right, sorted(rho), sorted(sigma)))
+    monkeypatch.setattr(harness, "_filling_table", identity_permutations(harness._filling_table))
     assert len(verify(prop, max_cells=max_cells).failures) == failing
 
 
