@@ -14,6 +14,7 @@ delta_k are NE-chains and SE-chains of length k.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -110,13 +111,9 @@ class SumVector:
 
 def filling_kind(f: Filling) -> FillingKind:
     binary = f.is_binary()
-    row_ones = [0] * (f.shape.height + 1)
-    col_ones = [0] * (f.shape.width + 1)
-    for (x, y), v in f.items():
-        if v >= 1:
-            row_ones[y] += 1
-            col_ones[x] += 1
-    counts = row_ones[1:] + col_ones[1:]
+    # on a binary filling the line sums are the 1-cell counts
+    sums = sum_vector(f)
+    counts = sums.row_sums + sums.col_sums
     sparse = binary and all(n <= 1 for n in counts)
     transversal = sparse and all(n == 1 for n in counts)
     return FillingKind(binary=binary, sparse=sparse, transversal=transversal)
@@ -226,21 +223,27 @@ def avoids(host: Filling, patterns) -> bool:
 # --- chains ---------------------------------------------------------------
 
 
-def _lis(cells: list[Cell]) -> int:
-    """Longest sequence strictly increasing in both coordinates."""
-    cells = sorted(cells)
-    best = [0] * len(cells)
-    for i, (x, y) in enumerate(cells):
-        best[i] = 1 + max(
-            (best[j] for j in range(i) if cells[j][0] < x and cells[j][1] < y),
-            default=0,
-        )
-    return max(best, default=0)
+def _lis(seq) -> int:
+    """Length of the longest strictly increasing subsequence, by patience sorting."""
+    tails = []
+    for v in seq:
+        k = bisect_left(tails, v)
+        if k == len(tails):
+            tails.append(v)
+        else:
+            tails[k] = v
+    return len(tails)
 
 
-def _lds(cells: list[Cell]) -> int:
-    """Longest sequence with columns increasing and rows decreasing."""
-    return _lis([(x, -y) for x, y in cells])
+def _chain(cells, direction: str) -> int:
+    """Longest NE- or SE-chain among the cells, with no grid condition.
+
+    The cells go by column; within a column the rows run against the
+    chain's direction, so a strictly increasing subsequence of the rows
+    (negated for SE) takes at most one cell from each column.
+    """
+    sign = 1 if direction == NE else -1
+    return _lis([sign * y for _, y in sorted(cells, key=lambda c: (c[0], -sign * c[1]))])
 
 
 def longest_chain(f: Filling, direction: str, region: Rect | None = None) -> int:
@@ -257,17 +260,13 @@ def longest_chain(f: Filling, direction: str, region: Rect | None = None) -> int
     if region is not None:
         if not all(c in f.shape.cells for c in region.cells()):
             raise ValueError("region is not contained in the shape")
-        inside = [c for c in nonzero if c in region]
-        return _lis(inside) if direction == NE else _lds(inside)
+        return _chain([c for c in nonzero if c in region], direction)
     if is_skew(f.shape):
         if direction == SE:
             # any decreasing pair spans a rectangle inside a skew shape
-            return _lds(nonzero)
+            return _chain(nonzero, SE)
         rects = skew_rectangles(f.shape)
-        return max(
-            (_lis([c for c in nonzero if c in r]) for r in rects),
-            default=0,
-        )
+        return max((_chain([c for c in nonzero if c in r], NE) for r in rects), default=0)
     return _longest_chain_generic(f, direction)
 
 

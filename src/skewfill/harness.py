@@ -147,7 +147,6 @@ lem_ferrers and rubey check multisets only ("level" in their details).
 
 from __future__ import annotations
 
-import bisect
 import csv
 import io
 import itertools
@@ -164,7 +163,7 @@ from ._engine import ShapeContext, capped_fillings, multiset_equal, support_chai
 from .enumeration import _admits_transversal, _catalog_intervals, _catalog_walk, \
     _diagonal_prefix, _ferrers_prefix, _filter_prefix, _joined, _line, _new_dent, _transversals, \
     catalog_line, catalog_sums, enum_moon_polyominoes, parse_catalog_line
-from .fillings import NE, SE
+from .fillings import NE, SE, _lis
 from .shapes import Rect, Shape, _interval_rectangles, _interval_shape, _kept_skew, _quoted, \
     _rectangles, _row_spans, _top_row_dents, dent_shape
 from .structure import DecompositionError, _rectangle_ds_free, ferrers_decompose, \
@@ -314,18 +313,6 @@ def _contexts(params, shard, keep=None):
         stack.append(ShapeContext(_kept_skew(cells), stack[-1]))
         if mine:
             yield stack[-1]
-
-
-def _lis(seq) -> int:
-    """Length of the longest increasing subsequence, by patience sorting."""
-    tails = []
-    for v in seq:
-        k = bisect.bisect_left(tails, v)
-        if k == len(tails):
-            tails.append(v)
-        else:
-            tails[k] = v
-    return len(tails)
 
 
 def _transversal_chains(intervals):

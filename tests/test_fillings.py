@@ -1,5 +1,9 @@
+import itertools
+import operator
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     binary_fillings,
@@ -17,6 +21,8 @@ from skewfill.fillings import (
     Filling,
     FillingKind,
     SumVector,
+    _chain,
+    _lis,
     avoids,
     filling_kind,
     find_filling_occurrences,
@@ -235,6 +241,30 @@ def test_fd_requires_exact_shape_occurrence():
     ones = Filling.from_support(square, frozenset(square.cells))
     assert avoids(ones, "fd")
     assert find_filling_occurrences(ones, FD) == []
+
+
+def longest_run(items, before):
+    """Longest subsequence whose neighbours all satisfy before, by subset scan."""
+    return max(
+        n for n in range(len(items) + 1) for sub in itertools.combinations(items, n)
+        if all(before(a, b) for a, b in zip(sub, sub[1:]))
+    )
+
+
+@given(st.lists(st.integers(0, 4), max_size=9))
+@settings(max_examples=200)
+def test_lis_is_the_longest_strictly_increasing_subsequence(seq):
+    # values repeat, and a repeat never extends a strictly increasing run
+    assert _lis(seq) == longest_run(seq, operator.lt)
+
+
+@given(st.sets(st.tuples(st.integers(1, 5), st.integers(1, 5)), max_size=10))
+@settings(max_examples=200)
+def test_chain_is_the_longest_strictly_monotone_subset(cells):
+    # several cells per row and per column: a chain takes at most one of each
+    for direction, sign in ((NE, 1), (SE, -1)):
+        best = longest_run(sorted(cells), lambda a, b: a[0] < b[0] and sign * a[1] < sign * b[1])
+        assert _chain(cells, direction) == best
 
 
 @given(binary_fillings(skew_shapes(max_rows=3, max_width=3)))
