@@ -213,7 +213,7 @@ class ShapeContext:
 
     def apply_all(self, F: np.ndarray, forward: bool = True) -> np.ndarray:
         """Images of codes under every step, in order (in reverse order
-        backward); ValueError at the first step undefined on one of them."""
+        backward); StepError at the first step undefined on one of them."""
         steps = self._compiled_steps()
         for step in steps if forward else reversed(steps):
             F = _apply_one(F, step, forward)
@@ -256,8 +256,12 @@ def _row_steps(rows) -> list:
     return steps
 
 
+class StepError(ValueError):
+    """A step undefined on some given codes: i is the step, code the first."""
+
+
 def _apply_one(F: np.ndarray, step, forward: bool) -> np.ndarray:
-    """Images of codes under one compiled step; ValueError when it is
+    """Images of codes under one compiled step; StepError when it is
     undefined on some of them.  Bits above the step's X pass through."""
     i, w, bases = step
     row = (1 << w) - 1
@@ -266,7 +270,9 @@ def _apply_one(F: np.ndarray, step, forward: bool) -> np.ndarray:
         pattern |= ((F >> base) & row) << (r * w)
     image = _step_table(w, len(bases), forward)[pattern]
     if image.size and image.min() < 0:
-        raise ValueError(f"step {i} is undefined on some of the given codes")
+        exc = StepError(f"step {i} is undefined on some of the given codes")
+        exc.i, exc.code = i, int(F[image.argmin()])  # argmin finds the first -1
+        raise exc
     out = F & ~sum(row << base for base in bases)
     for r, base in enumerate(bases):
         out |= ((image >> (r * w)) & row) << base

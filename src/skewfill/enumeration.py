@@ -235,12 +235,11 @@ def catalog_lines(max_cells: int, connected: bool, ds_free: bool) -> list[str]:
     size in lexicographic order, as enum_skew_shapes lists it.  One walk,
     and no shape is built.
 
-    Each line is its parent's line plus one row.  The unsharded walk is a
-    preorder, pruned or not: between a list and any of its extensions it
-    yields only further extensions of that list, all longer than it, so
-    the latest list of d - 1 rows before a list of d rows is its parent.
-    heads[d] keeps the latest line of d rows, with a trailing comma in
-    place of its closing bracket, and _row_texts gives a row's texts."""
+    Each line is its parent's line plus one row, and the unsharded walk is
+    a preorder, so the latest list of d - 1 rows before a list of d rows is
+    its parent (the argument is at harness._walk).  heads[d] keeps the
+    latest line of d rows, with a trailing comma in place of its closing
+    bracket, and _row_texts gives a row's texts."""
     by_size = [[] for _ in range(max_cells + 1)]
     heads = ["["] * (max_cells + 1)
     for intervals, used, _ in _catalog_walk(max_cells, keep=_flag_prefix(connected, ds_free)):

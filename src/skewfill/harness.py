@@ -29,14 +29,15 @@ Property tokens and their instance counts:
                  decompose/validate round-trip; instances = shapes.
 
 One runner, _run, drives every property (_PROPERTIES).  A property's
-source(params, shard) yields the items a shard owns: catalog lists that
-pass a prefix test (_walk), ShapeContexts (_contexts), rubey's column
-classes or ds_free_oracle's lists with their dent bits (_dent_walk).
-Its check(item, params) gives one item's (instances, failures, details),
-and covered(params), set for conjecture, genskew and lemma_gi, starts
-shard 0's part with the (instances, details) of the catalog shapes no
-check scans.  A part adds its items' instances, joins their failures and
-folds their flat details with _add; the report merges the parts alike.
+source(params, shard) yields the items a shard owns: rubey's column
+classes, or one item per list on a pruned catalog walk, grown from its
+parent's (_walk): the list, its ShapeContext (_contexts) or the list
+with its dent bit (ds_free_oracle).  Its check(item, params) gives one
+item's (instances, failures, details), and covered(params), set for
+conjecture, genskew and lemma_gi, starts shard 0's part with the
+(instances, details) of the catalog shapes no check scans.  A part adds
+its items' instances, joins their failures and folds their flat details
+with _add; the report merges the parts alike.
 
 The three transversal properties walk only the catalog shapes they can
 use; a pruned walk yields the lists of the full walk that pass its
@@ -159,7 +160,7 @@ from functools import partial, reduce
 
 import numpy as np
 
-from ._engine import ShapeContext, capped_fillings, multiset_equal, support_chain_table
+from ._engine import ShapeContext, StepError, capped_fillings, multiset_equal, support_chain_table
 from .enumeration import _admits_transversal, _catalog_intervals, _catalog_walk, \
     _diagonal_prefix, _ferrers_prefix, _filter_prefix, _joined, _line, _new_dent, _transversals, \
     catalog_line, catalog_sums, enum_moon_polyominoes, parse_catalog_line
@@ -288,31 +289,36 @@ def parse_report_csv(text: str) -> VerificationReport:
 # --- sources and checks ----------------------------------------------------
 
 
-def _walk(keep, square=False):
-    """The source of the catalog lists a shard owns on the walk that keep
-    prunes (enumeration._catalog_walk), only the square ones if asked."""
-    return lambda params, shard: (
-        intervals for intervals, _, mine in _catalog_walk(params["max_cells"], shard, keep)
-        if mine and (not square or intervals[-1][1] == len(intervals)))
+def _walk(keep, grow=lambda up, intervals: intervals, root=None, square=False):
+    """The source of the items of the lists a shard owns on the walk keep
+    prunes (enumeration._catalog_walk), only the square ones if asked: a
+    list's item is grow(its parent's item, its intervals), root the empty
+    list's, and a shard's unowned one-row lists grow too, as parents.  The
+    walk is a preorder, pruned or not: between a list and its extensions it
+    yields only more of them, so a parent is the latest list one row shorter."""
+    def source(params, shard):
+        items = [root]  # items[d]: the item of the current path's list of d rows
+        for intervals, _, mine in _catalog_walk(params["max_cells"], shard, keep):
+            del items[len(intervals):]
+            items.append(grow(items[-1], intervals))
+            if mine and (not square or intervals[-1][1] == len(intervals)):
+                yield items[-1]
+    return source
+
+
+def _child_context(parent: ShapeContext, intervals) -> ShapeContext:
+    """The context of a list, extending its parent's by the top row."""
+    (a, b), y = intervals[-1], len(intervals)
+    cells = parent.shape.sorted_cells() + tuple((x, y) for x in range(a, b + 1))
+    return ShapeContext(_kept_skew(cells), parent)
 
 
 def _contexts(params, shard, keep=None):
     """A shard's ShapeContexts: of the single shape param on shard 0, or of
-    its catalog shapes, each extending the context of its parent.  keep
-    prunes the walk as in _catalog_walk; it must pass every row prefix of
-    a list it passes, so each parent is on the walk."""
+    its catalog shapes on the walk keep prunes (_catalog_walk), by _walk."""
     if params.get("shape") is not None:
-        if shard[0] == 0:
-            yield ShapeContext(parse_catalog_line(params["shape"]))
-        return
-    stack = [ShapeContext(Shape(frozenset()))]
-    for intervals, _, mine in _catalog_walk(params["max_cells"], shard, keep):
-        del stack[len(intervals):]
-        (a, b), y = intervals[-1], len(intervals)
-        cells = stack[-1].shape.sorted_cells() + tuple((x, y) for x in range(a, b + 1))
-        stack.append(ShapeContext(_kept_skew(cells), stack[-1]))
-        if mine:
-            yield stack[-1]
+        return [ShapeContext(parse_catalog_line(params["shape"]))] if shard[0] == 0 else []
+    return _walk(keep, _child_context, ShapeContext(Shape(frozenset())))(params, shard)
 
 
 def _transversal_chains(intervals):
@@ -455,35 +461,41 @@ def _check_genskew(ctx, params):
     g1 = ctx.stage_members(1)
     gn = ctx.stage_members(ctx.n)
     rk = ctx.row_keys()
-    image = ctx.apply_all(g1)
-    ordered = np.sort(image)
-    onto = np.array_equal(ordered, gn)
-    kept = bool((rk[image] == rk[g1]).all())  # image and g1 have the same length
-    clauses = []
+    clauses, onto, kept = [], False, False
+    try:
+        image = ctx.apply_all(g1)
+        ordered = np.sort(image)
+        onto = np.array_equal(ordered, gn)
+        kept = bool((rk[image] == rk[g1]).all())  # image and g1 have the same length
+        if not onto:
+            if np.any(ordered[1:] == ordered[:-1]):
+                clauses.append({"clause": "forward not injective"})
+            else:
+                clauses.append({"clause": "image is not the final stage"})
+        if not kept:
+            clauses.append({"clause": "row sums not preserved"})
+        if not (ctx.apply_all(image, forward=False) == g1).all():
+            clauses.append({"clause": "backward not inverse"})
+    except StepError as exc:  # raised forward, it leaves onto and kept False
+        clauses.append({"clause": "step undefined", "i": exc.i, "code": exc.code})
     if not (onto and kept) and not multiset_equal(rk[g1], rk[gn]):
-        clauses.append("direct refined counts")
-    if not onto:
-        if np.any(ordered[1:] == ordered[:-1]):
-            clauses.append("forward not injective")
-        else:
-            clauses.append("image is not the final stage")
-    if not kept:
-        clauses.append("row sums not preserved")
-    if not (ctx.apply_all(image, forward=False) == g1).all():
-        clauses.append("backward not inverse")
-    failures = [{"shape": catalog_line(ctx.shape), "clause": c} for c in clauses]
+        clauses.insert(0, {"clause": "direct refined counts"})
+    failures = [{"shape": catalog_line(ctx.shape), **c} for c in clauses]
     if params.get("shape") is None:
         return 0, failures, {"shapes": 0}
     return 1 << ctx.n, failures, {"shapes": 1, "g1_count": int(g1.size), "gN_count": int(gn.size)}
 
 
 def _check_lemma_gi(ctx, params):
-    """Equal stage sizes and step images on one shape."""
+    """Equal stage sizes and step images on one shape; an undefined step is its one step clause."""
     stages = [ctx.stage_members(i) for i in range(1, ctx.n + 1)]
     counts = [int(g.size) for g in stages]
     clauses = [{"clause": "stage sizes differ", "counts": counts}] if len(set(counts)) > 1 else []
-    clauses += [{"clause": "step image", "i": i} for i in range(1, ctx.n)
-                if not np.array_equal(np.sort(ctx.apply_step(stages[i - 1], i)), stages[i])]
+    try:
+        clauses += [{"clause": "step image", "i": i} for i in range(1, ctx.n)
+                    if not np.array_equal(np.sort(ctx.apply_step(stages[i - 1], i)), stages[i])]
+    except StepError as exc:
+        clauses.append({"clause": "step undefined", "i": exc.i, "code": exc.code})
     failures = [{"shape": catalog_line(ctx.shape), **c} for c in clauses]
     single = params.get("shape") is not None
     return single * (ctx.n - 1), failures, {"shapes": int(single)}
@@ -577,25 +589,12 @@ def _check_rubey(moons, params):
     return instances, failures, {"level": "cardinalities"}
 
 
-def _dent_walk(params, shard):
-    """The lists a shard owns on the full walk, each with its dent bit,
-    carried down the walk's current path: a list holds a dent placement
-    exactly when its parent does or one has its top in the new top row
-    (_new_dent), the scan of shapes._contains_dent one top row at a time.
-    The walk is a preorder, so the parent of a list of d rows is the
-    latest list of d - 1 rows."""
-    dents = [False]  # dents[d]: the path's list of d rows holds a dent
-    for intervals, _, mine in _catalog_walk(params["max_cells"], shard):
-        del dents[len(intervals):]
-        dents.append(dents[-1] or _new_dent(intervals))
-        if mine:
-            yield intervals, dents[-1]
-
-
 def _check_ds_free_oracle(item, params):
-    """The pattern criterion is the dent bit, the rectangle criterion reads
-    the row intervals; a Shape is built only for a connected list, to
-    decompose."""
+    """The pattern criterion is the dent bit, carried down the walk: a list
+    holds a dent placement exactly when its parent does or one has its top
+    in the new top row (_new_dent), the scan of shapes._contains_dent one
+    top row at a time.  The rectangle criterion reads the row intervals; a
+    Shape is built only for a connected list, to decompose."""
     intervals, dented = item
     by_pattern, by_rect = not dented, _rectangle_ds_free(intervals)
     failures, decomposed = [], 0
@@ -649,7 +648,8 @@ _PROPERTIES = {
                    _column_classes(params["max_cells"]), shard[0], None, shard[1]),
                _check_rubey, None),
               {"max_cells": (1, 8, 11), "max_entry": (1, 1, 2)}),
-    "ds_free_oracle": ((_dent_walk, _check_ds_free_oracle, None), {"max_cells": (1, 9, 13)}),
+    "ds_free_oracle": ((_walk(None, lambda up, iv: (iv, up[1] or _new_dent(iv)), ((), False)),
+                        _check_ds_free_oracle, None), {"max_cells": (1, 9, 13)}),
 }
 
 PROPERTIES = tuple(_PROPERTIES)

@@ -2,6 +2,7 @@
 
 import itertools
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,10 +14,11 @@ from conftest import reference_step_table, skew_shapes
 from skewfill import bijection
 from skewfill._engine import ShapeContext, _step_table, multiset_equal
 from skewfill.bijection import in_G, label_index, step_backward, step_forward
-from skewfill.enumeration import catalog_line, enum_skew_shapes, parse_catalog_line
+from skewfill.enumeration import _diagonal_prefix, _filter_prefix, catalog_line, \
+    enum_skew_shapes, parse_catalog_line
 from skewfill.fillings import Filling, as_pattern, find_filling_occurrences
-from skewfill.harness import _contexts, verify
-from skewfill.shapes import _row_spans, is_skew, normalize, parse_shape
+from skewfill.harness import _contexts, _walk, verify
+from skewfill.shapes import _interval_shape, _row_spans, is_skew, normalize, parse_shape
 from test_genskew_runner import components
 
 TOKENS = ("delta2", "iota2", "fd")
@@ -184,6 +186,18 @@ def test_walk_tables_match_whole_shape_construction():
         assert_tables_match(ctx)
         seen += 1
     assert seen == 3909
+
+
+@pytest.mark.parametrize("shard", [(0, 1), (0, 3), (1, 3), (2, 3)])
+@pytest.mark.parametrize("keep", [None, partial(_filter_prefix, connected=True, ds_free=False),
+                                  _diagonal_prefix], ids=["full", "connected", "diagonal"])
+def test_walk_grows_each_context_from_its_parent_on_every_shard(keep, shard):
+    # a shard's first owned list of two rows may hang from a one-row list
+    # it does not own; its context must still extend that list's
+    lists = list(_walk(keep)({"max_cells": 8}, shard))
+    assert lists
+    assert [ctx.shape for ctx in _contexts({"max_cells": 8}, shard, keep)] == \
+        [_interval_shape(intervals) for intervals in lists]
 
 
 def test_disconnected_shapes_factor_into_their_components():

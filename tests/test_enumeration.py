@@ -436,8 +436,8 @@ def test_catalog_walk_is_a_preorder(shard):
     """Every list the walk to 8 cells yields, a shard's unowned one-row
     lists too, comes after its parent and before any list outside its
     parent's subtree: the extensions of each list are the run of lists
-    right after it.  catalog_lines, harness._contexts and the dent bits of
-    ds_free_oracle rely on it."""
+    right after it.  catalog_lines and harness._walk, which grows each
+    list's item from its parent's, rely on it."""
     order = [iv for iv, _, _ in _catalog_walk(8, shard)]
     at = {iv: k for k, iv in enumerate(order)}
     assert len(at) == len(order)

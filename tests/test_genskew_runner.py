@@ -20,7 +20,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from skewfill import _engine, harness
+from skewfill import _engine, cli, harness
 from skewfill._engine import ShapeContext, multiset_equal
 from skewfill.enumeration import _catalog_intervals, _joined, _line, catalog_line, \
     parse_catalog_line
@@ -250,3 +250,25 @@ def test_direct_counts_compared_only_after_a_failed_check(monkeypatch):
     perturbed_row_key(monkeypatch)
     failures = harness._run("genskew", {"max_cells": 6}, (0, 1))["failures"]
     assert len(calls) == len({f["shape"] for f in failures}) > 0
+
+
+def test_an_undefined_step_is_a_failure_not_a_usage_error(monkeypatch, capsys):
+    """With every 2x2 pattern that the last step of the 2x2 box moves made
+    undefined, both runners fail the square at step 3, name the first code
+    the step is undefined on, and go on to the other shapes; the CLI exits
+    1, as for any failed report, not 2."""
+    step_table = _engine._step_table
+
+    def broken(w, h, forward):
+        table = step_table(w, h, forward)
+        return np.where(table == np.arange(table.size), table, -1) if (w, h) == (2, 2) else table
+
+    sound = {prop: harness.verify(prop, max_cells=4) for prop in ("genskew", "lemma_gi")}
+    monkeypatch.setattr(_engine, "_step_table", broken)
+    for prop, report in sound.items():
+        got = harness.verify(prop, max_cells=4)
+        assert got.failures == [{"shape": "[(1,2),(1,2)]", "clause": "step undefined", "i": 3,
+                                 "code": 9}]
+        assert (got.instances, got.details) == (report.instances, report.details)
+        assert cli.main(["verify", prop, "--max-cells", "4"]) == 1
+        assert "step undefined" in capsys.readouterr().out

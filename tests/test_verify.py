@@ -21,7 +21,8 @@ from skewfill.harness import (
     verify,
 )
 from skewfill.fillings import NE
-from skewfill.shapes import Rect, dent_shape, is_nw_ferrers, normalize
+from skewfill.shapes import Rect, _contains_dent, _interval_shape, dent_shape, is_nw_ferrers, \
+    normalize
 from conftest import frame_counts_by_cells, identity_permutations, reference_lem_ferrers
 from test_genskew_runner import LINE, forward_is_identity
 
@@ -125,6 +126,18 @@ def test_ds_free_oracle_sees_either_criterion_break(monkeypatch, name, broken):
     disagree = [f for f in r.failures if f["clause"] == "criteria disagree"]
     assert r.instances == 3909 and len(disagree) == 7
     assert {f["pattern"] for f in disagree} == {name == "_new_dent"}
+
+
+@pytest.mark.parametrize("shard", [(0, 1), (0, 3), (1, 3), (2, 3)])
+def test_ds_free_oracle_source_carries_each_dent_bit_from_its_parent(shard):
+    # the dent bit grown down the walk against the whole-shape scan, on
+    # every list a shard owns, in the walk's order
+    source = harness._PROPERTIES["ds_free_oracle"][0][0]
+    items = list(source({"max_cells": 9}, shard))
+    assert [intervals for intervals, _ in items] == list(harness._walk(None)({"max_cells": 9},
+                                                                             shard))
+    assert [dented for _, dented in items] == \
+        [_contains_dent(_interval_shape(intervals)) for intervals, _ in items]
 
 
 def test_ds_free_oracle_shards_merge_to_the_serial_report():
