@@ -257,7 +257,7 @@ def _row_steps(rows) -> list:
 
 
 class StepError(ValueError):
-    """A step undefined on some given codes: i is the step, code the first."""
+    """Step i, run forward or not, is undefined on some given codes; code is the first of them."""
 
 
 def _apply_one(F: np.ndarray, step, forward: bool) -> np.ndarray:
@@ -271,7 +271,7 @@ def _apply_one(F: np.ndarray, step, forward: bool) -> np.ndarray:
     image = _step_table(w, len(bases), forward)[pattern]
     if image.size and image.min() < 0:
         exc = StepError(f"step {i} is undefined on some of the given codes")
-        exc.i, exc.code = i, int(F[image.argmin()])  # argmin finds the first -1
+        exc.i, exc.code, exc.forward = i, int(F[image.argmin()]), forward  # argmin: first -1
         raise exc
     out = F & ~sum(row << base for base in bases)
     for r, base in enumerate(bases):

@@ -476,8 +476,9 @@ def _check_genskew(ctx, params):
             clauses.append({"clause": "row sums not preserved"})
         if not (ctx.apply_all(image, forward=False) == g1).all():
             clauses.append({"clause": "backward not inverse"})
-    except StepError as exc:  # raised forward, it leaves onto and kept False
-        clauses.append({"clause": "step undefined", "i": exc.i, "code": exc.code})
+    except StepError as exc:  # forward, onto and kept stay False; backward, their clauses stand
+        clauses.append({"clause": "step undefined" if exc.forward else "backward step undefined",
+                        "i": exc.i, "code": exc.code})
     if not (onto and kept) and not multiset_equal(rk[g1], rk[gn]):
         clauses.insert(0, {"clause": "direct refined counts"})
     failures = [{"shape": catalog_line(ctx.shape), **c} for c in clauses]
@@ -487,15 +488,17 @@ def _check_genskew(ctx, params):
 
 
 def _check_lemma_gi(ctx, params):
-    """Equal stage sizes and step images on one shape; an undefined step is its one step clause."""
+    """Equal stage sizes and step images on one shape; a step undefined on
+    its stage gives a step undefined clause in place of its image's."""
     stages = [ctx.stage_members(i) for i in range(1, ctx.n + 1)]
     counts = [int(g.size) for g in stages]
     clauses = [{"clause": "stage sizes differ", "counts": counts}] if len(set(counts)) > 1 else []
-    try:
-        clauses += [{"clause": "step image", "i": i} for i in range(1, ctx.n)
-                    if not np.array_equal(np.sort(ctx.apply_step(stages[i - 1], i)), stages[i])]
-    except StepError as exc:
-        clauses.append({"clause": "step undefined", "i": exc.i, "code": exc.code})
+    for i in range(1, ctx.n):
+        try:
+            if not np.array_equal(np.sort(ctx.apply_step(stages[i - 1], i)), stages[i]):
+                clauses.append({"clause": "step image", "i": i})
+        except StepError as exc:
+            clauses.append({"clause": "step undefined", "i": exc.i, "code": exc.code})
     failures = [{"shape": catalog_line(ctx.shape), **c} for c in clauses]
     single = params.get("shape") is not None
     return single * (ctx.n - 1), failures, {"shapes": int(single)}

@@ -252,19 +252,29 @@ def test_direct_counts_compared_only_after_a_failed_check(monkeypatch):
     assert len(calls) == len({f["shape"] for f in failures}) > 0
 
 
+def broken_tables(monkeypatch, **breaks):
+    """Patch _engine._step_table: breaks maps "w{w}h{h}" plus "f" (forward)
+    or "b" (backward) to "moved" (every moved pattern undefined), "all"
+    (every pattern undefined) or "fixed" (every pattern kept, a defined but
+    wrong step)."""
+    step_table = _engine._step_table
+
+    def broken(w, h, forward):
+        table = step_table(w, h, forward)
+        fixed = np.arange(table.size)
+        return {"moved": np.where(table == fixed, table, -1), "all": np.full_like(table, -1),
+                "fixed": fixed, None: table}[breaks.get(f"w{w}h{h}{'fb'[not forward]}")]
+
+    monkeypatch.setattr(_engine, "_step_table", broken)
+
+
 def test_an_undefined_step_is_a_failure_not_a_usage_error(monkeypatch, capsys):
     """With every 2x2 pattern that the last step of the 2x2 box moves made
     undefined, both runners fail the square at step 3, name the first code
     the step is undefined on, and go on to the other shapes; the CLI exits
     1, as for any failed report, not 2."""
-    step_table = _engine._step_table
-
-    def broken(w, h, forward):
-        table = step_table(w, h, forward)
-        return np.where(table == np.arange(table.size), table, -1) if (w, h) == (2, 2) else table
-
     sound = {prop: harness.verify(prop, max_cells=4) for prop in ("genskew", "lemma_gi")}
-    monkeypatch.setattr(_engine, "_step_table", broken)
+    broken_tables(monkeypatch, w2h2f="moved")
     for prop, report in sound.items():
         got = harness.verify(prop, max_cells=4)
         assert got.failures == [{"shape": "[(1,2),(1,2)]", "clause": "step undefined", "i": 3,
@@ -272,3 +282,34 @@ def test_an_undefined_step_is_a_failure_not_a_usage_error(monkeypatch, capsys):
         assert (got.instances, got.details) == (report.instances, report.details)
         assert cli.main(["verify", prop, "--max-cells", "4"]) == 1
         assert "step undefined" in capsys.readouterr().out
+
+
+def test_a_backward_undefined_step_is_named_and_keeps_the_forward_clauses(monkeypatch):
+    """A step undefined only backward, on a code of the forward image,
+    gives genskew a backward step undefined clause, whose code is the one
+    the backward step was given; lemma_gi runs no backward step and passes.
+    When the forward step is also wrong but defined, the forward clause
+    stays beside it."""
+    sound = harness.verify("lemma_gi", max_cells=4)
+    broken_tables(monkeypatch, w2h2b="moved")
+    assert harness.verify("genskew", max_cells=4).failures == [
+        {"shape": "[(1,2),(1,2)]", "clause": "backward step undefined", "i": 3, "code": 6}]
+    assert harness.verify("lemma_gi", max_cells=4).failures == sound.failures == []
+    broken_tables(monkeypatch, w2h2f="fixed", w2h2b="all")
+    square = "[(1,2),(1,2)]"
+    assert harness.verify("genskew", max_cells=4).failures == [
+        {"shape": square, "clause": "backward step undefined", "i": 3, "code": 0},
+        {"shape": square, "clause": "image is not the final stage"}]
+
+
+def test_lemma_gi_checks_every_step_past_an_undefined_one(monkeypatch):
+    """On three rows of width 2, with the 2x2 box's step kept fixed and the
+    2x3 box's undefined where it moves, lemma_gi reports step 3's wrong
+    image before step 5's undefined clause: an undefined step drops no
+    other step's clause."""
+    line = "[(1,2),(1,2),(1,2)]"
+    assert harness.verify("lemma_gi", shape=line).failures == []
+    broken_tables(monkeypatch, w2h2f="fixed", w2h3f="moved")
+    assert harness.verify("lemma_gi", shape=line).failures == [
+        {"shape": line, "clause": "step image", "i": 3},
+        {"shape": line, "clause": "step undefined", "i": 5, "code": 33}]
