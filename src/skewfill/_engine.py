@@ -24,8 +24,8 @@ skew shape every row is an interval, so a 2x2 box of cells is a row pair
 y1 < y2 and a column pair x1 < x2 drawn from the columns both rows share;
 delta_2 sets bits (x1, y2) and (x2, y1), iota_2 bits (x1, y1) and
 (x2, y2), and both have top (x2, y2).  An fd occurrence is a placement of
-the dented shape (cols i1 < i2 < i3, rows j1 < j2 < j3, holes at (i3, j1)
-and (i1, j3)) with bits (i1, j1), (i2, j3), (i3, j2) and top (i3, j3).
+the dented shape with one bit per row, (i1, j1), (i3, j2) and (i2, j3)
+bottom up, and top (i3, j3) (shapes._top_row_dents lists them).
 
 Every table grows one row at a time.  A skew shape without its top row
 is again a skew shape, its parent, and the labels run bottom-up, so the
@@ -43,7 +43,8 @@ plus what the new row adds:
   - iota_2: the top is the set bit (x2, top row) itself, held when c has
     a bit (x1, y1) with lo <= x1 < x2 <= the end of row y1; the lowest
     such bit of m gives the new smallest top.
-  - fd: the few placements whose top row is the new row, one by one.
+  - fd: the few placements whose top row is the new row, one by one: the
+    bits (x1, y1), (x2, y2) of c and x3 of m, and the top (x2, top row).
   - umin holds a sentinel above every label where no top is held, and
     takes the elementwise min of the parent's value and each new top, so
     a smaller top of the parent survives.
@@ -179,11 +180,11 @@ class ShapeContext:
             umin = umin[None].repeat(1 << w, axis=0)
         if len(lower) >= 2 and w >= 2:  # fd: the placements with the new top row
             bit = {y: f - a for y, a, _, f in lower}
-            for (i1, i2, i3), (j1, j2, _) in _top_row_dents(
+            for (x1, y1), (x2, y2), (x3, _) in _top_row_dents(
                     [(y, (a, b)) for y, a, b, _ in lower], (self.rows[-1][0], (lo, lo + w - 1))):
-                mask = 1 << (bit[j1] + i1) | 1 << (bit[j2] + i3)
-                rows = (_codes(w) >> (i2 - lo) & 1).astype(bool)
-                tops = np.where(_codes(p) & mask == mask, p + 1 + i3 - lo, _NO_TOP)
+                mask = 1 << (bit[y1] + x1) | 1 << (bit[y2] + x2)
+                rows = (_codes(w) >> (x3 - lo) & 1).astype(bool)
+                tops = np.where(_codes(p) & mask == mask, p + 1 + x2 - lo, _NO_TOP)
                 umin[rows] = np.minimum(umin[rows], tops)
         self._umin = umin.ravel()
         return self._dmax, self._umin

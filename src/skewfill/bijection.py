@@ -60,10 +60,10 @@ def in_G(s: Shape, f: Filling, i: int) -> bool:
         raise ValueError("stage sets contain binary fillings only")
     if not 1 <= i <= n:
         raise ValueError(f"stage index {i} out of range 1..{n}")
-    for occ in find_filling_occurrences(f, "delta2"):
+    for occ in find_filling_occurrences(f, "delta2") if i < n else ():  # no top is past c_n
         if label_index(s, occurrence_top(occ)) > i:
             return False
-    for token in ("iota2", "fd"):
+    for token in ("iota2", "fd") if i >= 4 else ():  # every top has 3 cells labelled before it
         for occ in find_filling_occurrences(f, token):
             if label_index(s, occurrence_top(occ)) <= i:
                 return False

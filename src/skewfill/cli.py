@@ -38,8 +38,8 @@ _ENUM_SHAPES_CAP = 13
 _ENUM_BATCH = 1 << 16
 
 # Most grid cells, holes included, that classify, decompose and bijection
-# take: a 15 x 15 grid.  bijection's fd box scan is C(h,3) * C(w,3) on an
-# h x w grid, so its cost grows like the sixth power of the side.
+# take: a 15 x 15 grid.  The fd box scan of bijection --backward, C(h,3) *
+# C(w,3) on an h x w grid, grows like the sixth power of the side.
 _GRID_CELLS_CAP = 225
 
 # Largest k of an iota<k> or delta<k> token, and most rows or columns of

@@ -162,7 +162,7 @@ import numpy as np
 
 from ._engine import ShapeContext, StepError, capped_fillings, multiset_equal, support_chain_table
 from .enumeration import _admits_transversal, _catalog_intervals, _catalog_walk, \
-    _diagonal_prefix, _ferrers_prefix, _filter_prefix, _joined, _line, _new_dent, _transversals, \
+    _diagonal_prefix, _ferrers_prefix, _flag_prefix, _joined, _line, _new_dent, _transversals, \
     catalog_line, catalog_sums, enum_moon_polyominoes, parse_catalog_line
 from .fillings import NE, SE, _lis
 from .shapes import Rect, Shape, _interval_rectangles, _interval_shape, _kept_skew, _quoted, \
@@ -289,19 +289,19 @@ def parse_report_csv(text: str) -> VerificationReport:
 # --- sources and checks ----------------------------------------------------
 
 
-def _walk(keep, grow=lambda up, intervals: intervals, root=None, square=False):
+def _walk(keep, grow=lambda up, intervals: intervals, root=None):
     """The source of the items of the lists a shard owns on the walk keep
-    prunes (enumeration._catalog_walk), only the square ones if asked: a
-    list's item is grow(its parent's item, its intervals), root the empty
-    list's, and a shard's unowned one-row lists grow too, as parents.  The
-    walk is a preorder, pruned or not: between a list and its extensions it
-    yields only more of them, so a parent is the latest list one row shorter."""
+    prunes (enumeration._catalog_walk): a list's item is grow(its parent's
+    item, its intervals), root the empty list's, and a shard's unowned
+    one-row lists grow too, as parents.  The walk is a preorder, pruned or
+    not: between a list and its extensions it yields only more of them, so
+    a parent is the latest list one row shorter."""
     def source(params, shard):
         items = [root]  # items[d]: the item of the current path's list of d rows
         for intervals, _, mine in _catalog_walk(params["max_cells"], shard, keep):
             del items[len(intervals):]
             items.append(grow(items[-1], intervals))
-            if mine and (not square or intervals[-1][1] == len(intervals)):
+            if mine:
                 yield items[-1]
     return source
 
@@ -338,9 +338,8 @@ def _transversal_chains(intervals):
     the delta_2-avoiders have se < 2.  An iota_2 occurrence (1s bottom-left
     and top-right) spans a box of the shape, hence lies in a maximal
     rectangle, and an NE pair in a rectangle is one: the iota_2-avoiders
-    have ne < 2.  An fd placement ((i1, i2, i3), (j1, j2, j3)) holds 1s at
-    (i1, j1), (i2, j3) and (i3, j2), so p hits it when p[j1 - 1] == i1,
-    p[j3 - 1] == i2 and p[j2 - 1] == i3.
+    have ne < 2.  p hits an fd placement when p[y - 1] == x for each of its
+    cells (x, y) (shapes._top_row_dents).
     """
     rects = [r for r in _interval_rectangles(intervals) if r[0] < r[1] and r[2] < r[3]]
     for p in _transversals([range(a, b + 1) for a, b in intervals]):
@@ -358,12 +357,11 @@ def _tr_counts(intervals, ks) -> list[tuple[int, int]]:
 def _bp_counts(intervals) -> tuple[int, int]:
     """(#delta_2-avoiding, #{iota_2, fd}-avoiding) transversals."""
     rows = list(enumerate(intervals, start=1))
-    fd = [pl for t in range(2, len(rows)) for pl in _top_row_dents(rows[:t], rows[t])]
+    fd = [cells for t in range(2, len(rows)) for cells in _top_row_dents(rows[:t], rows[t])]
     d_count = u_count = 0
     for p, ne, se in _transversal_chains(intervals):
         d_count += se < 2
-        u_count += ne < 2 and not any(p[j1 - 1] == i1 and p[j3 - 1] == i2 and p[j2 - 1] == i3
-                                      for (i1, i2, i3), (j1, j2, j3) in fd)
+        u_count += ne < 2 and not any(all(p[y - 1] == x for x, y in cells) for cells in fd)
     return d_count, u_count
 
 
@@ -623,17 +621,17 @@ def _check_ds_free_oracle(item, params):
 
 
 # the contexts of genskew and lemma_gi, on the connected walk (see the module docstring)
-_CONNECTED = partial(_contexts, keep=partial(_filter_prefix, connected=True, ds_free=False))
-_SQUARES = _walk(_diagonal_prefix, square=True)
+_CONNECTED = partial(_contexts, keep=_flag_prefix(True, False))
+_SQUARES = lambda params, shard: (iv for iv in _walk(_diagonal_prefix)(params, shard)
+                                  if iv[-1][1] == len(iv))
 
 # property -> ((source, check, covered), {param: (floor, default, cap)}),
 # a value below the floor an error even with the override.  lem_ferrers'
 # kmax and lmax start at 0 (a frame may have no special columns or rows),
 # cor_sskew's kmax at 2 (both its parts start at k = 2).  The single shape
-# of genskew and lemma_gi has no default; its cells count to the max_cells cap.
+# of genskew and lemma_gi has no default or cap; its cells count to the max_cells cap.
 _PROPERTIES = {
-    "cor_sskew": ((_walk(partial(_filter_prefix, connected=True, ds_free=True)),
-                   _check_cor_sskew, None),
+    "cor_sskew": ((_walk(_flag_prefix(True, True)), _check_cor_sskew, None),
                   {"max_cells": (1, 9, 16), "kmax": (2, 3, 3), "refine_cells": (0, 7, 9),
                    "max_entry": (1, 2, 2)}),
     "conjecture": ((_SQUARES, _check_conjecture,
@@ -641,9 +639,9 @@ _PROPERTIES = {
                    {"max_cells": (1, 9, 16), "kmax": (1, 3, 3)}),
     "thm_bp": ((_SQUARES, _check_thm_bp, None), {"max_cells": (1, 9, 16)}),
     "genskew": ((_CONNECTED, _check_genskew, partial(_catalog_cover, at=1)),
-                {"max_cells": (1, 10, 14), "shape": (1, None, 14)}),
+                {"max_cells": (1, 10, 14), "shape": (1, None, None)}),
     "lemma_gi": ((_CONNECTED, _check_lemma_gi, partial(_catalog_cover, at=2)),
-                 {"max_cells": (1, 8, 12), "shape": (1, None, 12)}),
+                 {"max_cells": (1, 8, 12), "shape": (1, None, None)}),
     "lem_ferrers": ((_walk(_ferrers_prefix), _check_lem_ferrers, None),
                     {"max_cells": (1, 8, 11), "kmax": (0, 2, 2), "lmax": (0, 2, 2),
                      "max_entry": (1, 2, 2)}),
@@ -716,7 +714,7 @@ def verify(prop: str, **params) -> VerificationReport:
                                  "catalog line")
             # counted from the grammar, before any cell is built
             cells = sum(b - a + 1 for a, b in _catalog_intervals(val))
-            check_budget(f"{prop}: shape cells", cells, floor, cap)
+            check_budget(f"{prop}: shape cells", cells, floor, budgets["max_cells"][2])
         else:
             check_budget(f"{prop}: {key}", val, floor, cap)
         effective[key] = val

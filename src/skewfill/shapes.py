@@ -467,9 +467,9 @@ def _row_spans(s: Shape) -> dict[int, tuple[int, int]]:
 
 
 def _top_row_dents(rows, top):
-    """The dent placements ((i1, i2, i3), (j1, j2, j3)) of a skew shape
-    whose top row j3 is `top`, a (row, (first, last)) pair, with rows j1 <
-    j2 drawn from `rows`, the occupied rows below it in the same form.
+    """fd's cells ((i1, j1), (i3, j2), (i2, j3)) in each dent placement, top
+    (i3, j3), of a skew shape whose top row j3 is `top`, a (row, (first,
+    last)) pair, with rows j1 < j2 drawn from `rows`, the rows below in that form.
 
     A placement picks cols i1<i2<i3 and rows j1<j2<j3 such that the host
     holds cells at all nine selected positions except (i3,j1) and (i1,j3),
@@ -480,8 +480,9 @@ def _top_row_dents(rows, top):
     j3, (a3, _) = top
     for (j1, (_, b1)), (j2, (a2, b2)) in itertools.combinations(rows, 2):
         if a2 < a3 <= b1 < b2:  # else one of the ranges is empty
-            for cols in itertools.product(range(a2, a3), range(a3, b1 + 1), range(b1 + 1, b2 + 1)):
-                yield cols, (j1, j2, j3)
+            for i1, i2, i3 in itertools.product(range(a2, a3), range(a3, b1 + 1),
+                                                range(b1 + 1, b2 + 1)):
+                yield (i1, j1), (i3, j2), (i2, j3)
 
 
 def _contains_dent(s: Shape) -> bool:

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import skew_shapes
+from skewfill import bijection
 from skewfill._engine import ShapeContext
 from skewfill.bijection import (
     cell_labels,
@@ -69,6 +70,21 @@ def test_stage_endpoints_coincide_on_dent_free_shapes():
         for f in all_binary(s):
             assert in_G(s, f, 1) == (longest_chain(f, SE) < 2)
             assert in_G(s, f, n) == (longest_chain(f, NE) < 2)
+
+
+def test_the_full_maps_scan_only_the_patterns_that_decide(monkeypatch):
+    # no delta2 top lies past c_N, and every iota2 or fd top has three
+    # cells labelled before it, so stage 1 is read off the delta2 scan and
+    # stage N off the iota2 and fd scans
+    asked, scan = [], bijection.find_filling_occurrences
+    monkeypatch.setattr(bijection, "find_filling_occurrences",
+                        lambda f, pattern: asked.append(pattern) or scan(f, pattern))
+    f = support_of_labels(DENT, ())
+    full_forward(f)
+    assert asked == ["delta2"]
+    asked.clear()
+    full_backward(f)
+    assert asked == ["iota2", "fd"]
 
 
 @given(skew_shapes(max_rows=3, max_width=3).filter(lambda s: s.size <= 7))

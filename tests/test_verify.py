@@ -207,6 +207,18 @@ def test_shape_parameter_respects_cell_cap(monkeypatch):
     assert verify("lemma_gi", shape="[(1,13)]").instances == 12
 
 
+def test_shape_cap_follows_the_max_cells_cap(monkeypatch):
+    # a single shape's cells count to the max_cells cap, so raising that
+    # cap is the one edit that lets a larger shape through
+    monkeypatch.delenv("SKEWFILL_BUDGET_OVERRIDE", raising=False)
+    line = "[(1,3),(2,4),(3,5),(4,6),(6,6)]"  # 13 cells
+    with pytest.raises(BudgetError, match="shape cells=13 exceeds cap 12"):
+        verify("lemma_gi", shape=line)
+    monkeypatch.setitem(harness._PROPERTIES["lemma_gi"][1], "max_cells", (1, 8, 13))
+    r = verify("lemma_gi", shape=line)
+    assert r.passed and r.instances == 12
+
+
 def test_shape_budget_is_checked_before_the_shape_is_built(monkeypatch):
     monkeypatch.delenv("SKEWFILL_BUDGET_OVERRIDE", raising=False)
     built = []
