@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .fillings import Filling, find_filling_occurrences
-from .shapes import Cell, Occurrence, Rect, Shape, is_skew
+from .shapes import Cell, Occurrence, Rect, Shape, _row_spans, _top_row_dents, is_skew
 
 ROW_BREAK = "rowbreak"
 IN_ROW = "inrow"
@@ -63,11 +63,15 @@ def in_G(s: Shape, f: Filling, i: int) -> bool:
     for occ in find_filling_occurrences(f, "delta2") if i < n else ():  # no top is past c_n
         if label_index(s, occurrence_top(occ)) > i:
             return False
-    for token in ("iota2", "fd") if i >= 4 else ():  # every top has 3 cells labelled before it
-        for occ in find_filling_occurrences(f, token):
-            if label_index(s, occurrence_top(occ)) <= i:
-                return False
-    return True
+    if i < 4:  # every iota2 or fd top has 3 cells labelled before it
+        return True
+    for occ in find_filling_occurrences(f, "iota2"):
+        if label_index(s, occurrence_top(occ)) <= i:
+            return False
+    # an fd occurrence is a dent placement whose fd cells all hold 1s
+    ones, rows = f.support(), list(_row_spans(s).items())
+    return not any(ones.issuperset(fd) and label_index(s, (fd[1][0], rows[t][0])) <= i
+                   for t in range(2, len(rows)) for fd in _top_row_dents(rows[:t], rows[t]))
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,8 @@ _COUNT_CELLS_CAP = _COUNT_BUDGET.bit_length() - 1
 
 # Most cells enum-shapes lists: 1,171,631 shapes at 13 cells.  Every line
 # is held until the walk ends, since the output goes by size.  One cold
-# run on one core takes about 0.7 s and 80 MB at 12 cells, 2.3 s and
-# 170 MB at 13: each further cell costs about 3 times the time, 2.1 the memory.
+# run on one core takes about 0.55 s and 80 MB at 12 cells, 1.25 s and
+# 170 MB at 13: each further cell costs about 2.4 times the time, 2.1 the memory.
 _ENUM_SHAPES_CAP = 13
 
 # Lines enum-shapes joins into one write, so the output is never held
@@ -38,8 +38,8 @@ _ENUM_SHAPES_CAP = 13
 _ENUM_BATCH = 1 << 16
 
 # Most grid cells, holes included, that classify, decompose and bijection
-# take: a 15 x 15 grid.  The fd box scan of bijection --backward, C(h,3) *
-# C(w,3) on an h x w grid, grows like the sixth power of the side.
+# take: a 15 x 15 grid.  bijection scans for delta_2 or iota_2 in every
+# 2 x 2 box, C(h,2) * C(w,2) on an h x w grid, the fourth power of the side.
 _GRID_CELLS_CAP = 225
 
 # Largest k of an iota<k> or delta<k> token, and most rows or columns of

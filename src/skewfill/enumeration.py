@@ -6,7 +6,7 @@ a_y at most one past b_{y-1} so no column is skipped.  Every normalized
 skew shape without empty rows or columns has exactly one such encoding,
 which doubles as the catalog text format (bottom row first).  The walk
 takes a list's extensions from a table keyed by its top row and the cells
-left (_children), and its lines take each row's text from another (_row_texts).
+left (_children); catalog_lines reads each row's texts with it (_child_rows).
 
 Moon polyominoes are built from their columns.  An n-cell moon in normal
 position is its list of column intervals, left to right, and a list of
@@ -232,28 +232,36 @@ def enum_skew_shapes(n: int, connected: bool | None = None, ds_free: bool | None
 def catalog_lines(max_cells: int, connected: bool, ds_free: bool) -> list[str]:
     """The catalog lines of the shapes of at most max_cells cells, only
     the connected or dent-free ones if asked: by cell count, and each
-    size in lexicographic order, as enum_skew_shapes lists it.  One walk,
-    and no shape is built.
+    size in lexicographic order, as enum_skew_shapes lists it.  No shape
+    is built.
 
-    Each line is its parent's line plus one row, and the unsharded walk is
-    a preorder, so the latest list of d - 1 rows before a list of d rows is
-    its parent (the argument is at harness._walk).  heads[d] keeps the
-    latest line of d rows, with a trailing comma in place of its closing
-    bracket, and _row_texts gives a row's texts."""
+    It walks as the unsharded _catalog_walk does, over the same child
+    rule and prefix test, and builds each line on the way down.  A stack
+    entry holds a list's intervals, its head (its parent's line with a
+    comma in place of the closing bracket), its cells and its top row's
+    two texts from _child_rows: its line is head + the closing text, and
+    its children's head is head + the other."""
+    keep = _flag_prefix(connected, ds_free)
     by_size = [[] for _ in range(max_cells + 1)]
-    heads = ["["] * (max_cells + 1)
-    for intervals, used, _ in _catalog_walk(max_cells, keep=_flag_prefix(connected, ds_free)):
-        d = len(intervals)
-        more, last = _row_texts(intervals[-1])
-        heads[d] = heads[d - 1] + more
-        by_size[used].append(heads[d - 1] + last)
-    return [line for lines in by_size for line in lines]
+    stack = [((), "[", 0, "", "")]  # the empty list; by_size[0] is dropped
+    while stack:
+        intervals, head, used, more, end = stack.pop()
+        by_size[used].append(head + end)
+        if used < max_cells:
+            head, room = head + more, max_cells - used
+            last = intervals[-1] if intervals else (1, 0)
+            stack += [(intervals + (row,), head, used + k, more, end)
+                      for row, k, more, end in _child_rows(last, room)
+                      if keep is None or keep(intervals + (row,), room - k)]
+    return [line for lines in by_size[1:] for line in lines]
 
 
 @lru_cache(maxsize=None)
-def _row_texts(row) -> tuple[str, str]:
-    """A row's text in a catalog line: "(a,b)," below another row, "(a,b)]" on top."""
-    return "({},{}),".format(*row), "({},{})]".format(*row)
+def _child_rows(last, room: int) -> tuple:
+    """_children(last, room), each row with its two texts in a catalog
+    line: "(a,b)," below another row and "(a,b)]" on top."""
+    return tuple((row, k, "({},{}),".format(*row), "({},{})]".format(*row))
+                 for row, k in _children(last, room))
 
 
 def _flag_prefix(connected: bool | None, ds_free: bool | None):

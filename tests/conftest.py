@@ -586,9 +586,10 @@ def reference_catalog_walk(max_cells: int, shard: tuple[int, int] = (0, 1), keep
 
 
 def reference_catalog_lines(max_cells: int, connected: bool, ds_free: bool) -> list[str]:
-    """enumeration.catalog_lines over reference_catalog_walk, each row
-    formatted on its own: heads[d] keeps the latest line of d rows, with
-    a trailing comma in place of its closing bracket."""
+    """enumeration.catalog_lines by another route: reference_catalog_walk,
+    a preorder, with each row formatted on its own, and heads[d] the
+    latest line of d rows, with a trailing comma in place of its closing
+    bracket."""
     by_size = [[] for _ in range(max_cells + 1)]
     heads = ["["] * (max_cells + 1)
     for intervals, used, _ in reference_catalog_walk(max_cells,

@@ -72,13 +72,29 @@ def test_stage_endpoints_coincide_on_dent_free_shapes():
             assert in_G(s, f, n) == (longest_chain(f, NE) < 2)
 
 
+def test_in_G_matches_the_engine_stages_on_dented_shapes():
+    # in_G reads fd off the dent placements, the engine off its bounds
+    # table (dmax <= i < umin); every dented catalog shape of at most 8
+    # cells, every binary filling and every stage
+    shapes = [s for n in range(1, 9) for s in enum_skew_shapes(n, ds_free=False)]
+    assert len(shapes) == 7
+    for s in shapes:
+        ctx = ShapeContext(s)
+        for i in range(1, ctx.n + 1):
+            members = set(ctx.stage_members(i).tolist())
+            assert [in_G(s, f, i) for f in all_binary(s)] == \
+                [code in members for code in range(1 << ctx.n)], (s, i)
+
+
 def test_the_full_maps_scan_only_the_patterns_that_decide(monkeypatch):
     # no delta2 top lies past c_N, and every iota2 or fd top has three
     # cells labelled before it, so stage 1 is read off the delta2 scan and
-    # stage N off the iota2 and fd scans
-    asked, scan = [], bijection.find_filling_occurrences
+    # stage N off the iota2 and fd scans (fd's reads the dent placements)
+    asked, scan, dents = [], bijection.find_filling_occurrences, bijection._top_row_dents
     monkeypatch.setattr(bijection, "find_filling_occurrences",
                         lambda f, pattern: asked.append(pattern) or scan(f, pattern))
+    monkeypatch.setattr(bijection, "_top_row_dents",
+                        lambda rows, top: asked.append("fd") or dents(rows, top))
     f = support_of_labels(DENT, ())
     full_forward(f)
     assert asked == ["delta2"]

@@ -12,6 +12,7 @@ from skewfill.enumeration import (
     EnumSpec,
     _admits_transversal,
     _catalog_walk,
+    _child_rows,
     _diagonal_prefix,
     _enum_values,
     _ferrers_prefix,
@@ -436,8 +437,8 @@ def test_catalog_walk_is_a_preorder(shard):
     """Every list the walk to 8 cells yields, a shard's unowned one-row
     lists too, comes after its parent and before any list outside its
     parent's subtree: the extensions of each list are the run of lists
-    right after it.  catalog_lines and harness._walk, which grows each
-    list's item from its parent's, rely on it."""
+    right after it.  harness._walk, which grows each list's item from
+    its parent's, relies on it."""
     order = [iv for iv, _, _ in _catalog_walk(8, shard)]
     at = {iv: k for k, iv in enumerate(order)}
     assert len(at) == len(order)
@@ -550,3 +551,16 @@ def test_catalog_lines_match_the_reference_lines(connected, ds_free):
     for n in range(1, 10):
         assert catalog_lines(n, connected, ds_free) == \
             reference_catalog_lines(n, connected, ds_free), n
+
+
+def test_catalog_lines_interleaved_calls_match_the_reference_lines():
+    # the child-row table is shared by every call in a process: filled at
+    # 9 cells, then read at 4 and 7 with other flags, in mixed order (the
+    # k-th call takes budget k mod 3 and flag pair k mod 4, so the twelve
+    # calls cover every pair once)
+    _child_rows.cache_clear()
+    flags = [(False, False), (True, False), (False, True), (True, True)]
+    for k in range(12):
+        n, (connected, ds_free) = (9, 4, 7)[k % 3], flags[k % 4]
+        assert catalog_lines(n, connected, ds_free) == \
+            reference_catalog_lines(n, connected, ds_free), (n, connected, ds_free)
