@@ -78,7 +78,8 @@ and the pattern of set bits in it, and each box row is a run of
 consecutive labels.  So each (w, h, direction) has one table over the
 2^(wh) patterns of the w x h box, built once by the recursion, and a
 region's table gathers each mask's bits in the region into a box pattern
-and looks it up.
+and looks it up.  The gather is bit_gather, a table over all 2^n masks,
+which also relabels rubey's support masks from one moon to another.
 
 The sum-capped fillings (those sum_capped_mask keeps) are built directly
 rather than filtered out of all (max_entry + 1)^n value vectors.  Those
@@ -366,15 +367,21 @@ def _region_chains(cells, direction: str, region: Rect) -> np.ndarray:
     label = {c: k for k, c in enumerate(cells)}
     if not all(c in label for c in region.cells()):
         raise ValueError(f"region {region} is not a box of cells of the shape")
-    # box row r is the run of w labels from its first cell's, and goes to
-    # bits r * w.. of the pattern; the rows of one shift go at once
-    w, masks = region.width, {}
-    for r, y in enumerate(range(region.row_lo, region.row_hi + 1)):
-        shift = label[region.col_lo, y] - r * w
-        masks[shift] = masks.get(shift, 0) | ((1 << w) - 1) << (r * w)
-    codes = _codes(len(cells))
-    pattern = reduce(np.bitwise_or, ((codes >> shift) & mask for shift, mask in masks.items()))
-    return _box_chains(w, region.height, direction)[pattern]
+    # box row r is the run of w labels from its first cell's: one shift
+    src = [label[x, y] for y in range(region.row_lo, region.row_hi + 1)
+           for x in range(region.col_lo, region.col_hi + 1)]
+    return _box_chains(region.width, region.height, direction)[bit_gather(len(cells), src)]
+
+
+def bit_gather(n: int, src) -> np.ndarray:
+    """Per n-bit code, the code whose bit j is its bit src[j]; the bits of
+    one shift move at once."""
+    masks = {}
+    for j, k in enumerate(src):
+        masks[k - j] = masks.get(k - j, 0) | 1 << j
+    codes = _codes(n)
+    return reduce(np.bitwise_or, ((codes >> shift if shift >= 0 else codes << -shift) & mask
+                                  for shift, mask in masks.items()))
 
 
 def support_chain_table(s: Shape, direction: str, region: Rect | None = None) -> np.ndarray:
@@ -478,11 +485,11 @@ def sum_capped_mask(rows: np.ndarray, cols: np.ndarray, cap: int) -> np.ndarray:
     return (rows <= cap).all(axis=1) | (cols <= cap).all(axis=1)
 
 
+def sorted_keys(a: np.ndarray) -> np.ndarray:
+    """A key array sorted: 1-D keys by value, key matrices by row (np.lexsort)."""
+    return np.sort(a) if a.ndim == 1 or not a.size else a[np.lexsort(a.T)]
+
+
 def multiset_equal(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether two key arrays hold the same keys with multiplicity, compared
-    sorted: 1-D keys by value, key matrices by row (np.lexsort)."""
-    if a.shape != b.shape:
-        return False
-    if a.ndim == 1:
-        return np.array_equal(np.sort(a), np.sort(b))
-    return a.size == 0 or np.array_equal(a[np.lexsort(a.T)], b[np.lexsort(b.T)])
+    """Whether two key arrays hold the same keys with multiplicity, compared sorted."""
+    return a.shape == b.shape and np.array_equal(sorted_keys(a), sorted_keys(b))

@@ -94,7 +94,7 @@ with each moon that a swap of two adjacent columns turns it into.  A
 swap keeps the multiset of column intervals, so the swapped moon is in
 the moon's column class (one size, one such multiset) exactly when the
 swap leaves a moon.  rubey takes one class at a time, and a shard takes
-whole classes: each moon's tables are built once, in one shard.
+whole classes: each class's family is built once, in one shard.
 
 Sum classes.  The refined part of cor_sskew, lem_ferrers and rubey
 compares two multisets with a key per filling: on the left some chain
@@ -104,9 +104,10 @@ fillings have entries <= max_entry and all row sums or all column sums
 <= max_entry: the sum classes an entry cap enumerates completely
 (_engine.sum_capped_mask).  A bare entry cap cuts classes in half and
 makes the identities false as stated; the 2x2 square with row and column
-sums (1, 3) shows this for caps 1 and 2.  A shape builds its fillings,
-its identity keys and each chain table once (_filling_table, the one
-owner of the key format).  The fillings are generated, not filtered out
+sums (1, 3) shows this for caps 1 and 2.  A shape builds its fillings
+and identity keys once (_family, the one owner of the key format), and
+each chain table once (_filling_table); a rubey column class builds one
+family, its first moon's.  The fillings are generated, not filtered out
 of all (max_entry + 1)^n value vectors: the row-capped ones one capped
 word per row, then the column-capped ones that are not row-capped
 (_engine.capped_fillings).  A chain table of a rectangle reads the one
@@ -142,7 +143,17 @@ bits the keys are the key matrices, whose rows multiset_equal sorts.
                with its swap s is the same check as s with m: each
                unordered pair is compared once and counts two instances,
                and on failure two failures, one per moon; a self-swap, of
-               two equal columns, counts one.
+               two equal columns, counts one.  No key is permuted: a
+               labeling pi maps a moon's columns to the first moon's
+               columns with the same interval and turns each filling F of
+               the first moon into the moon's F o pi.  A filling of the
+               swapped moon is G o tau for a filling G of the moon, and
+               its sums under sigma = tau are G's own; with G = F o pi
+               the left side reads the first moon's family through pi,
+               the right through pi o tau, both keyed by the sums of
+               F o pi.  Keying both by F's own sums changes every key by
+               one fixed injective map, so swap t compares the sorted keys
+               of the two labelings (_labeled_keys).
 lem_ferrers and rubey check multisets only ("level" in their details).
 """
 
@@ -160,7 +171,8 @@ from functools import partial, reduce
 
 import numpy as np
 
-from ._engine import ShapeContext, StepError, capped_fillings, multiset_equal, support_chain_table
+from ._engine import ShapeContext, StepError, bit_gather, capped_fillings, multiset_equal, \
+    sorted_keys, support_chain_table
 from .enumeration import _admits_transversal, _catalog_intervals, _catalog_walk, \
     _diagonal_prefix, _ferrers_prefix, _flag_prefix, _joined, _line, _new_dent, _transversals, \
     catalog_line, catalog_sums, enum_moon_polyominoes, parse_catalog_line
@@ -387,13 +399,12 @@ def _check_thm_bp(intervals, params):
 _KEY_BOUND = 1 << 62  # every packed key lies below this
 
 
-def _filling_table(s: Shape, max_entry: int):
-    """The keys and chain tables of the sum-capped fillings of s
-    (_engine.capped_fillings); see Sum classes in the module docstring.
-    keys(stats, rho=None, sigma=None) gives each filling's key, stats an
-    (N, d) block of chain statistics, rho and sigma 1-based or None for
-    the identity.  chains(direction, region=None) gives each filling's
-    longest chain, building each (direction, region) table once."""
+def _family(s: Shape, max_entry: int):
+    """(keys, support) of the sum-capped fillings of s
+    (_engine.capped_fillings), support their support masks; see Sum
+    classes in the module docstring.  keys(stats, rho=None, sigma=None,
+    at=every row) gives each filling's key, stats[at] an (N, d) block of
+    chain statistics, rho and sigma 1-based or None for the identity."""
     lines, support = capped_fillings(s, max_entry)
     h, w = s.height, s.width
     *places, size = itertools.accumulate([max_entry * w + 1] * h + [max_entry * h + 1] * w,
@@ -403,18 +414,26 @@ def _filling_table(s: Shape, max_entry: int):
         places = np.array(places, dtype=np.int64)
         # einsum casts to int64 one buffer at a time; @ copies the whole matrix
         ident = np.einsum("ij,j->i", lines, places)
-    tables = {}
 
-    def keys(stats: np.ndarray, rho=None, sigma=None) -> np.ndarray:
+    def keys(stats: np.ndarray, rho=None, sigma=None, at=slice(None)) -> np.ndarray:
         perm = None if rho is None else np.array([*rho, *(h + x for x in sigma)]) - 1
         if size * base ** stats.shape[1] > _KEY_BOUND:
-            return np.column_stack([stats, lines if perm is None else lines[:, perm]])
+            return np.column_stack([stats[at], lines if perm is None else lines[:, perm]])
         chain_places = [size * base ** i for i in range(stats.shape[1])]
-        key = ident + stats @ np.array(chain_places, dtype=np.int64)
+        key = ident + (stats @ np.array(chain_places, dtype=np.int64))[at]
         if perm is None:
             return key
         moved = (perm != np.arange(h + w)).nonzero()[0]
         return key + lines[:, perm[moved]] @ (places[moved] - places[perm[moved]])
+
+    return keys, support
+
+
+def _filling_table(s: Shape, max_entry: int):
+    """_family's keys of s, and chains(direction, region=None), each
+    filling's longest chain, building each (direction, region) table once."""
+    keys, support = _family(s, max_entry)
+    tables = {}
 
     def chains(direction: str, region: Rect | None = None) -> np.ndarray:
         if (direction, region) not in tables:
@@ -556,37 +575,58 @@ def _column_classes(max_cells: int):
         yield from classes.values()
 
 
+def _labeled_keys(family, moon: Shape, table: np.ndarray, sigma) -> np.ndarray:
+    """The sorted keys of a class's family (keys, support, the first moon's
+    cell labels) read on moon through the labeling sigma, which puts the
+    first moon's column sigma[x - 1] at column x; table holds the moon's
+    NE chain table of each maximal rectangle, one per column."""
+    keys, support, label = family
+    src = [label[sigma[x - 1], y] for x, y in moon.sorted_cells()]
+    return sorted_keys(keys(table[bit_gather(moon.size, src)], at=support))
+
+
 def _check_rubey(moons, params):
-    """One column class.  Swapping t again undoes a swap, so each unordered
-    pair is compared once, from the moon whose columns sort first, and
-    counted for each of its moons; a self-swap, of two equal columns, is
-    its own pair (see Sum classes in the module docstring)."""
-    instances, failures = 0, []
-    tables = {}  # the class's moons' rectangle widths, keys and chains, built as needed
+    """One column class, read as labelings of one family (see Sum classes
+    in the module docstring).  Swapping t again undoes a swap, so each
+    unordered pair is compared once, from the moon whose columns sort
+    first, and counted for each of its moons; a self-swap, of two equal
+    columns, is its own pair.  Each labeling's keys are sorted once and
+    dropped after their last comparison."""
+    base, first = next(iter(moons.items()))
+    keys, support = _family(first, params["max_entry"])
+    family = keys, support, {c: k for k, c in enumerate(first.sorted_cells())}
+    spots = sorted(range(1, len(base) + 1), key=lambda x: base[x - 1])
+    tables, compared = {}, []  # per moon its rectangle widths and chain tables; the swaps
     for cols, m in moons.items():
+        rects = _rectangles(m)  # a moon by construction, not rechecked
+        tables[cols] = ([r.width for r in rects],
+                        np.column_stack([support_chain_table(m, NE, r) for r in rects]))
+        # the canonical labeling: the k-th column with an interval is the first moon's k-th
+        sigma = tuple(x for _, x in sorted(zip(sorted(range(len(cols)), key=cols.__getitem__),
+                                               spots)))
         for t in range(1, len(cols)):
             swapped = cols[:t - 1] + (cols[t], cols[t - 1]) + cols[t + 1:]
-            if cols > swapped or swapped not in moons:
-                continue
-            for c in (cols, swapped):
-                if c not in tables:
-                    rects = _rectangles(moons[c])  # a moon by construction, not rechecked
-                    keys, chains = _filling_table(moons[c], params["max_entry"])
-                    tables[c] = ([r.width for r in rects], keys,
-                                 np.column_stack([chains(NE, r) for r in rects]))
-            pair = [m] if cols == swapped else [m, moons[swapped]]
-            instances += len(pair)
-            (widths_m, keys_m, stats_m), (widths_s, keys_s, stats_s) = \
-                tables[cols], tables[swapped]
-            if len(set(widths_m)) != len(widths_m) or widths_m != widths_s:
-                clause = "rectangle widths do not match"
-            else:
-                sigma = [*range(1, t), t + 1, t, *range(t + 2, len(cols) + 1)]
-                rho = [*range(1, m.height + 1)]  # a column swap keeps every row
-                clause = None if multiset_equal(keys_m(stats_m), keys_s(stats_s, rho, sigma)) \
-                    else "class sizes"
-            failures += [{"shape": catalog_line(p), "swap": t, "clause": clause}
-                         for p in pair if clause]
+            if cols <= swapped and swapped in moons:
+                compared.append((cols, t, swapped,
+                                 (sigma, sigma[:t - 1] + (sigma[t], sigma[t - 1]) + sigma[t + 1:])))
+    last = {pi: i for i, (*_, labelings) in enumerate(compared) for pi in labelings}
+    instances, failures, held = 0, [], {}
+    for i, (cols, t, swapped, labelings) in enumerate(compared):
+        pair = [cols] if cols == swapped else [cols, swapped]
+        instances += len(pair)
+        widths = tables[cols][0]
+        if len(set(widths)) != len(widths) or widths != tables[swapped][0]:
+            clause = "rectangle widths do not match"
+        else:
+            for c, pi in zip((cols, swapped), labelings):
+                if pi not in held:
+                    held[pi] = _labeled_keys(family, moons[c], tables[c][1], pi)
+            clause = None if np.array_equal(*map(held.get, labelings)) else "class sizes"
+        for pi in labelings:
+            if last[pi] == i:
+                held.pop(pi, None)
+        failures += [{"shape": catalog_line(moons[c]), "swap": t, "clause": clause}
+                     for c in pair if clause]
     return instances, failures, {"level": "cardinalities"}
 
 
@@ -648,7 +688,7 @@ _PROPERTIES = {
     "rubey": ((lambda params, shard: itertools.islice(
                    _column_classes(params["max_cells"]), shard[0], None, shard[1]),
                _check_rubey, None),
-              {"max_cells": (1, 8, 11), "max_entry": (1, 1, 2)}),
+              {"max_cells": (1, 8, 12), "max_entry": (1, 1, 2)}),
     "ds_free_oracle": ((_walk(None, lambda up, iv: (iv, up[1] or _new_dent(iv)), ((), False)),
                         _check_ds_free_oracle, None), {"max_cells": (1, 9, 13)}),
 }

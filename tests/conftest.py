@@ -546,6 +546,30 @@ def identity_permutations(table):
     return identity_table
 
 
+def own_column_sums(labeled):
+    """A stand-in for harness._labeled_keys: each labeling's keys with its
+    moon's own column sums, read through the labeling, in place of the
+    first moon's.  Both sides of a swap then hold their moons' own keys,
+    as a per-moon comparison with the identity sigma would."""
+
+    def own(family, moon, table, sigma):
+        keys, support, label = family
+        rows = range(1, moon.height + 1)
+        return labeled((lambda stats, **at: keys(stats, rows, sigma, **at), support, label),
+                       moon, table, sigma)
+
+    return own
+
+
+def with_identity_permutations(monkeypatch, prop):
+    """Make prop compare with the identity (rho, sigma): lem_ferrers and
+    cor_sskew by their tables' keys, rubey by its labelings' keys."""
+    if prop == "rubey":
+        monkeypatch.setattr(harness, "_labeled_keys", own_column_sums(harness._labeled_keys))
+    else:
+        monkeypatch.setattr(harness, "_filling_table", identity_permutations(harness._filling_table))
+
+
 def reference_add_children(out: list, intervals, used: int, room: int) -> list:
     """Append to out the one-row extensions (intervals, cells) of a list
     of `used` cells that the catalog grammar allows with room cells left,

@@ -124,19 +124,25 @@ def test_rubey_matches_pair_loop(max_entry):
 
 def test_rubey_compares_each_unordered_swap_once(monkeypatch):
     """579 instances at 7 cells: 275 self-swaps, of two equal columns,
-    and 152 pairs of moons, each compared once for both of its moons."""
-    moons, table = [], harness._filling_table
+    and 152 pairs of moons, each compared once for both of its moons.
+    With keys unique to each labeling every comparison fails, once for
+    each of its moons; each labeling's keys are built once, 284 moons'
+    canonical ones and a second one per self-swap."""
+    built = []
 
-    def recording(m, max_entry):
-        keys, chains = table(m, max_entry)
-        return lambda *args: moons.append(m) or keys(*args), chains
+    def unique(family, moon, table, sigma):
+        built.append((moon, tuple(sigma)))
+        return np.array([len(built)])
 
-    monkeypatch.setattr(harness, "_filling_table", recording)
+    monkeypatch.setattr(harness, "_labeled_keys", unique)
     r = verify("rubey", max_cells=7)
-    assert r.instances == 579 and r.passed
-    # a comparison takes the keys of the moon, then of the swapped moon
-    swaps = [a == b for a, b in zip(moons[::2], moons[1::2])]
-    assert (swaps.count(True), swaps.count(False)) == (275, 152)
+    assert r.instances == len(r.failures) == 579
+    columns = {catalog_line(m): cols for moons in harness._column_classes(7)
+               for cols, m in moons.items()}
+    self_swaps = sum(cols[f["swap"] - 1] == cols[f["swap"]]
+                     for f in r.failures for cols in [columns[f["shape"]]])
+    assert (self_swaps, (len(r.failures) - self_swaps) // 2) == (275, 152)
+    assert len(built) == len(set(built)) == 284 + 275
 
 
 def test_each_rubey_column_class_has_one_height_and_width():
@@ -146,7 +152,7 @@ def test_each_rubey_column_class_has_one_height_and_width():
     cap = harness._PROPERTIES["rubey"][1]["max_cells"][2]
     classes = list(harness._column_classes(cap))
     assert all(len({(m.height, m.width) for m in moons.values()}) == 1 for moons in classes)
-    assert len(classes) == 852  # the column classes of <= 11 cells
+    assert len(classes) == 1364  # the column classes of <= 12 cells
 
 
 @pytest.mark.parametrize("max_entry", [1, 2])
@@ -156,18 +162,19 @@ def test_rubey_shards_merge_to_the_serial_report(max_entry):
     assert serial.passed
 
 
-def test_rubey_shards_build_each_moon_table_once(monkeypatch):
+def test_rubey_shards_build_each_class_family_once(monkeypatch):
     """A shard takes whole column classes, so the shards together build
-    each moon's table once, as many as a serial run builds."""
+    each class's family once, from its first moon, as many as a serial
+    run builds: one per column class of <= 8 cells."""
     built = []
-    table = harness._filling_table
-    monkeypatch.setattr(harness, "_filling_table",
-                        lambda m, max_entry: built.append(m) or table(m, max_entry))
+    family = harness._family
+    monkeypatch.setattr(harness, "_family",
+                        lambda m, max_entry: built.append(m) or family(m, max_entry))
     for jobs in (1, 2, 3):
         built.clear()
         for k in range(jobs):
             harness._run("rubey", {"max_cells": 8, "max_entry": 1}, (k, jobs))
-        assert (len(built), len(set(built))) == (593, 593)
+        assert (len(built), len(set(built))) == (183, 183)
 
 
 def test_rubey_shards_outnumbering_the_classes_merge_to_the_serial_report(fake_pool):
@@ -184,23 +191,19 @@ PARTNER = ((2, 2), (1, 2), (1, 3))
 
 @pytest.fixture
 def perturbed_target(monkeypatch):
-    """Raise every chain length of the empty filling of the TARGET moon."""
+    """Raise every chain length of the empty filling of the TARGET moon,
+    in the chain tables that rubey and reference_rubey both read."""
     target = shape_of_columns(TARGET)
-    table = harness._filling_table
+    chains = harness.support_chain_table
 
-    def perturbed(m, max_entry):
-        keys, chains = table(m, max_entry)
-        if m != target:
-            return keys, chains
+    def perturbed(s, direction, region=None):
+        table = chains(s, direction, region)
+        if s == target:
+            table = table.copy()
+            table[0] += 1  # the empty support
+        return table
 
-        def raised(direction, region=None):
-            lam = chains(direction, region).copy()
-            lam[0] += 1
-            return lam
-
-        return keys, raised
-
-    monkeypatch.setattr(harness, "_filling_table", perturbed)
+    monkeypatch.setattr(harness, "support_chain_table", perturbed)
 
 
 def test_rubey_failure_names_the_moon_of_its_pair(perturbed_target, fake_pool):

@@ -9,9 +9,9 @@ permutes and compares the key matrices of each k afresh.
 import numpy as np
 import pytest
 
-from conftest import identity_permutations
+from conftest import with_identity_permutations
 from skewfill import harness
-from skewfill._engine import capped_fillings, multiset_equal, support_chain_table
+from skewfill._engine import capped_fillings, multiset_equal, sorted_keys, support_chain_table
 from skewfill.enumeration import _catalog_walk, _ferrers_prefix, enum_moon_polyominoes, \
     enum_skew_shapes
 from skewfill.fillings import NE, SE
@@ -176,7 +176,7 @@ def test_the_fixed_radix_fits_every_shape_up_to_the_caps(monkeypatch):
         for m in enum_moon_polyominoes(n):
             counted += 1
             assert packs(m, len(_rectangles(m)), moons["max_entry"]), m
-    assert counted == 4273  # the moons of <= 11 cells
+    assert counted == 7788  # the moons of <= 12 cells
     for n in range(1, cor["refine_cells"] + 1):
         for s in enum_skew_shapes(n, connected=True, ds_free=True):
             assert packs(s, 0, cor["max_entry"]), s
@@ -185,16 +185,23 @@ def test_the_fixed_radix_fits_every_shape_up_to_the_caps(monkeypatch):
 @pytest.mark.parametrize("prop, max_cells", [("lem_ferrers", 7), ("rubey", 7), ("cor_sskew", 8)])
 def test_the_benchmark_budgets_compare_packed_keys_only(monkeypatch, prop, max_cells):
     """At the budgets of the chains and catalog benchmark workloads every
-    sum-class comparison gets 1-D int64 keys: none sorts key matrices."""
+    sum-class comparison sorts 1-D int64 keys, none key matrices: both
+    sides in multiset_equal (cor_sskew, lem_ferrers), or each labeling's
+    keys once (rubey's sorted_keys)."""
     seen = set()
 
     def recording(a, b):
-        seen.add((a.ndim, a.dtype, b.ndim, b.dtype))
+        seen.update({(a.ndim, a.dtype), (b.ndim, b.dtype)})
         return multiset_equal(a, b)
 
+    def sorting(a):
+        seen.add((a.ndim, a.dtype))
+        return sorted_keys(a)
+
     monkeypatch.setattr(harness, "multiset_equal", recording)
+    monkeypatch.setattr(harness, "sorted_keys", sorting)
     assert harness.verify(prop, max_cells=max_cells).passed
-    assert seen == {(1, np.dtype(np.int64)) * 2}
+    assert seen == {(1, np.dtype(np.int64))}
 
 
 @pytest.mark.parametrize("prop, params, failing", [
@@ -206,26 +213,32 @@ def test_the_key_matrices_give_the_packed_reports(monkeypatch, prop, params, fai
     """With no key packed (_KEY_BOUND 0) every comparison sorts key
     matrices, and each report equals the packed one: as built, and with
     the identity (rho, sigma) in place of every one asked for, which fails
-    59 lem_ferrers frames and 304 rubey swaps.  cor_sskew's refined part
-    passes with the identity too (see the harness docstring), so it runs
-    as built only."""
-    table, seen, reports = harness._filling_table, set(), {}
-    variants = {"as_built": table, "identity": identity_permutations(table)}
-    if failing is None:
-        del variants["identity"]
+    59 lem_ferrers frames and 304 rubey swaps (rubey's with each side
+    packed in its own moon's column order, conftest.own_column_sums).
+    cor_sskew's refined part passes with the identity too (see the harness
+    docstring), so it runs as built only."""
+    seen, reports = set(), {}
+    variants = ["as_built"] if failing is None else ["as_built", "identity"]
 
     def recording(a, b):
-        seen.add((a.ndim, b.ndim))
+        seen.update({a.ndim, b.ndim})
         return multiset_equal(a, b)
 
+    def sorting(a):
+        seen.add(a.ndim)
+        return sorted_keys(a)
+
     monkeypatch.setattr(harness, "multiset_equal", recording)
+    monkeypatch.setattr(harness, "sorted_keys", sorting)
     for bound in (harness._KEY_BOUND, 0):
         monkeypatch.setattr(harness, "_KEY_BOUND", bound)
-        for name, variant in variants.items():
-            monkeypatch.setattr(harness, "_filling_table", variant)
-            seen.clear()
-            reports[bound > 0, name] = harness.verify(prop, **params)
-            assert seen == {(1, 1) if bound else (2, 2)}
+        for name in variants:
+            with monkeypatch.context() as patch:
+                if name == "identity":
+                    with_identity_permutations(patch, prop)
+                seen.clear()
+                reports[bound > 0, name] = harness.verify(prop, **params)
+            assert seen == {1 if bound else 2}
     for name in variants:
         assert reports[True, name] == reports[False, name]
     assert reports[True, "as_built"].passed
@@ -243,8 +256,7 @@ def repacked(lines, h, max_entry, stats, rho, sigma):
     return np.column_stack([lines[:, perm], stats]).astype(np.int64) @ np.cumprod([1, *bases[:-1]])
 
 
-@pytest.mark.parametrize("prop, compared", [("cor_sskew", 186), ("lem_ferrers", 235),
-                                            ("rubey", 427)])
+@pytest.mark.parametrize("prop, compared", [("cor_sskew", 186), ("lem_ferrers", 235)])
 def test_moved_lines_keys_equal_the_full_repack(monkeypatch, prop, compared):
     """For each (rho, sigma) a property compares under on shapes of <= 7
     cells at max_entry 2, and a random (rho, sigma) beside each, the keys
@@ -275,3 +287,72 @@ def test_moved_lines_keys_equal_the_full_repack(monkeypatch, prop, compared):
     monkeypatch.setattr(harness, "_filling_table", checked_table)
     assert harness.verify(prop, max_cells=7, max_entry=2).passed
     assert len(moved) == compared and any(moved)
+
+
+def unpacked(keys, h, w, max_entry, digits):
+    """The line sums (h rows, then the w columns) and statistics of packed
+    keys, read back digit by digit in the radix of the harness docstring."""
+    out = []
+    for base in [max_entry * w + 1] * h + [max_entry * h + 1] * w + [min(h, w) + 1] * digits:
+        keys, digit = np.divmod(keys, base)
+        out.append(digit)
+    assert not keys.any()
+    lines = np.column_stack(out)
+    return lines[:, :h + w], lines[:, h + w:]
+
+
+def canonical_labeling(first, cols):
+    """Per column of a moon, the first moon's column (1-based) with its
+    interval: the k-th occurrence of an interval goes to the k-th."""
+    taken = {}
+    labeling = []
+    for c in cols:
+        taken[c] = taken.get(c, 0) + 1
+        labeling.append([x for x, d in enumerate(first, start=1) if d == c][taken[c] - 1])
+    return labeling
+
+
+@pytest.mark.parametrize("max_entry", [1, 2])
+def test_transported_keys_equal_each_moons_own_table(monkeypatch, max_entry):
+    """rubey's transport against the per-moon construction, comparison by
+    comparison, on the 427 comparisons of <= 7 cells.  The sides of swap t
+    of moon m hold the keys of the first moon's fillings, read through
+    m's canonical labeling and through it composed with the swap, packed
+    with the first moon's column sums.  Put the column sums back in m's
+    order (the labeling's fixed injective map on keys), and the left side
+    is the sorted keys of m's own table, keys(stats_m), and the right side
+    those of the swapped moon's, keys(stats_s, identity rho, sigma)."""
+    labeled, sides = harness._labeled_keys, {}
+
+    def recording(family, moon, table, sigma):
+        sides[moon, tuple(sigma)] = got = labeled(family, moon, table, sigma)
+        return got
+
+    monkeypatch.setattr(harness, "_labeled_keys", recording)
+    assert harness.verify("rubey", max_cells=7, max_entry=max_entry).passed
+    compared = 0
+    for moons in harness._column_classes(7):
+        first = next(iter(moons))
+        for cols, m in moons.items():
+            h, w = m.height, m.width
+            sigma = canonical_labeling(first, cols)
+            rects_m = _rectangles(m)
+            for t in range(1, w):
+                swap = [*range(1, t), t + 1, t, *range(t + 2, w + 1)]
+                swapped = tuple(cols[x - 1] for x in swap)
+                if cols > swapped or swapped not in moons:
+                    continue
+                compared += 1
+                s = moons[swapped]
+                keys_m, chains_m = harness._filling_table(m, max_entry)
+                keys_s, chains_s = harness._filling_table(s, max_entry)
+                own = (np.sort(keys_m(np.column_stack([chains_m(NE, r) for r in rects_m]))),
+                       np.sort(keys_s(np.column_stack([chains_s(NE, r) for r in _rectangles(s)]),
+                                      range(1, h + 1), swap)))
+                for moon, labeling, want in ((m, sigma, own[0]),
+                                             (s, [sigma[x - 1] for x in swap], own[1])):
+                    lines, stats = unpacked(sides[moon, tuple(labeling)], h, w, max_entry,
+                                            len(rects_m))
+                    assert np.array_equal(np.sort(repacked(lines, h, max_entry, stats,
+                                                           range(1, h + 1), sigma)), want)
+    assert compared == 427

@@ -23,7 +23,7 @@ from skewfill.harness import (
 from skewfill.fillings import NE
 from skewfill.shapes import Rect, _contains_dent, _interval_shape, dent_shape, is_nw_ferrers, \
     normalize
-from conftest import frame_counts_by_cells, identity_permutations, reference_lem_ferrers
+from conftest import frame_counts_by_cells, reference_lem_ferrers, with_identity_permutations
 from test_genskew_runner import LINE, forward_is_identity
 
 
@@ -171,7 +171,7 @@ def test_budget_caps_enforced():
         with pytest.raises(BudgetError):
             verify("rubey", max_entry=3)
         with pytest.raises(BudgetError):
-            verify("rubey", max_cells=12)
+            verify("rubey", max_cells=13)
         with pytest.raises(BudgetError):
             verify("ds_free_oracle", max_cells=14)
     finally:
@@ -560,9 +560,12 @@ def test_lem_ferrers_matches_the_per_frame_reference(monkeypatch, max_entry, bro
 @pytest.mark.parametrize("prop, max_cells, failing", [("lem_ferrers", 6, 43), ("rubey", 7, 304)])
 def test_identity_permutations_fail_lem_ferrers_and_rubey(monkeypatch, prop, max_cells, failing):
     """The frames' and the swaps' (rho, sigma) are seen: with identity
-    permutations in their place the checks fail.  cor_sskew's refined
-    part passes with the identity too (see the harness docstring)."""
-    monkeypatch.setattr(harness, "_filling_table", identity_permutations(harness._filling_table))
+    permutations in their place the checks fail.  rubey's swaps carry
+    sigma in their labelings: with each side packed in its own moon's
+    column order they fail as the per-moon check with the identity did.
+    cor_sskew's refined part passes with the identity too (see the
+    harness docstring)."""
+    with_identity_permutations(monkeypatch, prop)
     assert len(verify(prop, max_cells=max_cells).failures) == failing
 
 
